@@ -21,7 +21,7 @@ from .fronts import (
     render_front,
     validate,
 )
-from .laurent import HomflyProfile, VZPoly, ZPoly, coefficient_of_v, conway, profile
+from .laurent import HomflyProfile, VZPoly, ZPoly, conway, profile
 from .rulings import (
     GradingClass,
     PairingState,
@@ -30,10 +30,8 @@ from .rulings import (
     census,
     classify,
     enumerate_rulings,
-    genus,
     is_normal_switch,
     ruling_polynomial,
-    theta,
 )
 from .skein import (
     LinkDiagram,

@@ -17,12 +17,6 @@ from dataclasses import dataclass, field
 from . import fronts, rulings, skein
 from .laurent import VZPoly, ZPoly, conway as conway_of, profile
 
-EXIT_OK = 0
-EXIT_IDENTITY_FAILED = 1
-EXIT_RESOURCE = 2
-
-NORULING_CONDITIONS = ("khovanov", "kauffman", "negative_counts", "subset")
-
 FIRED = "fired"
 QUIET = "quiet"
 NOT_EVALUATED = "not_evaluated"

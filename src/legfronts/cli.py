@@ -3,7 +3,8 @@
 Every subcommand reads fronts in the text format (``L|R|X <height>`` per
 line, ``#`` comments); a bare corpus name like ``trefoil`` resolves to the
 bundled file of that name.  Exit codes: 0 all checks passed, 1 a check
-failed or the input was invalid, 2 the skein crossing ceiling was hit.
+failed, the input was invalid or an internal consistency check failed,
+2 the skein crossing ceiling was hit.
 """
 
 from __future__ import annotations
@@ -380,6 +381,9 @@ def main(argv=None) -> int:
     except skein.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RuntimeError as exc:  # after ResourceLimitError, which subclasses it
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (fronts.InvalidFrontError, fronts.NormalFormError, FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL

@@ -236,10 +236,6 @@ class HomflyProfile:
     at: int
 
 
-def coefficient_of_v(p: VZPoly, k: int) -> ZPoly:
-    return p.coefficient_of_v(k)
-
-
 def profile(p: VZPoly, at: int | None = None) -> HomflyProfile:
     """Extract (e, M, Q) from a nonzero two-variable polynomial."""
     if not p:

@@ -140,15 +140,6 @@ class Ruling:
     orientable: bool | None  # None when undetermined (non-2-graded link rulings)
 
 
-def theta(ruling: Ruling) -> int:
-    return ruling.theta
-
-
-def genus(ruling: Ruling, diagram: fronts.FrontDiagram) -> int | None:
-    del diagram  # the ruling already carries the knot/gradedness verdict
-    return ruling.genus
-
-
 def _is_even(index: int) -> bool:
     return index % 2 == 0
 

@@ -8,12 +8,16 @@ count.  Fronts convert by smoothing cusps and reading the over strand
 from slopes; ports are numbered NW, SW, SE, NE, so a front-born crossing
 always carries its over strand on (0, 2).
 
-Both polynomial invariants are computed by the classic descending-diagram
+Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
 crossing met on its under strand is expanded by the skein relation into a
 switched child (fewer bad crossings) and smoothed children (fewer
 crossings); a diagram with no bad crossing is a layered unlink and is a
-leaf.
+leaf.  Before it is expanded, every diagram is reduced: Reidemeister-I
+curls are removed (worth a^{+-1} to the Dubrovnik polynomial, 1 to
+Homfly), and so are Reidemeister-II bigons whose one strand is over at
+both crossings (worth 1 to both).  Branch coefficients are monomials,
+and leaves are summed by (v-exponent, z-exponent, components).
 
 Conventions (pinned operationally by the test suite):
 
@@ -156,6 +160,37 @@ class LinkDiagram:
             self._fused(cid, ((0, 1), (2, 3))),
         )
 
+    def reduced(self) -> tuple["LinkDiagram", int]:
+        """Strip Reidemeister-I curls and Reidemeister-II bigons until none
+        is left; also return the summed sign of the curls removed.
+
+        A curl, two adjacent ports of one crossing joined, is fused and the
+        freed loop dropped.  A bigon, adjacent ports of two crossings joined
+        pairwise, goes when one strand is over at both crossings and no
+        outer port leads back into them.
+        """
+        d, curls = self, 0
+        while True:
+            adj, crs = d.adj, d.crossings
+            for (c, p), (c2, b) in adj.items():
+                q = (p + 1) % 4
+                if c2 == c:
+                    if b == q:
+                        curls += _sign_from(crs[c].over02, ((p + 2) % 4, q))
+                        d = d._fused(c, ((p, q), ((p + 2) % 4, (q + 2) % 4)))
+                        d.loops -= 1  # the curl's own loop, now free
+                        break
+                elif (adj[(c, q)] == (c2, (b - 1) % 4)
+                        and (p % 2 == b % 2) == (crs[c].over02 == crs[c2].over02)
+                        and all(adj[(x, r % 4)][0] not in (c, c2)
+                                for x, r in ((c, p + 2), (c, p + 3), (c2, b + 1), (c2, b + 2)))):
+                    # both strands run straight through both crossings and the
+                    # bigon's arcs, so the outer ports join up along them
+                    d = d._fused(c, ((0, 2), (1, 3)))._fused(c2, ((0, 2), (1, 3)))
+                    break
+            else:
+                return d, curls
+
     def unoriented(self) -> "LinkDiagram":
         stripped = {c: Crossing(cr.over02, None) for c, cr in self.crossings.items()}
         return LinkDiagram(stripped, self.adj, self.loops)
@@ -164,44 +199,23 @@ class LinkDiagram:
         """Remove a crossing, wiring its ports together pairwise."""
         wire = {}
         for a, b in pairs:
-            wire[a] = b
-            wire[b] = a
+            wire[a], wire[b] = b, a
         old = self.adj
         adj = {k: v for k, v in old.items() if k[0] != cid and v[0] != cid}
-        loops = self.loops
-        done: set[int] = set()
-        for p in range(4):
-            if p in done:
-                continue
-            end = old[(cid, p)]
-            if end[0] == cid:
-                continue  # internal arc, reached from an external entry or a pure loop
-            done.add(p)
-            q = wire[p]
-            done.add(q)
-            target = old[(cid, q)]
-            while target[0] == cid:
-                r = target[1]
-                done.add(r)
-                q = wire[r]
-                done.add(q)
-                target = old[(cid, q)]
-            adj[end] = target
-            adj[target] = end
-        remaining = [p for p in range(4) if p not in done]
-        while remaining:
-            p0 = remaining[0]
+        loops, todo = self.loops, {0, 1, 2, 3}
+        # walks from outside arcs first; what they leave are closed loops
+        for p0 in sorted(todo, key=lambda p: old[(cid, p)][0] == cid):
             p = p0
-            while True:
-                done.add(p)
+            while p in todo:
                 q = wire[p]
-                done.add(q)
-                target = old[(cid, q)]
-                p = target[1]
-                if p == p0:
+                todo -= {p, q}
+                end = old[(cid, q)]
+                if end[0] != cid:
+                    start = old[(cid, p0)]
+                    adj[start], adj[end] = end, start
                     break
-            loops += 1
-            remaining = [x for x in range(4) if x not in done]
+                loops += end[1] == p0  # back at the start: a closed loop
+                p = end[1]
         crossings = {c: cr for c, cr in self.crossings.items() if c != cid}
         return LinkDiagram(crossings, adj, loops)
 
@@ -235,14 +249,11 @@ class LinkDiagram:
 
 def _sign_from(over02: bool, in_ports: tuple[int, int]) -> int:
     # ports sit at W, S, E, N; a strand's direction is the vector from its
-    # inflow port through the center
-    dirs = {0: (1, 0), 2: (-1, 0), 1: (0, 1), 3: (0, -1)}
-    i02 = next(p for p in in_ports if p % 2 == 0)
-    i13 = next(p for p in in_ports if p % 2 == 1)
-    d02, d13 = dirs[i02], dirs[i13]
-    over, under = (d02, d13) if over02 else (d13, d02)
-    det = over[0] * under[1] - over[1] * under[0]
-    return 1 if det > 0 else -1
+    # inflow port through the center, (1 - i02, 0) or (0, 2 - i13), and the
+    # sign is det(over direction, under direction)
+    i02, i13 = in_ports if in_ports[0] % 2 == 0 else in_ports[::-1]
+    det = (1 - i02) * (2 - i13)
+    return det if over02 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +347,7 @@ def homfly(
     """
     if not d.is_oriented:
         raise ValueError("Homfly needs an oriented diagram")
-    if d.num_crossings > max_crossings:
-        raise ResourceLimitError(
-            f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
-        )
-    total = VZPoly(0)
-    stack: list[tuple[LinkDiagram, VZPoly]] = [(d, VZPoly(1))]
-    while stack:
-        cur, coeff = stack.pop()
-        bad = cur.first_bad_crossing(strategy)
-        if bad is None:
-            n = cur.num_components()
-            total = total + coeff * HOMFLY_DELTA ** (n - 1)
-            continue
-        switched = cur.switched(bad)
-        smoothed = cur.smoothed_oriented(bad)
-        if cur.sign(bad) > 0:
-            # P(L+) = v^2 P(L-) + v z P(L0)
-            stack.append((switched, coeff * VZPoly.monomial(1, 2, 0)))
-            stack.append((smoothed, coeff * VZPoly.monomial(1, 1, 1)))
-        else:
-            # P(L-) = v^{-2} P(L+) - v^{-1} z P(L0)
-            stack.append((switched, coeff * VZPoly.monomial(1, -2, 0)))
-            stack.append((smoothed, coeff * VZPoly.monomial(-1, -1, 1)))
-    return total
+    return _skein_sum(d, max_crossings, False, strategy)
 
 
 def conway_polynomial(d: LinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> ZPoly:
@@ -401,33 +389,49 @@ def kauffman_dubrovnik(
     """
     if not d.is_oriented:
         raise ValueError("the writhe normalization needs an oriented input diagram")
+    return _skein_sum(d, max_crossings, True)
+
+
+def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool, strategy: str = "min") -> VZPoly:
+    """Reduce each node, expand it at its first bad crossing, and sum the
+    leaves c v^ev z^ez delta^(n-1).  A branch carries its coefficient as
+    the monomial (c, ev, ez); leaves are added up by (ev, ez, n), so each
+    power of delta is expanded once."""
     if d.num_crossings > max_crossings:
         raise ResourceLimitError(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
         )
-    w0 = d.writhe()
-    z = VZPoly.monomial(1, 0, 1)
-    total = VZPoly(0)
-    stack: list[tuple[LinkDiagram, VZPoly]] = [(d.unoriented(), VZPoly(1))]
+    leaves: dict[tuple[int, int, int], int] = {}
+    stack = [(d.unoriented(), 1, d.writhe(), 0)] if kauffman else [(d, 1, 0, 0)]
     while stack:
-        cur, coeff = stack.pop()
-        bad = cur.first_bad_crossing()
+        cur, c, ev, ez = stack.pop()
+        cur, curls = cur.reduced()
+        if kauffman:
+            ev -= curls  # a curl of sign s is worth a^s = v^{-s}
+        bad = cur.first_bad_crossing(strategy)
         if bad is None:
             walks = cur._walks()
-            n = len(walks) + cur.loops
-            wl = _leaf_writhe(cur, walks)
-            leaf = VZPoly.monomial(1, -wl, 0) * DUBROVNIK_DELTA ** (n - 1)
-            total = total + coeff * leaf
-            continue
-        switched = cur.switched(bad)
-        smooth_a, smooth_b = cur.smoothings_unoriented(bad)
-        # with ports in CCW order, over on (0,2) plays the role of L+
-        # relative to the smoothing labels (L0 joins (1,2)/(0,3))
-        si = 1 if cur.crossings[bad].over02 else -1
-        stack.append((switched, coeff))
-        stack.append((smooth_a, coeff * z * si))
-        stack.append((smooth_b, coeff * z * (-si)))
-    return VZPoly.monomial(1, w0, 0) * total
+            if kauffman:
+                ev -= _leaf_writhe(cur, walks)
+            key = (ev, ez, len(walks) + cur.loops)
+            leaves[key] = leaves.get(key, 0) + c
+        elif kauffman:
+            # with ports in CCW order, over on (0,2) plays the role of L+
+            # relative to the smoothing labels (L0 joins (1,2)/(0,3))
+            si = c if cur.crossings[bad].over02 else -c
+            smooth_a, smooth_b = cur.smoothings_unoriented(bad)
+            stack += [(cur.switched(bad), c, ev, ez), (smooth_a, si, ev, ez + 1),
+                      (smooth_b, -si, ev, ez + 1)]
+        else:
+            s = cur.sign(bad)  # P(L+-) = v^{+-2} P(L-+) +- v^{+-1} z P(L0)
+            stack += [(cur.switched(bad), c, ev + 2 * s, ez),
+                      (cur.smoothed_oriented(bad), s * c, ev + s, ez + 1)]
+    delta = DUBROVNIK_DELTA if kauffman else HOMFLY_DELTA
+    total = VZPoly(0)
+    for n in {n for _, _, n in leaves}:
+        terms = {(ev, ez): c for (ev, ez, m), c in leaves.items() if m == n}
+        total = total + VZPoly(terms) * delta ** (n - 1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +442,9 @@ def seifert_circle_count(d: LinkDiagram) -> int:
     """Circles left after smoothing every crossing along orientation."""
     if not d.is_oriented:
         raise ValueError("Seifert smoothing needs an oriented diagram")
-    parent: dict[Port, Port] = {}
-
-    def find(x: Port) -> Port:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: Port, b: Port) -> None:
-        parent[find(a)] = find(b)
-
-    for cid, cr in d.crossings.items():
-        i1, i2 = cr.in_ports
-        union((cid, i1), (cid, (i2 + 2) % 4))
-        union((cid, i2), (cid, (i1 + 2) % 4))
-    for a, b in d.adj.items():
-        union(a, b)
-    classes = {find((c, p)) for c in d.crossings for p in range(4)}
-    return len(classes) + d.loops
+    for cid in list(d.crossings):
+        d = d.smoothed_oriented(cid)
+    return d.loops
 
 
 def seifert_diagram_genus(d: LinkDiagram) -> int:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from legfronts import cli, corpus
+from legfronts import cli, corpus, skein
 from legfronts.fronts import parse_front, render_front
 
 
@@ -98,6 +98,15 @@ def test_max_crossings_exceeded_gives_exit_2(capsys):
     code, _, err = run(capsys, "homfly", "trefoil", "--max-crossings=2")
     assert code == 2
     assert "resource limit" in err
+
+
+def test_internal_consistency_error_gives_exit_1(capsys, monkeypatch):
+    # a wrong circle count trips the parity check inside seifert_diagram_genus
+    monkeypatch.setattr(skein, "seifert_circle_count", lambda d: 1)
+    code, out, err = run(capsys, "tests", "trefoil")
+    assert code == 1
+    assert out == ""
+    assert err == "internal consistency check failed: Seifert circle count has impossible parity\n"
 
 
 def test_rutherford_51_mentions_genus_two_term(capsys):

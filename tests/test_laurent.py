@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from legfronts.laurent import VZPoly, ZPoly, coefficient_of_v, conway, profile
+from legfronts.laurent import VZPoly, ZPoly, conway, profile
 
 
 def zpolys():
@@ -81,10 +81,10 @@ def test_shift_is_monomial_multiplication(p, k):
 def test_coefficient_of_v_examples():
     # the right trefoil Homfly polynomial, sliced at v^(tb+1) = v^2
     p = VZPoly({(2, 2): 1, (2, 0): 2, (4, 0): -1})
-    assert coefficient_of_v(p, 2) == ZPoly({2: 1, 0: 2})
-    assert coefficient_of_v(p, -3) == ZPoly(0)
+    assert p.coefficient_of_v(2) == ZPoly({2: 1, 0: 2})
+    assert p.coefficient_of_v(-3) == ZPoly(0)
     unlink = VZPoly({(-1, -1): 1, (1, -1): -1})
-    assert coefficient_of_v(unlink, -1) == ZPoly({-1: 1})
+    assert unlink.coefficient_of_v(-1) == ZPoly({-1: 1})
 
 
 def test_profile_examples():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import skein_oracle
 from conftest import nested_unlink, random_fronts
 from legfronts import corpus
 from legfronts.fronts import classical_invariants, components, front
@@ -176,6 +177,77 @@ def test_kauffman_dominates_homfly_slice_on_corpus_knots():
         f_slice = kauffman_dubrovnik(d).coefficient_of_v(tb + 1)
         for exp in set(p_slice.terms) | set(f_slice.terms):
             assert 0 <= p_slice.coefficient(exp) <= f_slice.coefficient(exp)
+
+
+# -- reductions and the unreduced oracle ----------------------------------------
+
+
+def kinks(k: int, positive: bool):
+    """k stacked curls on one unknot: the twisted eye L1 X1^k R1, mirrored
+    for positive curls."""
+    d = front_to_diagram(front("L1 " + "X1 " * k + "R1"))
+    if positive:
+        for cid in list(d.crossings):
+            d = d.switched(cid)
+    return d
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_stacked_kinks_reduce_to_the_unknot(positive):
+    for k in range(1, 5):
+        d = kinks(k, positive)
+        s = 1 if positive else -1
+        assert d.writhe() == s * k
+        bare, curls = d.unoriented().reduced()
+        assert (bare.num_crossings, bare.loops, curls) == (0, 1, s * k)
+        # the raw Dubrovnik value a^w D_normalized is a^{+-k} = v^{-+k}
+        raw = VZPoly.monomial(1, -d.writhe(), 0) * kauffman_dubrovnik(d)
+        assert raw == VZPoly.monomial(1, -s * k, 0)
+        assert kauffman_dubrovnik(d) == VZPoly(1)
+        assert homfly(d) == VZPoly(1)
+
+
+def test_bigon_with_one_strand_over_is_removed():
+    # the trefoil twist with its middle crossing switched: the bigon it
+    # forms with the first crossing goes, the last crossing is then a curl
+    d = front_to_diagram(TREFOIL).switched(2)
+    bare, curls = d.reduced()
+    assert (bare.num_crossings, bare.loops, curls) == (0, 1, 1)
+    assert homfly(d) == VZPoly(1)
+    assert kauffman_dubrovnik(d) == VZPoly(1)
+    # in the four-crossing twist of T(2,4), switching two crossings lets
+    # one bigon go and leaves the two-component unlink
+    d = front_to_diagram(front("L1 L3 X2 X2 X2 X2 R1 R1")).switched(2).switched(3)
+    assert d.reduced()[0].num_crossings == 2
+    assert homfly(d) == HOMFLY_DELTA
+    assert kauffman_dubrovnik(d) == DUBROVNIK_DELTA
+
+
+def test_alternating_bigon_is_kept():
+    hopf = front_to_diagram(front("L1 L2 X1 X3 R2 R1"))
+    bare, curls = hopf.reduced()
+    assert bare is hopf and curls == 0
+    assert homfly(hopf) == skein_oracle.homfly(hopf)
+    assert kauffman_dubrovnik(hopf) == skein_oracle.kauffman_dubrovnik(hopf)
+
+
+def test_ceiling_counts_crossings_before_reduction():
+    d = kinks(5, positive=False)
+    with pytest.raises(ResourceLimitError):
+        homfly(d, max_crossings=4)
+    with pytest.raises(ResourceLimitError):
+        kauffman_dubrovnik(d, max_crossings=4)
+
+
+def test_skein_matches_unreduced_oracle():
+    for f in random_fronts(seed=37, count=150, max_crossings=9):
+        reversals = [()] if components(f).num_components == 1 else [(), (0,)]
+        for reverse in reversals:
+            d = front_to_diagram(f, reverse)
+            p = skein_oracle.homfly(d)
+            assert homfly(d) == p
+            assert homfly(d, strategy="max") == p
+            assert kauffman_dubrovnik(d) == skein_oracle.kauffman_dubrovnik(d)
 
 
 # -- Seifert circles ------------------------------------------------------------
