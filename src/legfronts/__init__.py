@@ -6,6 +6,7 @@ from .fronts import (
     FrontDiagram,
     FrontEvent,
     FrontFormatError,
+    FrontSweep,
     InvalidFrontError,
     MaslovAssignment,
     NormalFormError,
@@ -19,6 +20,7 @@ from .fronts import (
     maslov_potential,
     parse_front,
     render_front,
+    sweep_front,
     validate,
 )
 from .laurent import HomflyProfile, VZPoly, ZPoly, conway, profile

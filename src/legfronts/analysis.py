@@ -8,11 +8,18 @@ rulings by Euler characteristic.  This module evaluates both sides on a
 given front, certifies maximality of tb, reports the ruling genus bound
 read off the Homfly polynomial, and runs the no-ruling and genus tests
 that the polynomial data supports.
+
+Every check reads its inputs from one context per (front, reverse): the
+sweep record, the link diagram, Homfly, Kauffman and the ruling census,
+each computed on first use and then kept for the context's lifetime.
+``analyze`` runs all checks on one context, so each quantity is computed
+once per report; a standalone check builds a context of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 from . import fronts, rulings, skein
 from .laurent import VZPoly, ZPoly, conway as conway_of, profile
@@ -20,6 +27,34 @@ from .laurent import VZPoly, ZPoly, conway as conway_of, profile
 FIRED = "fired"
 QUIET = "quiet"
 NOT_EVALUATED = "not_evaluated"
+
+
+class _Context:
+    """The quantities the checks read for one (front, reverse), each
+    computed on first use and at most once."""
+
+    def __init__(self, diagram: fronts.FrontDiagram, max_crossings: int, reverse):
+        self.diagram, self.max_crossings, self.reverse = diagram, max_crossings, reverse
+
+    @cached_property
+    def sweep(self) -> fronts.FrontSweep:
+        return fronts.sweep_front(self.diagram, self.reverse)
+
+    @cached_property
+    def link(self) -> skein.LinkDiagram:
+        return skein._resolved(self.diagram, self.sweep)
+
+    @cached_property
+    def homfly(self) -> VZPoly:
+        return skein.homfly(self.link, self.max_crossings)
+
+    @cached_property
+    def kauffman(self) -> VZPoly:
+        return skein.kauffman_dubrovnik(self.link, self.max_crossings)
+
+    @cached_property
+    def census(self) -> rulings.RulingCensus:
+        return rulings.census(self.diagram, self.reverse)
 
 
 @dataclass(frozen=True)
@@ -42,6 +77,20 @@ class RutherfordResult:
     def passed(self) -> bool:
         return self.two_graded_ok and self.ungraded_ok
 
+    def to_json(self) -> dict:
+        return {
+            "two_graded": {
+                "pass": self.two_graded_ok,
+                "homfly_slice": self.homfly_slice.to_terms(),
+                "ruling_polynomial": self.two_graded_poly.to_terms(),
+            },
+            "ungraded": {
+                "pass": self.ungraded_ok,
+                "kauffman_slice": self.kauffman_slice.to_terms(),
+                "ruling_polynomial": self.ungraded_poly.to_terms(),
+            },
+        }
+
 
 def rutherford_check(
     diagram: fronts.FrontDiagram,
@@ -50,16 +99,17 @@ def rutherford_check(
 ) -> RutherfordResult:
     """Compare the v^(tb+1) slices of Homfly and Dubrovnik-Kauffman with
     the 2-graded and ungraded ruling polynomials; both must match exactly."""
-    inv = fronts.classical_invariants(diagram, reverse)
-    d = skein.front_to_diagram(diagram, reverse)
-    p = skein.homfly(d, max_crossings)
-    f = skein.kauffman_dubrovnik(d, max_crossings)
-    cens = rulings.census(diagram, reverse)
+    return _rutherford(_Context(diagram, max_crossings, reverse))
+
+
+def _rutherford(ctx: _Context) -> RutherfordResult:
+    tb = ctx.sweep.invariants.tb
+    p, f, cens = ctx.homfly, ctx.kauffman, ctx.census
     return RutherfordResult(
-        tb=inv.tb,
-        homfly_slice=p.coefficient_of_v(inv.tb + 1),
+        tb=tb,
+        homfly_slice=p.coefficient_of_v(tb + 1),
         two_graded_poly=cens.polynomials["two_graded"],
-        kauffman_slice=f.coefficient_of_v(inv.tb + 1),
+        kauffman_slice=f.coefficient_of_v(tb + 1),
         ungraded_poly=cens.polynomials["ungraded"],
     )
 
@@ -82,11 +132,13 @@ def max_tb_certificate(
     max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> MaxTbResult:
-    inv = fronts.classical_invariants(diagram, reverse)
-    p = skein.homfly(skein.front_to_diagram(diagram, reverse), max_crossings)
-    e = p.min_v_degree()
-    has_two = bool(rulings.enumerate_rulings(diagram, "two_graded", reverse))
-    return MaxTbResult(inv.tb, e, inv.tb + 1 == e, has_two)
+    return _max_tb(_Context(diagram, max_crossings, reverse))
+
+
+def _max_tb(ctx: _Context) -> MaxTbResult:
+    tb = ctx.sweep.invariants.tb
+    e = ctx.homfly.min_v_degree()
+    return MaxTbResult(tb, e, tb + 1 == e, ctx.census.count("two_graded") > 0)
 
 
 @dataclass(frozen=True)
@@ -109,19 +161,19 @@ def rho_report(
     condition pins rho = -infinity; otherwise the tool reports unknown
     rather than guessing.
     """
-    cmap = fronts.components(diagram, reverse)
-    if cmap.num_components != 1:
+    return _rho(_Context(diagram, max_crossings, reverse), khovanov_bound)
+
+
+def _rho(ctx: _Context, khovanov_bound: int | None) -> RhoResult:
+    if ctx.sweep.components.num_components != 1:
         return RhoResult("unknown", None, "ruling genus is defined for knot fronts")
-    d = skein.front_to_diagram(diagram, reverse)
-    p = skein.homfly(d, max_crossings)
-    prof = profile(p)
-    cens = rulings.census(diagram, reverse)
+    prof = profile(ctx.homfly)
+    cens = ctx.census
     if cens.count("two_graded"):
         value = prof.M // 2
         matches = cens.max_genus("two_graded") == value
         return RhoResult("value", value, "this front carries a 2-graded ruling", matches)
-    f = skein.kauffman_dubrovnik(d, max_crossings)
-    fired = no_ruling_tests(p, f, khovanov_bound)
+    fired = no_ruling_tests(ctx.homfly, ctx.kauffman, khovanov_bound)
     if any(v == FIRED for v in fired.values()):
         names = sorted(k for k, v in fired.items() if v == FIRED)
         return RhoResult("minus_infinity", None, f"no-ruling condition(s) fired: {names}")
@@ -199,19 +251,20 @@ def genus_tests(
     ruling genus <= (max z-degree of Homfly)/2 <= Seifert-algorithm genus
     of this front's diagram.
     """
-    d = skein.front_to_diagram(diagram, reverse)
-    p = skein.homfly(d, max_crossings)
+    return _genus(_Context(diagram, max_crossings, reverse))
+
+
+def _genus(ctx: _Context) -> GenusTests:
+    d, p = ctx.link, ctx.homfly
     prof = profile(p)
-    nabla = conway_of(p)
-    deg = nabla.degree()
-    cens = rulings.census(diagram, reverse)
-    half_z = p.max_z_degree() // 2
+    deg = conway_of(p).degree()
+    max_genus = ctx.census.max_genus("two_graded")
     seifert = skein.seifert_diagram_genus(d) if d.num_components() == 1 else None
     return GenusTests(
         bennequin_ok=prof.M <= prof.e,
         conway_ok=deg is not None and deg >= prof.M,
-        max_two_graded_genus=cens.max_genus("two_graded"),
-        half_homfly_z_degree=half_z,
+        max_two_graded_genus=max_genus,
+        half_homfly_z_degree=p.max_z_degree() // 2,
         seifert_genus=seifert,
     )
 
@@ -272,22 +325,8 @@ class AnalysisReport:
     ok: bool = field(default=True)
 
     def to_json(self) -> dict:
-        return {
-            "front": self.front_name,
-            "is_knot": self.is_knot,
-            "tb": self.tb,
-            "r": self.r,
-            "rutherford_two_graded": self.rutherford_two_graded,
-            "rutherford_ungraded": self.rutherford_ungraded,
-            "max_tb_certificate": self.max_tb_certificate,
-            "rho": self.rho,
-            "noruling_flags": self.noruling_flags,
-            "bennequin_test": self.bennequin_test,
-            "conway_test": self.conway_test,
-            "theorem1_check": self.theorem1_check,
-            "khovanov_bound_input": self.khovanov_bound_input,
-            "ok": self.ok,
-        }
+        # every field under its own name, except front_name
+        return {"front": self.front_name, **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
 
 def analyze(
@@ -297,48 +336,25 @@ def analyze(
     reverse=(),
 ) -> AnalysisReport:
     """Run every check on one front and collect a structured report."""
-    inv = fronts.classical_invariants(diagram, reverse)
-    cmap = fronts.components(diagram, reverse)
-    is_knot = cmap.num_components == 1
-
-    ruth = rutherford_check(diagram, max_crossings, reverse)
-    cert = max_tb_certificate(diagram, max_crossings, reverse)
-    rho = rho_report(diagram, khovanov_bound, max_crossings, reverse)
-    gtests = genus_tests(diagram, max_crossings, reverse)
-
-    d = skein.front_to_diagram(diagram, reverse)
-    flags = no_ruling_tests(
-        skein.homfly(d, max_crossings),
-        skein.kauffman_dubrovnik(d, max_crossings),
-        khovanov_bound,
-    )
+    ctx = _Context(diagram, max_crossings, reverse)
+    ruth = _rutherford(ctx)
+    cert = _max_tb(ctx)
+    rho = _rho(ctx, khovanov_bound)
+    gtests = _genus(ctx)
+    flags = no_ruling_tests(ctx.homfly, ctx.kauffman, khovanov_bound)
     # soundness: the no-ruling conditions must stay quiet whenever a
     # 2-graded ruling was actually observed
-    sound = not (
-        cert.has_two_graded_ruling and any(v == FIRED for v in flags.values())
-    )
-    ok = (
-        ruth.passed
-        and cert.consistent
-        and gtests.chain_ok
-        and sound
-        and rho.genus_matches is not False
-    )
+    sound = not (cert.has_two_graded_ruling and FIRED in flags.values())
+    ok = (ruth.passed and cert.consistent and gtests.chain_ok and sound
+          and rho.genus_matches is not False)
+    slices = ruth.to_json()
     return AnalysisReport(
         front_name=diagram.name,
-        is_knot=is_knot,
-        tb=inv.tb,
-        r=inv.r,
-        rutherford_two_graded={
-            "pass": ruth.two_graded_ok,
-            "homfly_slice": ruth.homfly_slice.to_terms(),
-            "ruling_polynomial": ruth.two_graded_poly.to_terms(),
-        },
-        rutherford_ungraded={
-            "pass": ruth.ungraded_ok,
-            "kauffman_slice": ruth.kauffman_slice.to_terms(),
-            "ruling_polynomial": ruth.ungraded_poly.to_terms(),
-        },
+        is_knot=ctx.sweep.components.num_components == 1,
+        tb=ruth.tb,
+        r=ctx.sweep.invariants.r,
+        rutherford_two_graded=slices["two_graded"],
+        rutherford_ungraded=slices["ungraded"],
         max_tb_certificate={
             "tb": cert.tb,
             "e": cert.e,
@@ -346,12 +362,7 @@ def analyze(
             "has_two_graded_ruling": cert.has_two_graded_ruling,
             "consistent": cert.consistent,
         },
-        rho={
-            "kind": rho.kind,
-            "value": rho.value,
-            "reason": rho.reason,
-            "genus_matches": rho.genus_matches,
-        },
+        rho=asdict(rho),
         noruling_flags=flags,
         bennequin_test=gtests.bennequin_ok,
         conway_test=gtests.conway_ok,

@@ -155,11 +155,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     diagram = _load_front(args.front)
-    rev = args.reverse_component
-    inv = fronts.classical_invariants(diagram, rev)
-    cmap = fronts.components(diagram, rev)
-    maslov = fronts.maslov_potential(diagram, rev)
-    indices = fronts.crossing_indices(diagram, rev)
+    sweep = fronts.sweep_front(diagram, args.reverse_component)
+    inv, cmap, maslov, indices = sweep.invariants, sweep.components, sweep.maslov, sweep.indices
     payload = {
         "front": diagram.name,
         "events": str(diagram),
@@ -242,16 +239,7 @@ def _cmd_rutherford(args) -> int:
     payload = {
         "front": diagram.name,
         "tb": res.tb,
-        "two_graded": {
-            "pass": res.two_graded_ok,
-            "homfly_slice": res.homfly_slice.to_terms(),
-            "ruling_polynomial": res.two_graded_poly.to_terms(),
-        },
-        "ungraded": {
-            "pass": res.ungraded_ok,
-            "kauffman_slice": res.kauffman_slice.to_terms(),
-            "ruling_polynomial": res.ungraded_poly.to_terms(),
-        },
+        **res.to_json(),
         "pass": res.passed,
     }
     _emit(payload, args.format, [

@@ -15,6 +15,13 @@ x-coordinate.  A strand arc runs from a left cusp to a right cusp,
 passing through crossings; components are obtained by joining the two
 arcs that meet at each cusp.
 
+``sweep_front`` sweeps a validated front once and derives everything
+else from that one geometry: the component map and orientations, tb and
+the rotation numbers, the Maslov potential and the crossing indices,
+held in one ``FrontSweep`` record.  ``components``,
+``classical_invariants``, ``maslov_potential`` and ``crossing_indices``
+each return one field of a fresh record.
+
 Conventions fixed here and relied on by the rest of the package:
 
 * Each component is oriented so that its earliest-born bottommost arc
@@ -228,7 +235,7 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Components, orientations and classical invariants
+# Components, orientations, classical invariants and Maslov data: one sweep
 
 
 @dataclass(frozen=True)
@@ -238,70 +245,6 @@ class ComponentMap:
     arc_rightward: tuple[bool, ...]
     cusp_down: tuple[bool, ...]  # aligned with FrontGeometry.cusps
     reversed_components: frozenset[int]
-
-
-def components(diagram: FrontDiagram, reverse=()) -> ComponentMap:
-    """Partition arcs into components and orient them.
-
-    Arcs joined at a cusp belong to the same component and get opposite
-    x-directions.  Each component's reference arc, the bottommost among
-    those born at its earliest event, is oriented rightward; components
-    listed in ``reverse`` are flipped wholesale.
-    """
-    geom = sweep_geometry(diagram)
-    adjacency: list[list[int]] = [[] for _ in range(geom.num_arcs)]
-    for cusp in geom.cusps:
-        adjacency[cusp.upper_arc].append(cusp.lower_arc)
-        adjacency[cusp.lower_arc].append(cusp.upper_arc)
-
-    comp = [-1] * geom.num_arcs
-    rightward = [True] * geom.num_arcs
-    n_comp = 0
-    for seed in range(geom.num_arcs):
-        if comp[seed] >= 0:
-            continue
-        members = [seed]
-        comp[seed] = n_comp
-        todo = [seed]
-        while todo:
-            a = todo.pop()
-            for b in adjacency[a]:
-                if comp[b] < 0:
-                    comp[b] = n_comp
-                    members.append(b)
-                    todo.append(b)
-        # earliest event first, then bottommost (largest birth height)
-        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
-        rightward[rep] = True
-        seen = {rep}
-        todo = [rep]
-        while todo:
-            a = todo.pop()
-            for b in adjacency[a]:
-                if b not in seen:
-                    rightward[b] = not rightward[a]
-                    seen.add(b)
-                    todo.append(b)
-                elif rightward[b] == rightward[a]:
-                    raise RuntimeError("inconsistent orientation around a component")
-        n_comp += 1
-
-    reverse = frozenset(reverse)
-    unknown = reverse - set(range(n_comp))
-    if unknown:
-        raise ValueError(f"no such component(s): {sorted(unknown)}")
-    if reverse:
-        rightward = [
-            (not r) if comp[a] in reverse else r for a, r in enumerate(rightward)
-        ]
-
-    # a cusp is a down cusp when the traversal passes downward through it,
-    # i.e. when its upper arc is directed toward the cusp point
-    cusp_down = tuple(
-        (not rightward[c.upper_arc]) if c.kind == "L" else rightward[c.upper_arc]
-        for c in geom.cusps
-    )
-    return ComponentMap(n_comp, tuple(comp), tuple(rightward), cusp_down, reverse)
 
 
 @dataclass(frozen=True)
@@ -314,6 +257,23 @@ class ClassicalInvariants:
     crossing_signs: tuple[int, ...]  # aligned with crossing ids 1..c
 
 
+@dataclass(frozen=True)
+class MaslovAssignment:
+    modulus: int  # 2r; 0 means integer-valued
+    potential: tuple[int, ...]  # per arc, reduced mod modulus when nonzero
+
+
+@dataclass(frozen=True)
+class FrontSweep:
+    """Everything read off one oriented front, from one validated sweep."""
+
+    geometry: FrontGeometry
+    components: ComponentMap
+    invariants: ClassicalInvariants
+    maslov: MaslovAssignment
+    indices: dict[int, int]  # crossing id -> Maslov index
+
+
 def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
     """det(over direction, under direction) for a front crossing.
 
@@ -323,23 +283,77 @@ def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
     return 1 if over_rightward == under_rightward else -1
 
 
-def classical_invariants(diagram: FrontDiagram, reverse=()) -> ClassicalInvariants:
+def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
+    """Sweep the front once and derive its oriented data from the geometry.
+
+    Arcs joined at a cusp form a component and get opposite x-directions;
+    the Maslov cusp jumps are propagated from each component's reference
+    arc and verified consistent mod 2r and even on rightward arcs, so a
+    failure indicates a traversal bug, not bad input.
+    """
     geom = sweep_geometry(diagram)
-    cmap = components(diagram, reverse)
+    n_arcs = geom.num_arcs
+    # per arc, the arcs it meets at a cusp with the Maslov jump towards them
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_arcs)]
+    for cusp in geom.cusps:
+        edges[cusp.lower_arc].append((cusp.upper_arc, +1))
+        edges[cusp.upper_arc].append((cusp.lower_arc, -1))
+
+    comp = [-1] * n_arcs
+    rightward = [True] * n_arcs
+    reps: list[int] = []  # reference arc per component
+    for seed in range(n_arcs):
+        if comp[seed] >= 0:
+            continue
+        members, todo = [seed], [seed]
+        comp[seed] = len(reps)
+        while todo:
+            a = todo.pop()
+            for b, _ in edges[a]:
+                if comp[b] < 0:
+                    comp[b] = len(reps)
+                    rightward[b] = not rightward[a]
+                    members.append(b)
+                    todo.append(b)
+                elif rightward[b] == rightward[a]:
+                    raise RuntimeError("inconsistent orientation around a component")
+        # earliest event first, then bottommost (largest birth height)
+        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+        if not rightward[rep]:
+            for a in members:
+                rightward[a] = not rightward[a]
+        reps.append(rep)
+    n_comp = len(reps)
+
+    reverse = frozenset(reverse)
+    unknown = reverse - set(range(n_comp))
+    if unknown:
+        raise ValueError(f"no such component(s): {sorted(unknown)}")
+    if reverse:
+        rightward = [
+            (not r) if comp[a] in reverse else r for a, r in enumerate(rightward)
+        ]
+    # a cusp is a down cusp when the traversal passes downward through it,
+    # i.e. when its upper arc is directed toward the cusp point
+    cusp_down = tuple(
+        (not rightward[c.upper_arc]) if c.kind == "L" else rightward[c.upper_arc]
+        for c in geom.cusps
+    )
+    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward), cusp_down, reverse)
+
     signs = tuple(
-        crossing_sign(cmap.arc_rightward[x.over_arc], cmap.arc_rightward[x.under_arc])
-        for x in geom.crossings
+        crossing_sign(rightward[x.over_arc], rightward[x.under_arc]) for x in geom.crossings
     )
     writhe = sum(signs)
     num_right = sum(1 for c in geom.cusps if c.kind == "R")
-    down_up = [0] * cmap.num_components
-    for cusp, down in zip(geom.cusps, cmap.cusp_down):
-        down_up[cmap.arc_component[cusp.upper_arc]] += 1 if down else -1
+    down_up = [0] * n_comp
+    for cusp, down in zip(geom.cusps, cusp_down):
+        down_up[comp[cusp.upper_arc]] += 1 if down else -1
     rotations = tuple(du // 2 for du in down_up)
     r = 0
     for rot in rotations:
         r = math.gcd(r, abs(rot))
-    return ClassicalInvariants(
+    inv = ClassicalInvariants(
         tb=writhe - num_right,
         rot_per_component=rotations,
         r=r,
@@ -348,43 +362,12 @@ def classical_invariants(diagram: FrontDiagram, reverse=()) -> ClassicalInvarian
         crossing_signs=signs,
     )
 
-
-# ---------------------------------------------------------------------------
-# Maslov potential and crossing indices
-
-
-@dataclass(frozen=True)
-class MaslovAssignment:
-    modulus: int  # 2r; 0 means integer-valued
-    potential: tuple[int, ...]  # per arc, reduced mod modulus when nonzero
-
-
-def maslov_potential(diagram: FrontDiagram, reverse=()) -> MaslovAssignment:
-    """Assign a Maslov potential to every arc.
-
-    Propagates the cusp jumps from each component's reference arc
-    (anchored at 0) and verifies the result is consistent mod 2r and even
-    on rightward arcs; failures indicate a traversal bug, not bad input.
-    """
-    geom = sweep_geometry(diagram)
-    cmap = components(diagram, reverse)
-    inv = classical_invariants(diagram, reverse)
-    modulus = 2 * inv.r
-
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(geom.num_arcs)]
-    for cusp in geom.cusps:
-        edges[cusp.lower_arc].append((cusp.upper_arc, +1))
-        edges[cusp.upper_arc].append((cusp.lower_arc, -1))
-
-    potential = [None] * geom.num_arcs
-    for seed in range(geom.num_arcs):
-        if potential[seed] is not None:
-            continue
-        members = [a for a in range(geom.num_arcs) if cmap.arc_component[a] == cmap.arc_component[seed]]
-        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+    modulus = 2 * r
+    potential = [None] * n_arcs
+    for rep in reps:
         # the anchor must respect the even-right rule, and a reversed
         # component may have a leftward reference arc
-        potential[rep] = 0 if cmap.arc_rightward[rep] else 1
+        potential[rep] = 0 if rightward[rep] else 1
         todo = [rep]
         while todo:
             a = todo.pop()
@@ -392,31 +375,42 @@ def maslov_potential(diagram: FrontDiagram, reverse=()) -> MaslovAssignment:
                 if potential[b] is None:
                     potential[b] = potential[a] + jump
                     todo.append(b)
-    if modulus:
-        potential = [mu % modulus for mu in potential]
 
     def reduce(x: int) -> int:
         return x % modulus if modulus else x
 
+    potential = [reduce(mu) for mu in potential]
     for cusp in geom.cusps:
         if reduce(potential[cusp.upper_arc] - potential[cusp.lower_arc] - 1) != 0:
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")
-    for a in range(geom.num_arcs):
-        if cmap.arc_rightward[a] and potential[a] % 2 != 0:
+    for a in range(n_arcs):
+        if rightward[a] and potential[a] % 2 != 0:
             raise RuntimeError("rightward arc received an odd Maslov potential")
-    return MaslovAssignment(modulus, tuple(potential))
+    indices = {
+        x.crossing_id: reduce(potential[x.over_arc] - potential[x.under_arc])
+        for x in geom.crossings
+    }
+    return FrontSweep(geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
+
+
+def components(diagram: FrontDiagram, reverse=()) -> ComponentMap:
+    """Partition arcs into components and orient them (see ``sweep_front``)."""
+    return sweep_front(diagram, reverse).components
+
+
+def classical_invariants(diagram: FrontDiagram, reverse=()) -> ClassicalInvariants:
+    return sweep_front(diagram, reverse).invariants
+
+
+def maslov_potential(diagram: FrontDiagram, reverse=()) -> MaslovAssignment:
+    """Maslov potential of every arc (see ``sweep_front``)."""
+    return sweep_front(diagram, reverse).maslov
 
 
 def crossing_indices(diagram: FrontDiagram, reverse=()) -> dict[int, int]:
     """Maslov index of every crossing: potential of the upper-left strand
     minus the lower-left one, mod 2r."""
-    geom = sweep_geometry(diagram)
-    maslov = maslov_potential(diagram, reverse)
-    out = {}
-    for x in geom.crossings:
-        index = maslov.potential[x.over_arc] - maslov.potential[x.under_arc]
-        out[x.crossing_id] = index % maslov.modulus if maslov.modulus else index
-    return out
+    return sweep_front(diagram, reverse).indices
 
 
 def crossing_index(diagram: FrontDiagram, crossing_id: int, reverse=()) -> int:

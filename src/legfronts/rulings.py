@@ -21,6 +21,7 @@ orientable surface with one boundary circle, so its genus is
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,10 +176,10 @@ def enumerate_rulings(
     """
     if class_filter not in GRADING_FILTERS:
         raise ValueError(f"class_filter must be one of {GRADING_FILTERS}")
-    indices = fronts.crossing_indices(diagram, reverse)
-    cmap = fronts.components(diagram, reverse)
-    inv = fronts.classical_invariants(diagram, reverse)
-    is_knot = cmap.num_components == 1
+    sweep = fronts.sweep_front(diagram, reverse)
+    indices = sweep.indices
+    is_knot = sweep.components.num_components == 1
+    signs = sweep.invariants.crossing_signs
     eyes = diagram.num_left_cusps
 
     if class_filter == "ungraded":
@@ -226,7 +227,7 @@ def enumerate_rulings(
         if grading is not GradingClass.UNGRADED_ONLY:
             # even index forces a positive crossing under the even-right convention
             for c in switches:
-                if inv.crossing_signs[c - 1] != 1:
+                if signs[c - 1] != 1:
                     raise RuntimeError("2-graded switch at a negative crossing")
         out.append(Ruling(switches, eyes, eyes - len(switches), grading, g, orientable))
     return out
@@ -242,10 +243,11 @@ def ruling_polynomial(
     For 2-graded rulings of a knot front the exponent 1 - theta equals
     twice the ruling genus.
     """
-    total = ZPoly(0)
-    for ruling in enumerate_rulings(diagram, class_filter, reverse):
-        total = total + ZPoly.monomial(1, 1 - ruling.theta)
-    return total
+    return _counted_polynomial(enumerate_rulings(diagram, class_filter, reverse))
+
+
+def _counted_polynomial(rulings) -> ZPoly:
+    return ZPoly(Counter(1 - r.theta for r in rulings))
 
 
 @dataclass(frozen=True)
@@ -272,22 +274,16 @@ class RulingCensus:
 
 def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
     """Enumerate once, then filter into the three grading classes."""
+    sweep = fronts.sweep_front(diagram, reverse)
     ungraded = enumerate_rulings(diagram, "ungraded", reverse)
-    cmap = fronts.components(diagram, reverse)
-    inv = fronts.classical_invariants(diagram, reverse)
     two = tuple(r for r in ungraded if r.grading is not GradingClass.UNGRADED_ONLY)
     zg = tuple(r for r in ungraded if r.grading is GradingClass.Z_GRADED)
     by_class = {"ungraded": tuple(ungraded), "two_graded": two, "z_graded": zg}
-    polynomials = {
-        name: sum(
-            (ZPoly.monomial(1, 1 - r.theta) for r in rulings), start=ZPoly(0)
-        )
-        for name, rulings in by_class.items()
-    }
+    polynomials = {name: _counted_polynomial(rulings) for name, rulings in by_class.items()}
     return RulingCensus(
         front_name=diagram.name,
-        is_knot=cmap.num_components == 1,
-        rotation_gcd=inv.r,
+        is_knot=sweep.components.num_components == 1,
+        rotation_gcd=sweep.invariants.r,
         by_class=by_class,
         polynomials=polynomials,
     )

@@ -263,9 +263,10 @@ def _sign_from(over02: bool, in_ports: tuple[int, int]) -> int:
 def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
     """Resolve a front: cusps become smooth turns, the lesser-slope strand
     crosses in front, orientations come from the component map."""
-    geom = fronts.sweep_geometry(diagram)
-    cmap = fronts.components(diagram, reverse)
+    return _resolved(diagram, fronts.sweep_front(diagram, reverse))
 
+
+def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDiagram:
     # connector nodes: crossing ports, or cusp sides that get wired together
     edges: list[tuple[tuple, tuple]] = []
     stack: list[tuple] = []
@@ -323,9 +324,10 @@ def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
         loops += 1
 
     crossings = {}
-    for site in geom.crossings:
-        over_in = 0 if cmap.arc_rightward[site.over_arc] else 2
-        under_in = 1 if cmap.arc_rightward[site.under_arc] else 3
+    rightward = sweep.components.arc_rightward
+    for site in sweep.geometry.crossings:
+        over_in = 0 if rightward[site.over_arc] else 2
+        under_in = 1 if rightward[site.under_arc] else 3
         crossings[site.crossing_id] = Crossing(True, (over_in, under_in))
     return LinkDiagram(crossings, adj, loops)
 

@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import asdict
+
 import pytest
 
-from legfronts import corpus
+from conftest import random_fronts
+from legfronts import corpus, fronts, rulings, skein
 from legfronts.analysis import (
     FIRED,
     NOT_EVALUATED,
@@ -13,7 +17,7 @@ from legfronts.analysis import (
     rho_report,
     rutherford_check,
 )
-from legfronts.fronts import front
+from legfronts.fronts import classical_invariants, components, front
 from legfronts.laurent import VZPoly, ZPoly
 from legfronts.skein import ResourceLimitError
 
@@ -250,3 +254,54 @@ def test_analyze_soundness_flags_quiet_when_rulings_exist():
     for name in ("unknot", "trefoil", "51", "trefoil_sum"):
         report = analyze(corpus.load(name))
         assert all(v != FIRED for v in report.noruling_flags.values()), name
+
+
+# -- one computation per quantity ---------------------------------------------
+
+
+@pytest.mark.parametrize("diagram, reverse", [
+    (front("L1 L3 X2 X2 X2 X2 X2 X2 X2 R1 R1", name="T(2,7)"), ()),
+    (HOPF, (0,)),
+])
+def test_analyze_computes_each_quantity_once(monkeypatch, diagram, reverse):
+    calls = Counter()
+    for module, name in ((skein, "homfly"), (skein, "kauffman_dubrovnik"),
+                         (rulings, "enumerate_rulings"), (fronts, "sweep_geometry")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert analyze(diagram, reverse=reverse).ok
+    assert calls["homfly"] == calls["kauffman_dubrovnik"] == calls["enumerate_rulings"] == 1
+    assert calls["sweep_geometry"] <= 3
+
+
+def test_analyze_agrees_with_standalone_checks_on_random_fronts():
+    for f in random_fronts(seed=41, count=150, max_crossings=9):
+        reversals = [()] + ([(0,)] if components(f).num_components > 1 else [])
+        for rev in reversals:
+            report = analyze(f, reverse=rev)
+            assert report.ok, (str(f), rev)
+            inv = classical_invariants(f, rev)
+            assert (report.tb, report.r) == (inv.tb, inv.r)
+            ruth = rutherford_check(f, reverse=rev).to_json()
+            assert report.rutherford_two_graded == ruth["two_graded"]
+            assert report.rutherford_ungraded == ruth["ungraded"]
+            cert = max_tb_certificate(f, reverse=rev)
+            assert cert.has_two_graded_ruling == bool(rulings.enumerate_rulings(f, "two_graded", rev))
+            assert report.max_tb_certificate == {
+                "tb": cert.tb,
+                "e": cert.e,
+                "maximal": cert.is_maximal,
+                "has_two_graded_ruling": cert.has_two_graded_ruling,
+                "consistent": cert.consistent,
+            }
+            assert report.rho == asdict(rho_report(f, reverse=rev))
+            gt = genus_tests(f, reverse=rev)
+            assert (report.bennequin_test, report.conway_test) == (gt.bennequin_ok, gt.conway_ok)
+            assert report.theorem1_check == {
+                "max_two_graded_genus": gt.max_two_graded_genus,
+                "half_homfly_z_degree": gt.half_homfly_z_degree,
+                "seifert_genus": gt.seifert_genus,
+                "chain_ok": gt.chain_ok,
+            }

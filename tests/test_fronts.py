@@ -18,6 +18,7 @@ from legfronts.fronts import (
     maslov_potential,
     parse_front,
     render_front,
+    sweep_front,
     sweep_geometry,
     validate,
 )
@@ -204,6 +205,25 @@ def test_rightward_pairs_have_even_index():
         for site, index in zip(geom.crossings, crossing_indices(f).values()):
             if cmap.arc_rightward[site.over_arc] and cmap.arc_rightward[site.under_arc]:
                 assert index % 2 == 0
+
+
+def test_sweep_record_matches_the_single_quantity_functions():
+    for f in random_fronts(seed=41, count=150, max_crossings=9):
+        reversals = [()] + ([(0,)] if components(f).num_components > 1 else [])
+        for rev in reversals:
+            sweep = sweep_front(f, rev)
+            assert sweep.geometry == sweep_geometry(f)
+            assert sweep.components == components(f, rev)
+            assert sweep.invariants == classical_invariants(f, rev)
+            assert sweep.maslov == maslov_potential(f, rev)
+            assert sweep.indices == crossing_indices(f, rev)
+
+
+def test_sweep_front_rejects_invalid_front_and_unknown_component():
+    with pytest.raises(ValueError, match="no such component"):
+        sweep_front(TREFOIL, (1,))
+    with pytest.raises(ValueError, match="invalid front"):
+        sweep_front(front("L1 X2 R1"))
 
 
 # -- connected sum ------------------------------------------------------------
