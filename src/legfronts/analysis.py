@@ -54,7 +54,7 @@ class _Context:
 
     @cached_property
     def census(self) -> rulings.RulingCensus:
-        return rulings.census(self.diagram, self.reverse)
+        return rulings._census(self.diagram, self.sweep)
 
 
 @dataclass(frozen=True)

@@ -186,12 +186,12 @@ def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
     rev = args.reverse_component
     cens = rulings.census(diagram, rev)
-    listed = cens.by_class[args.grading]
-    poly = cens.polynomials[args.grading]
+    listed = rulings.enumerate_rulings(diagram, args.grading, rev)
+    poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     payload = {
         "front": diagram.name,
         "class": args.grading,
-        "count": len(listed),
+        "count": count,
         "rotation_gcd": cens.rotation_gcd,
         "rulings": [
             {
@@ -211,7 +211,7 @@ def _cmd_rulings(args) -> int:
     }
     if cens.rotation_gcd != 0:
         payload["note"] = "r != 0: graded classes use residues mod 2r"
-    lines = [f"front {diagram.name}: {len(listed)} {args.grading} ruling(s), polynomial {poly}"]
+    lines = [f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}"]
     for r in listed:
         g = "-" if r.genus is None else r.genus
         lines.append(f"  switches={list(r.switches)} theta={r.theta} genus={g} {r.grading}")

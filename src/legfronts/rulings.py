@@ -17,13 +17,21 @@ residue.  The Euler characteristic of the associated surface is
 theta = eyes - switches; for a knot front a 2-graded ruling is an
 orientable surface with one boundary circle, so its genus is
 (switches - eyes + 1) / 2.
+
+Ruling polynomials, counts and genera come from one left-to-right sweep
+that merges equal states: a state is the pairing with the grading class
+of its switches so far, and it carries the count of partial rulings per
+number of switches, so one pass yields all three class polynomials
+without listing a ruling.  The depth-first search runs only when the
+rulings themselves are asked for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import fronts
 from .laurent import ZPoly
@@ -59,11 +67,6 @@ class PairingState:
             partner[b] = a
         return cls(partner)
 
-    def copy(self) -> "PairingState":
-        fresh = PairingState.__new__(PairingState)
-        fresh.partner = dict(self.partner)
-        return fresh
-
     def __len__(self) -> int:
         return len(self.partner)
 
@@ -74,40 +77,6 @@ class PairingState:
         pairs = sorted((a, b) for a, b in self.partner.items() if a < b)
         return f"PairingState({pairs})"
 
-    def insert_pair(self, k: int) -> None:
-        """Left cusp at height k: shift heights >= k up by two, pair (k, k+1)."""
-        shifted = {}
-        for a, b in self.partner.items():
-            a2 = a + 2 if a >= k else a
-            b2 = b + 2 if b >= k else b
-            shifted[a2] = b2
-        shifted[k] = k + 1
-        shifted[k + 1] = k
-        self.partner = shifted
-
-    def paired_at(self, k: int) -> bool:
-        return self.partner.get(k) == k + 1
-
-    def remove_pair(self, k: int) -> None:
-        """Right cusp at height k; requires strands k, k+1 to be partners."""
-        if not self.paired_at(k):
-            raise ValueError(f"strands {k}, {k + 1} are not partners")
-        shifted = {}
-        for a, b in self.partner.items():
-            if a in (k, k + 1):
-                continue
-            a2 = a - 2 if a > k + 1 else a
-            b2 = b - 2 if b > k + 1 else b
-            shifted[a2] = b2
-        self.partner = shifted
-
-    def swap(self, k: int) -> None:
-        """Non-switched crossing at height k: strands trade eye membership."""
-        tau = {k: k + 1, k + 1: k}
-        self.partner = {
-            tau.get(a, a): tau.get(b, b) for a, b in self.partner.items()
-        }
-
 
 def is_normal_switch(state: PairingState, k: int) -> bool:
     """Whether a switch at height k satisfies the normality condition.
@@ -117,9 +86,12 @@ def is_normal_switch(state: PairingState, k: int) -> bool:
     intervals are disjoint or strictly nested.
     """
     pa = state.partner[k]
-    pb = state.partner[k + 1]
     if pa == k + 1:
         raise ValueError("paired strands cannot meet at a crossing")
+    return _normal(k, pa, state.partner[k + 1])
+
+
+def _normal(k: int, pa: int, pb: int) -> bool:
     lo_a, hi_a = min(k, pa), max(k, pa)
     lo_b, hi_b = min(k + 1, pb), max(k + 1, pb)
     if hi_a < lo_b or hi_b < lo_a:
@@ -141,8 +113,12 @@ class Ruling:
     orientable: bool | None  # None when undetermined (non-2-graded link rulings)
 
 
-def _is_even(index: int) -> bool:
-    return index % 2 == 0
+# grading tag of a switch, or of a set of switches: 0 Z-graded, 1 2-graded, 2 ungraded only
+_GRADINGS = (GradingClass.Z_GRADED, GradingClass.TWO_GRADED, GradingClass.UNGRADED_ONLY)
+
+
+def _tag(index: int) -> int:
+    return 0 if index == 0 else 1 if index % 2 == 0 else 2
 
 
 def classify(switches, indices: dict[int, int], is_knot: bool) -> tuple[GradingClass, bool | None]:
@@ -152,16 +128,30 @@ def classify(switches, indices: dict[int, int], is_knot: bool) -> tuple[GradingC
     the converse holds as well, so non-2-graded knot rulings report
     False while link rulings report None (undetermined).
     """
-    vals = [indices[c] for c in switches]
-    if all(v == 0 for v in vals):
-        grading = GradingClass.Z_GRADED
-    elif all(_is_even(v) for v in vals):
-        grading = GradingClass.TWO_GRADED
-    else:
-        grading = GradingClass.UNGRADED_ONLY
+    grading = _GRADINGS[max([_tag(indices[c]) for c in switches], default=0)]
     two = grading is not GradingClass.UNGRADED_ONLY
     orientable = True if two else (False if is_knot else None)
     return grading, orientable
+
+
+def _moves(kind: str, k: int, p: tuple[int, ...]):
+    """The pairings that can follow p at an event at height k + 1, each
+    with whether it switches the crossing there.
+
+    p[h] is the partner of strand h + 1: heights count from 0 here.
+    """
+    if kind == "L":  # shift heights >= k up by two and pair (k, k + 1)
+        q = tuple(h + 2 if h >= k else h for h in p)
+        yield q[:k] + (k + 1, k) + q[k:], False
+    elif kind == "R":  # the cusp must close an eye
+        if p[k] == k + 1:
+            yield tuple(h - 2 if h > k else h for h in p[:k] + p[k + 2:]), False
+    elif p[k] != k + 1:  # the two arcs of one eye may not cross
+        q = [k + 1 if h == k else k if h == k + 1 else h for h in p]
+        q[k], q[k + 1] = q[k + 1], q[k]
+        yield tuple(q), False  # no switch: the strands trade eye membership
+        if _normal(k, p[k], p[k + 1]):
+            yield p, True
 
 
 def enumerate_rulings(
@@ -174,46 +164,38 @@ def enumerate_rulings(
     Depth-first sweep over the events; the pairing state is the only
     search state and branches are pruned at the event where they fail.
     """
+    _check_filter(class_filter)
+    return _enumerate(diagram, fronts.sweep_front(diagram, reverse), class_filter)
+
+
+def _check_filter(class_filter: str) -> None:
     if class_filter not in GRADING_FILTERS:
         raise ValueError(f"class_filter must be one of {GRADING_FILTERS}")
-    sweep = fronts.sweep_front(diagram, reverse)
+
+
+def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[Ruling]:
     indices = sweep.indices
     is_knot = sweep.components.num_components == 1
     signs = sweep.invariants.crossing_signs
     eyes = diagram.num_left_cusps
 
-    if class_filter == "ungraded":
-        switchable = {c: True for c in indices}
-    elif class_filter == "two_graded":
-        switchable = {c: _is_even(ix) for c, ix in indices.items()}
-    else:
-        switchable = {c: ix == 0 for c, ix in indices.items()}
-
+    limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
     events = diagram.events
     found: list[tuple[int, ...]] = []
-
-    def run(ev_i: int, crossing_no: int, state: PairingState, switches: list[int]) -> None:
-        while ev_i < len(events):
-            ev = events[ev_i]
-            if ev.kind == "L":
-                state.insert_pair(ev.height)
-            elif ev.kind == "R":
-                if not state.paired_at(ev.height):
-                    return
-                state.remove_pair(ev.height)
-            else:
-                cid = crossing_no + 1
-                k = ev.height
-                if state.paired_at(k):
-                    return  # the two arcs of one eye may not cross
-                if switchable[cid] and is_normal_switch(state, k):
-                    run(ev_i + 1, cid, state.copy(), switches + [cid])
-                state.swap(k)
-                crossing_no = cid
-            ev_i += 1
-        found.append(tuple(switches))
-
-    run(0, 0, PairingState(), [])
+    stack = [(0, 0, (), ())]  # event position, crossings passed, pairing, switches
+    while stack:
+        i, cid, p, switches = stack.pop()
+        if i == len(events):
+            found.append(switches)
+            continue
+        ev = events[i]
+        if ev.kind == "X":
+            cid += 1
+        for q, switched in _moves(ev.kind, ev.height - 1, p):
+            if not switched:
+                stack.append((i + 1, cid, q, switches))
+            elif _tag(indices[cid]) <= limit:
+                stack.append((i + 1, cid, q, switches + (cid,)))
 
     out = []
     for switches in sorted(found):
@@ -233,6 +215,45 @@ def enumerate_rulings(
     return out
 
 
+def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
+    """The three class polynomials from one pass that merges equal states.
+
+    A state key is (pairing, tag, bad): the pairing as in ``_moves``, the
+    grading tag of the switches so far, and whether a graded switch sits
+    at a negative crossing.  Each key maps to a Counter of partial
+    rulings by number of switches.
+    """
+    indices, signs = sweep.indices, sweep.invariants.crossing_signs
+    states = {((), 0, False): Counter({0: 1})}
+    cid = 0
+    for ev in diagram.events:
+        if ev.kind == "X":
+            cid += 1
+            tag_here, negative = _tag(indices[cid]), signs[cid - 1] != 1
+        merged: dict[tuple, Counter] = {}
+        for (p, tag, bad), sw in states.items():
+            for q, switched in _moves(ev.kind, ev.height - 1, p):
+                key, add = (q, tag, bad), sw
+                if switched:
+                    t = max(tag, tag_here)
+                    key, add = (q, t, t < 2 and (bad or negative)), {s + 1: c for s, c in sw.items()}
+                merged.setdefault(key, Counter()).update(add)
+        states = merged
+
+    by_class = {cls: Counter() for cls in GRADING_FILTERS}
+    for (_, tag, bad), sw in states.items():
+        if bad:
+            # even index forces a positive crossing under the even-right convention
+            raise RuntimeError("2-graded switch at a negative crossing")
+        for cls in GRADING_FILTERS[:3 - tag]:  # tag 0 counts in all three classes
+            by_class[cls].update(sw)
+    eyes = diagram.num_left_cusps
+    polys = {cls: ZPoly({1 - eyes + s: c for s, c in sw.items()}) for cls, sw in by_class.items()}
+    if sweep.components.num_components == 1 and any(e % 2 or e < 0 for e in polys["two_graded"].terms):
+        raise RuntimeError("2-graded knot ruling with non-integral genus")
+    return polys
+
+
 def ruling_polynomial(
     diagram: fronts.FrontDiagram,
     class_filter: str = "two_graded",
@@ -243,11 +264,8 @@ def ruling_polynomial(
     For 2-graded rulings of a knot front the exponent 1 - theta equals
     twice the ruling genus.
     """
-    return _counted_polynomial(enumerate_rulings(diagram, class_filter, reverse))
-
-
-def _counted_polynomial(rulings) -> ZPoly:
-    return ZPoly(Counter(1 - r.theta for r in rulings))
+    _check_filter(class_filter)
+    return census(diagram, reverse).polynomials[class_filter]
 
 
 @dataclass(frozen=True)
@@ -255,35 +273,45 @@ class RulingCensus:
     front_name: str
     is_knot: bool
     rotation_gcd: int
-    by_class: dict[str, tuple[Ruling, ...]]
     polynomials: dict[str, ZPoly]
+    _diagram: fronts.FrontDiagram = field(repr=False, compare=False)
+    _sweep: fronts.FrontSweep = field(repr=False, compare=False)
+
+    @cached_property
+    def by_class(self) -> dict[str, tuple[Ruling, ...]]:
+        """The rulings of each class, listed by one ungraded search on first access."""
+        ungraded = tuple(_enumerate(self._diagram, self._sweep, "ungraded"))
+        return {
+            "ungraded": ungraded,
+            "two_graded": tuple(r for r in ungraded if r.grading is not GradingClass.UNGRADED_ONLY),
+            "z_graded": tuple(r for r in ungraded if r.grading is GradingClass.Z_GRADED),
+        }
 
     def count(self, class_filter: str) -> int:
-        return len(self.by_class[class_filter])
+        return sum(self.polynomials[class_filter].terms.values())
 
     def counts_by_theta(self, class_filter: str) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for ruling in self.by_class[class_filter]:
-            out[ruling.theta] = out.get(ruling.theta, 0) + 1
-        return out
+        return {1 - e: c for e, c in self.polynomials[class_filter].terms.items()}
 
     def max_genus(self, class_filter: str = "two_graded") -> int | None:
-        genera = [r.genus for r in self.by_class[class_filter] if r.genus is not None]
-        return max(genera) if genera else None
+        """Half the top z-degree of the 2-graded (or Z-graded) polynomial; None for links."""
+        if not self.is_knot:
+            return None
+        top = self.polynomials["z_graded" if class_filter == "z_graded" else "two_graded"].degree()
+        return None if top is None else top // 2
 
 
 def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
-    """Enumerate once, then filter into the three grading classes."""
-    sweep = fronts.sweep_front(diagram, reverse)
-    ungraded = enumerate_rulings(diagram, "ungraded", reverse)
-    two = tuple(r for r in ungraded if r.grading is not GradingClass.UNGRADED_ONLY)
-    zg = tuple(r for r in ungraded if r.grading is GradingClass.Z_GRADED)
-    by_class = {"ungraded": tuple(ungraded), "two_graded": two, "z_graded": zg}
-    polynomials = {name: _counted_polynomial(rulings) for name, rulings in by_class.items()}
+    """The class polynomials from one merged sweep; rulings are listed lazily."""
+    return _census(diagram, fronts.sweep_front(diagram, reverse))
+
+
+def _census(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> RulingCensus:
     return RulingCensus(
         front_name=diagram.name,
         is_knot=sweep.components.num_components == 1,
         rotation_gcd=sweep.invariants.r,
-        by_class=by_class,
-        polynomials=polynomials,
+        polynomials=_swept_polynomials(diagram, sweep),
+        _diagram=diagram,
+        _sweep=sweep,
     )

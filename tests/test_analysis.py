@@ -272,8 +272,8 @@ def test_analyze_computes_each_quantity_once(monkeypatch, diagram, reverse):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert analyze(diagram, reverse=reverse).ok
-    assert calls["homfly"] == calls["kauffman_dubrovnik"] == calls["enumerate_rulings"] == 1
-    assert calls["sweep_geometry"] <= 3
+    assert calls["homfly"] == calls["kauffman_dubrovnik"] == calls["sweep_geometry"] == 1
+    assert calls["enumerate_rulings"] == 0
 
 
 def test_analyze_agrees_with_standalone_checks_on_random_fronts():

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import random_fronts
-from legfronts import corpus
+from legfronts import corpus, fronts, rulings
 from legfronts.fronts import (
     classical_invariants,
     components,
@@ -13,6 +15,7 @@ from legfronts.fronts import (
 )
 from legfronts.laurent import ZPoly
 from legfronts.rulings import (
+    GRADING_FILTERS,
     GradingClass,
     PairingState,
     census,
@@ -282,3 +285,80 @@ def test_class_filter_agrees_with_filtered_ungraded():
 def test_bad_class_filter():
     with pytest.raises(ValueError):
         enumerate_rulings(UNKNOT, "graded")
+
+
+# -- merged sweep against the listed rulings ----------------------------------
+
+
+# random fronts almost never separate the classes; these links do (the
+# reversed Hopf clasp is ungraded only, and the 4-component link with its
+# third component reversed has 2-graded rulings that are not Z-graded)
+LINK4 = front("L1 L3 X2 R1 L3 X2 R3 L1 X2 L1 L1 X7 R6 X2 X4 X2 X5 R4 X2 X2 R3 R1", name="link4")
+CLASS_SPLITTING = [(HOPF, (1,)), (connected_sum(TREFOIL, HOPF), ()), (LINK4, ()), (LINK4, (2,))]
+
+
+def test_class_splitting_cases_split_the_classes():
+    counts = [[census(f, rev).count(cls) for cls in GRADING_FILTERS] for f, rev in CLASS_SPLITTING]
+    assert counts == [[2, 1, 1], [6, 3, 3], [5, 1, 1], [5, 5, 1]]
+
+
+def test_sweep_census_matches_the_listed_rulings_on_random_fronts():
+    cases = list(CLASS_SPLITTING)
+    for f in random_fronts(seed=28, count=600, max_crossings=10):
+        cases += [(f, ())] + ([(f, (0,))] if components(f).num_components > 1 else [])
+    for f, rev in cases:
+        cens = census(f, rev)
+        for cls in GRADING_FILTERS:
+            listed = enumerate_rulings(f, cls, rev)
+            assert cens.polynomials[cls] == ZPoly(Counter(1 - r.theta for r in listed)), (str(f), rev, cls)
+            by_class = cens.by_class[cls]
+            assert list(by_class) == listed
+            assert cens.count(cls) == len(by_class)
+            assert cens.counts_by_theta(cls) == Counter(r.theta for r in by_class)
+            genera = [r.genus for r in by_class if r.genus is not None]
+            assert cens.max_genus(cls) == (max(genera) if genera else None)
+
+
+def test_sweep_counts_trefoil_power_without_listing(monkeypatch):
+    power = TREFOIL
+    for _ in range(7):
+        power = connected_sum(power, TREFOIL)
+
+    def no_listing(*args):
+        raise AssertionError("the census listed rulings")
+
+    monkeypatch.setattr(rulings, "_enumerate", no_listing)
+    cens = census(power)
+    assert cens.polynomials["two_graded"] == ZPoly({2: 1, 0: 2}) ** 8
+    assert cens.count("ungraded") == 6561
+    assert cens.max_genus() == 8
+
+
+def test_sweep_keeps_the_negative_switch_check(monkeypatch):
+    real = fronts.sweep_front
+
+    def flipped(diagram, reverse=()):
+        sweep = real(diagram, reverse)
+        signs = list(sweep.invariants.crossing_signs)
+        c = min(c for c, ix in sweep.indices.items() if ix == 0)
+        signs[c - 1] = -signs[c - 1]
+        return replace(sweep, invariants=replace(sweep.invariants, crossing_signs=tuple(signs)))
+
+    monkeypatch.setattr(fronts, "sweep_front", flipped)
+    for compute in (census, enumerate_rulings):
+        with pytest.raises(RuntimeError, match="2-graded switch at a negative crossing"):
+            compute(TREFOIL)
+
+
+def test_sweep_keeps_the_genus_integrality_check(monkeypatch):
+    real = fronts.sweep_front
+
+    def one_component(diagram, reverse=()):
+        sweep = real(diagram, reverse)
+        return replace(sweep, components=replace(sweep.components, num_components=1))
+
+    monkeypatch.setattr(fronts, "sweep_front", one_component)
+    # the unlink's one ruling has no switches and two eyes: z-exponent -1
+    for compute in (census, enumerate_rulings):
+        with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
+            compute(UNLINK2)
