@@ -186,7 +186,7 @@ def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
     rev = args.reverse_component
     cens = rulings.census(diagram, rev)
-    listed = rulings.enumerate_rulings(diagram, args.grading, rev)
+    listed = rulings._enumerate(diagram, cens._sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     payload = {
         "front": diagram.name,

@@ -17,7 +17,14 @@ leaf.  Before it is expanded, every diagram is reduced: Reidemeister-I
 curls are removed (worth a^{+-1} to the Dubrovnik polynomial, 1 to
 Homfly), and so are Reidemeister-II bigons whose one strand is over at
 both crossings (worth 1 to both).  Branch coefficients are monomials,
-and leaves are summed by (v-exponent, z-exponent, components).
+and leaves are summed by (v-exponent, z-exponent, components).  The
+input is reduced once and cut into split components and connected
+summands, each expanded alone with its two cut ports joined; k split
+components and l free loops add the factor delta^(k + l - 1).  Cuts are
+found by growing a spanning tree of the crossings, giving every other arc
+a bit, and labeling each tree arc with the XOR of the bits over its
+subtree: two arcs cut the graph exactly when their labels are equal, and
+in a planar diagram they bound a disk, a connected sum.
 
 Conventions (pinned operationally by the test suite):
 
@@ -395,14 +402,23 @@ def kauffman_dubrovnik(
 
 
 def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool, strategy: str = "min") -> VZPoly:
-    """Reduce each node, expand it at its first bad crossing, and sum the
-    leaves c v^ev z^ez delta^(n-1).  A branch carries its coefficient as
-    the monomial (c, ev, ez); leaves are added up by (ev, ez, n), so each
-    power of delta is expanded once."""
+    """Multiply the pieces' sums by delta^(k + l - 1); the ceiling counts the input."""
     if d.num_crossings > max_crossings:
         raise ResourceLimitError(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
         )
+    d = d.reduced()[0]
+    delta = DUBROVNIK_DELTA if kauffman else HOMFLY_DELTA
+    pieces, components = _pieces(d)
+    total = delta ** (components + d.loops - 1)
+    for piece in pieces:
+        total = total * _expanded(piece, kauffman, strategy, delta)
+    return total
+
+
+def _expanded(d: LinkDiagram, kauffman: bool, strategy: str, delta: VZPoly) -> VZPoly:
+    """Reduce each node, expand it at its first bad crossing, and sum the
+    leaves c v^ev z^ez delta^(n-1), added up by (ev, ez, n)."""
     leaves: dict[tuple[int, int, int], int] = {}
     stack = [(d.unoriented(), 1, d.writhe(), 0)] if kauffman else [(d, 1, 0, 0)]
     while stack:
@@ -428,12 +444,56 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool, strategy: str
             s = cur.sign(bad)  # P(L+-) = v^{+-2} P(L-+) +- v^{+-1} z P(L0)
             stack += [(cur.switched(bad), c, ev + 2 * s, ez),
                       (cur.smoothed_oriented(bad), s * c, ev + s, ez + 1)]
-    delta = DUBROVNIK_DELTA if kauffman else HOMFLY_DELTA
     total = VZPoly(0)
     for n in {n for _, _, n in leaves}:
         terms = {(ev, ez): c for (ev, ez, m), c in leaves.items() if m == n}
         total = total + VZPoly(terms) * delta ** (n - 1)
     return total
+
+
+def _pieces(d: LinkDiagram) -> tuple[list[LinkDiagram], int]:
+    """Split components and connected summands (free loops left out), and the split count."""
+    pieces, todo = [], [(d.crossings.keys(), d.adj)] if d.crossings else []
+    components = len(todo)
+    while todo:
+        keep, adj = todo.pop()
+        order, up = _tree(adj, min(keep))
+        side = set(order) if len(order) < len(keep) else None
+        components += side is not None
+        if side is None:
+            acc, arcs = dict.fromkeys(order, 0), {}
+            for x, y in adj.items():
+                if x < y and up[x[0]] != x and up[y[0]] != y:  # an arc off the tree
+                    b = 1 << len(arcs)
+                    arcs[b] = x
+                    acc[x[0]] ^= b
+                    acc[y[0]] ^= b
+            for c in reversed(order[1:]):
+                acc[adj[up[c]][0]] ^= acc[c]
+                if acc[c] in arcs:  # two arcs with one label: a connected sum
+                    x = arcs[acc[c]]
+                    side = set(_tree(adj, c, (up[c], adj[up[c]], x, adj[x]))[0])
+                    break
+                arcs[acc[c]] = up[c]
+        if side is None:
+            pieces.append(LinkDiagram({c: d.crossings[c] for c in order}, adj))
+        for part in (side, keep - side) if side else ():
+            part_adj = {x: y for x, y in adj.items() if x[0] in part}
+            loose = [x for x, y in part_adj.items() if y[0] not in part]
+            part_adj.update(zip(loose, loose[::-1]))  # join the two cut ports
+            todo.append((part, part_adj))
+    return pieces, components
+
+
+def _tree(adj, root: int, cut=()) -> tuple[list[int], dict]:
+    """Breadth-first tree avoiding ``cut``: crossings in order, each one's tree port."""
+    order, up = [root], {root: None}
+    for c in order:
+        for x in [(c, p) for p in range(4)]:
+            if x not in cut and adj[x][0] not in up:
+                up[adj[x][0]] = adj[x]
+                order.append(adj[x][0])
+    return order, up
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from legfronts import cli, components, corpus
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-SUBCOMMANDS = ("tests", "rulings", "invariants", "rutherford", "rho")
+SUBCOMMANDS = ("tests", "rulings", "invariants", "rutherford", "rho", "homfly", "kauffman", "conway")
 
 
 def command_lines() -> list[str]:

@@ -4,12 +4,13 @@ import pytest
 
 import skein_oracle
 from conftest import nested_unlink, random_fronts
-from legfronts import corpus
-from legfronts.fronts import classical_invariants, components, front
+from legfronts import cli, corpus
+from legfronts.fronts import FrontDiagram, classical_invariants, components, connected_sum, front, render_front
 from legfronts.laurent import VZPoly, ZPoly, conway
 from legfronts.skein import (
     DUBROVNIK_DELTA,
     HOMFLY_DELTA,
+    LinkDiagram,
     ResourceLimitError,
     front_to_diagram,
     homfly,
@@ -248,6 +249,76 @@ def test_skein_matches_unreduced_oracle():
             assert homfly(d) == p
             assert homfly(d, strategy="max") == p
             assert kauffman_dubrovnik(d) == skein_oracle.kauffman_dubrovnik(d)
+
+
+# -- split components and connected summands ------------------------------------
+
+
+def trefoil_power(k: int) -> FrontDiagram:
+    f = TREFOIL
+    for _ in range(k - 1):
+        f = connected_sum(f, TREFOIL)
+    return f
+
+
+def test_composites_match_oracle_and_factor():
+    # connected sums A # B and split unions A followed by B, of random
+    # fronts with 1 to 6 crossings each; knot pairs also factor exactly
+    rng = random.Random(39)
+    pool = [f for f in random_fronts(seed=38, count=80, max_crossings=6) if f.num_crossings]
+    knots = [f for f in random_fronts(seed=40, count=30, max_crossings=6, knots_only=True) if f.num_crossings]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(6)]
+    pairs += [(rng.choice(knots), rng.choice(knots)) for _ in range(8)]
+    for a, b in pairs:
+        summed, split = connected_sum(a, b), FrontDiagram(a.events + b.events, name="split")
+        for f in (summed, split) if summed.num_crossings <= 10 else ():
+            reversals = [()] if components(f).num_components == 1 else [(), (0,)]
+            for reverse in reversals:
+                d = front_to_diagram(f, reverse)
+                assert homfly(d) == skein_oracle.homfly(d)
+                assert kauffman_dubrovnik(d) == skein_oracle.kauffman_dubrovnik(d)
+        if components(a).num_components == components(b).num_components == 1:
+            for poly, delta in ((homfly, HOMFLY_DELTA), (kauffman_dubrovnik, DUBROVNIK_DELTA)):
+                pa, pb = poly(front_to_diagram(a)), poly(front_to_diagram(b))
+                assert poly(front_to_diagram(summed)) == pa * pb
+                assert poly(front_to_diagram(split)) == delta * pa * pb
+
+
+def test_connected_summands_are_expanded_one_by_one(monkeypatch):
+    calls = []
+    first_bad = LinkDiagram.first_bad_crossing
+
+    def counted(self, *args):
+        calls.append(1)
+        return first_bad(self, *args)
+
+    monkeypatch.setattr(LinkDiagram, "first_bad_crossing", counted)
+
+    def nodes(poly, f, **kw):
+        calls.clear()
+        value = poly(front_to_diagram(f), **kw)
+        return value, len(calls)
+
+    p1, n1 = nodes(homfly, TREFOIL)
+    f1, m1 = nodes(kauffman_dubrovnik, TREFOIL)
+    assert (n1, m1) == (5, 7)
+    # the unfactored trees expand 197 and 1,327 nodes
+    assert nodes(homfly, trefoil_power(4))[1] == 4 * n1 == 20
+    assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 4 * m1 == 28
+    assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 6 * n1)
+    assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 6 * m1)
+
+
+def test_ceiling_counts_the_input_not_its_pieces(tmp_path, capsys):
+    d = front_to_diagram(trefoil_power(6))
+    with pytest.raises(ResourceLimitError):
+        homfly(d)
+    with pytest.raises(ResourceLimitError):
+        kauffman_dubrovnik(d)
+    path = tmp_path / "trefoil6.front"
+    path.write_text(render_front(trefoil_power(6)))
+    assert cli.main(["homfly", str(path)]) == 2
+    assert "18 crossings exceed the ceiling of 16" in capsys.readouterr().err
 
 
 # -- Seifert circles ------------------------------------------------------------
