@@ -3,7 +3,7 @@ import random
 import pytest
 
 import skein_oracle
-from conftest import nested_unlink, random_fronts
+from conftest import nested_unlink, random_front, random_fronts
 from legfronts import cli, corpus
 from legfronts.fronts import FrontDiagram, classical_invariants, components, connected_sum, front, render_front
 from legfronts.laurent import VZPoly, ZPoly, conway
@@ -301,12 +301,13 @@ def test_connected_summands_are_expanded_one_by_one(monkeypatch):
 
     p1, n1 = nodes(homfly, TREFOIL)
     f1, m1 = nodes(kauffman_dubrovnik, TREFOIL)
-    assert (n1, m1) == (5, 7)
-    # the unfactored trees expand 197 and 1,327 nodes
-    assert nodes(homfly, trefoil_power(4))[1] == 4 * n1 == 20
-    assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 4 * m1 == 28
-    assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 6 * n1)
-    assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 6 * m1)
+    assert (n1, m1) == (4, 4)
+    # later summands hit the memo of the first ones; expanded one by one
+    # without a memo they take 20 and 28 nodes, unfactored 197 and 1,327
+    assert nodes(homfly, trefoil_power(4))[1] == 7
+    assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 4
+    assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 7)
+    assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 4)
 
 
 def test_ceiling_counts_the_input_not_its_pieces(tmp_path, capsys):
@@ -319,6 +320,82 @@ def test_ceiling_counts_the_input_not_its_pieces(tmp_path, capsys):
     path.write_text(render_front(trefoil_power(6)))
     assert cli.main(["homfly", str(path)]) == 2
     assert "18 crossings exceed the ceiling of 16" in capsys.readouterr().err
+
+
+# -- twist regions and the memo -------------------------------------------------
+
+
+def torus(n: int) -> LinkDiagram:
+    """T(2,n) from its maximal front, oriented so that every crossing is positive."""
+    return front_to_diagram(front("L1 L3 " + "X2 " * n + "R1 R1"), (0,) if n % 2 == 0 else ())
+
+
+def twisted_fronts(seed: int, count: int, max_crossings: int):
+    """Random fronts with each crossing widened to a run of 1 to 5 equal ``X k``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        events = [e for e in random_front(rng, max_events=10, max_strands=6).events
+                  for _ in range(rng.randint(1, 5) if e.kind == "X" else 1)]
+        f = FrontDiagram(tuple(events), name="twisted")
+        if 0 < f.num_crossings <= max_crossings:
+            out.append(f)
+    return out
+
+
+def test_twist_regions_match_oracle():
+    fronts = [front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(2, 10)]
+    for f in fronts + twisted_fronts(seed=41, count=20, max_crossings=10):
+        reversals = [()] if components(f).num_components == 1 else [(), (0,)]
+        for reverse in reversals:
+            d = front_to_diagram(f, reverse)
+            assert homfly(d) == skein_oracle.homfly(d)
+            assert kauffman_dubrovnik(d) == skein_oracle.kauffman_dubrovnik(d)
+
+
+def test_twist_family_is_linear(monkeypatch):
+    # P_n = v z P_{n-1} + v^2 P_{n-2} for the positive twist, far beyond the
+    # oracle; the memo expands each window of the twist once
+    calls = []
+    first_bad = LinkDiagram.first_bad_crossing
+
+    def counted(self, *args):
+        calls.append(1)
+        return first_bad(self, *args)
+
+    monkeypatch.setattr(LinkDiagram, "first_bad_crossing", counted)
+    p = [homfly(torus(1)), homfly(torus(2))]
+    for n in range(3, 26):
+        calls.clear()
+        p.append(homfly(torus(n), max_crossings=25))
+        assert len(calls) <= n + 1
+        assert p[-1] == V * Z * p[-2] + V * V * p[-3]
+        calls.clear()
+        kauffman_dubrovnik(torus(n), max_crossings=25)
+        assert len(calls) <= n + 1
+
+
+def split_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
+    """The split union of two diagrams, with b's crossing ids moved past a's."""
+    off = max(a.crossings) + 1
+    crossings = {**a.crossings, **{c + off: cr for c, cr in b.crossings.items()}}
+    adj = {**a.adj, **{(c + off, p): (c2 + off, p2) for (c, p), (c2, p2) in b.adj.items()}}
+    return LinkDiagram(crossings, adj, a.loops + b.loops)
+
+
+def test_memo_keeps_mirrors_and_reversals_apart():
+    # each pair has one shape of diagram: one differs in every crossing's
+    # over strand, the other in one component's orientation
+    mirror = torus(5)
+    for cid in list(mirror.crossings):
+        mirror = mirror.switched(cid)
+    parallel, antiparallel = torus(4), front_to_diagram(front("L1 L3 X2 X2 X2 X2 R1 R1"))
+    for a, b in ((torus(5), mirror), (parallel, antiparallel)):
+        for poly, delta in ((homfly, HOMFLY_DELTA), (kauffman_dubrovnik, DUBROVNIK_DELTA)):
+            pa, pb = poly(a), poly(b)
+            assert pa != pb
+            assert poly(split_union(a, b)) == delta * pa * pb
+            assert poly(split_union(b, a)) == delta * pa * pb
 
 
 # -- Seifert circles ------------------------------------------------------------
