@@ -59,7 +59,7 @@ def _add_common(parser: argparse.ArgumentParser, orientable=True, skeinful=False
             "--max-crossings",
             type=int,
             default=skein.DEFAULT_MAX_CROSSINGS,
-            help="skein recursion ceiling; time grows exponentially with it",
+            help="ceiling on the input's crossing count for the skein polynomials",
         )
 
 
@@ -182,27 +182,38 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _ruling_json(r: rulings.Ruling) -> str:
+    """One entry of the "rulings" array, laid out as json.dumps(indent=2) at depth 2."""
+    switches = ",\n        ".join(map(str, r.switches))
+    switches = f"[\n        {switches}\n      ]" if switches else "[]"
+    genus = "null" if r.genus is None else r.genus
+    return (
+        f'    {{\n      "genus": {genus},\n      "grading": "{r.grading}",\n'
+        f'      "orientable": {_JSON_WORDS[r.orientable]},\n      "switches": {switches},\n'
+        f'      "theta": {r.theta}\n    }}'
+    )
+
+
 def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
     rev = args.reverse_component
     cens = rulings.census(diagram, rev)
     listed = rulings._enumerate(diagram, cens._sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
+    if args.format == "text":
+        print(f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}")
+        for r in listed:
+            g = "-" if r.genus is None else r.genus
+            print(f"  switches={list(r.switches)} theta={r.theta} genus={g} {r.grading}")
+        return EXIT_OK
     payload = {
         "front": diagram.name,
         "class": args.grading,
         "count": count,
         "rotation_gcd": cens.rotation_gcd,
-        "rulings": [
-            {
-                "switches": list(r.switches),
-                "theta": r.theta,
-                "genus": r.genus,
-                "grading": str(r.grading),
-                "orientable": r.orientable,
-            }
-            for r in listed
-        ],
         "polynomial": poly.to_terms(),
         "polynomial_text": str(poly),
         "polynomials_by_class": {
@@ -211,11 +222,13 @@ def _cmd_rulings(args) -> int:
     }
     if cens.rotation_gcd != 0:
         payload["note"] = "r != 0: graded classes use residues mod 2r"
-    lines = [f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}"]
-    for r in listed:
-        g = "-" if r.genus is None else r.genus
-        lines.append(f"  switches={list(r.switches)} theta={r.theta} genus={g} {r.grading}")
-    _emit(payload, args.format, lines)
+    # "rulings" sorts after every other key, so its array closes the object;
+    # the indenting encoder is pure Python, so the array is written by hand
+    head = json.dumps(payload, indent=2, sort_keys=True)[:-2]
+    if listed:
+        print(f'{head},\n  "rulings": [', ",\n".join(map(_ruling_json, listed)), "  ]\n}", sep="\n")
+    else:
+        print(f'{head},\n  "rulings": []\n}}')
     return EXIT_OK
 
 

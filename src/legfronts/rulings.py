@@ -22,8 +22,13 @@ Ruling polynomials, counts and genera come from one left-to-right sweep
 that merges equal states: a state is the pairing with the grading class
 of its switches so far, and it carries the count of partial rulings per
 number of switches, so one pass yields all three class polynomials
-without listing a ruling.  The depth-first search runs only when the
-rulings themselves are asked for.
+without listing a ruling.
+
+Rulings are listed only when asked for, over live states alone: a
+forward pass records the moves of each reachable pairing, and a backward
+pass hands each pairing the switch sets of its paths to the empty
+pairing at the end, so a pairing that cannot close gets none and no
+partial ruling is built that does not finish.
 """
 
 from __future__ import annotations
@@ -161,8 +166,9 @@ def enumerate_rulings(
 ) -> list[Ruling]:
     """All normal rulings in the given grading class, sorted by switch set.
 
-    Depth-first sweep over the events; the pairing state is the only
-    search state and branches are pruned at the event where they fail.
+    The transitions of each pairing reachable at each event are found
+    once; the rulings are the paths through pairings that reach the empty
+    pairing at the end, so no branch is followed that fails later.
     """
     _check_filter(class_filter)
     return _enumerate(diagram, fronts.sweep_front(diagram, reverse), class_filter)
@@ -180,22 +186,27 @@ def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_fil
     eyes = diagram.num_left_cusps
 
     limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
-    events = diagram.events
-    found: list[tuple[int, ...]] = []
-    stack = [(0, 0, (), ())]  # event position, crossings passed, pairing, switches
-    while stack:
-        i, cid, p, switches = stack.pop()
-        if i == len(events):
-            found.append(switches)
-            continue
-        ev = events[i]
+    # forward: the admissible moves of each reachable pairing, event by event
+    steps: list[tuple[int, dict]] = []
+    states: dict = {(): None}
+    cid = 0
+    for ev in diagram.events:
         if ev.kind == "X":
             cid += 1
-        for q, switched in _moves(ev.kind, ev.height - 1, p):
-            if not switched:
-                stack.append((i + 1, cid, q, switches))
-            elif _tag(indices[cid]) <= limit:
-                stack.append((i + 1, cid, q, switches + (cid,)))
+        allowed = ev.kind == "X" and _tag(indices[cid]) <= limit
+        step = {p: [(q, sw) for q, sw in _moves(ev.kind, ev.height - 1, p) if allowed or not sw] for p in states}
+        steps.append((cid, step))
+        states = {q: None for moves in step.values() for q, _ in moves}
+
+    # backward: the switch sets that take each pairing to the end (where a
+    # valid front leaves only the empty pairing); a dead pairing gets none
+    tails = {p: [()] for p in states}
+    for cid, step in reversed(steps):
+        tails = {
+            p: [(cid,) + t if sw else t for q, sw in moves for t in tails.get(q, ())]
+            for p, moves in step.items()
+        }
+    found = tails.get((), [])
 
     out = []
     for switches in sorted(found):

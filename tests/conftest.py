@@ -50,6 +50,48 @@ def random_fronts(seed: int, count: int, max_crossings: int | None = None, knots
     return out
 
 
+def ruled_random_front(rng: random.Random, max_events: int = 16, max_strands: int = 8) -> FrontDiagram:
+    """A random front built along one normal ruling, so it has at least one.
+
+    The walk keeps the ruling's pairing (``partner[h]`` is the strand paired
+    with strand h, heights from 0): a right cusp only closes an eye, a
+    crossing never joins the two arcs of one eye, and a crossing is a switch
+    only when the two eyes are nested or disjoint there.
+    """
+    events, partner = [], []
+    while True:
+        n = len(partner)
+        if n == 0 and events and (len(events) >= max_events or rng.random() < 0.2):
+            break
+        closable = [h for h in range(n - 1) if partner[h] == h + 1]
+        crossable = [h for h in range(n - 1) if partner[h] != h + 1]
+        if len(events) >= max_events:
+            if closable:
+                kind, h = "R", closable[0]
+            else:  # shorten the narrowest eye until it can close
+                kind = "X"
+                h = min(range(n), key=lambda h: partner[h] - h if partner[h] > h else n)
+        else:
+            kinds = ["L"] * (n < max_strands) + ["R"] * bool(closable) + ["X"] * 3 * bool(crossable)
+            kind = rng.choice(kinds)
+            h = rng.choice({"L": range(n + 1), "R": closable, "X": crossable}[kind])
+        events.append(FrontEvent(kind, h + 1))
+        if kind == "L":
+            partner = [q + 2 if q >= h else q for q in partner]
+            partner[h:h] = [h + 1, h]
+        elif kind == "R":
+            partner = [q - 2 if q > h else q for q in partner[:h] + partner[h + 2:]]
+        else:
+            lo_a, hi_a = sorted((h, partner[h]))
+            lo_b, hi_b = sorted((h + 1, partner[h + 1]))
+            normal = hi_a < lo_b or hi_b < lo_a or lo_a < lo_b < hi_b < hi_a or lo_b < lo_a < hi_a < hi_b
+            if not (normal and rng.random() < 0.5):  # no switch: the strands trade eyes
+                a, b = partner[h], partner[h + 1]
+                partner[a], partner[b] = h + 1, h
+                partner[h], partner[h + 1] = b, a
+    return FrontDiagram(tuple(events), name="ruled")
+
+
 def nested_unlink(n: int) -> FrontDiagram:
     """The n-component unlink as n nested saucers."""
     events = [FrontEvent("L", i) for i in range(1, n + 1)]

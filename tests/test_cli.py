@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from legfronts import cli, corpus, skein
-from legfronts.fronts import parse_front, render_front
+from legfronts import cli, corpus, rulings, skein
+from legfronts.fronts import connected_sum, front, parse_front, render_front
 
 
 def run(capsys, *argv):
@@ -144,6 +144,61 @@ def test_missing_input(capsys):
     code, _, err = run(capsys, "homfly", "no_such_front")
     assert code == 1
     assert "no_such_front" in err
+
+
+def _indented_rulings_json(diagram, grading, rev):
+    """The rulings payload built whole and written by the indenting encoder."""
+    cens = rulings.census(diagram, rev)
+    poly = cens.polynomials[grading]
+    payload = {
+        "front": diagram.name,
+        "class": grading,
+        "count": cens.count(grading),
+        "rotation_gcd": cens.rotation_gcd,
+        "rulings": [
+            {
+                "switches": list(r.switches),
+                "theta": r.theta,
+                "genus": r.genus,
+                "grading": str(r.grading),
+                "orientable": r.orientable,
+            }
+            for r in rulings.enumerate_rulings(diagram, grading, rev)
+        ],
+        "polynomial": poly.to_terms(),
+        "polynomial_text": str(poly),
+        "polynomials_by_class": {cls: cens.polynomials[cls].to_terms() for cls in rulings.GRADING_FILTERS},
+    }
+    if cens.rotation_gcd != 0:
+        payload["note"] = "r != 0: graded classes use residues mod 2r"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
+    torus = {n: front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(1, 16, 2)}
+    cases = {f"T2-{n}": (t, ()) for n, t in torus.items()}
+    power = torus[3]
+    for k in range(2, 6):
+        power = connected_sum(power, torus[3])
+        cases[f"trefoil-x{k}"] = (power, ())
+    cases["T2-7xT2-7xT2-5"] = (connected_sum(connected_sum(torus[7], torus[7]), torus[5]), ())
+    for name in ("stabilized_unknot", "unlink2"):
+        cases[name] = (corpus.load(name), ())
+    cases["unlink2-reversed"] = (corpus.load("unlink2"), (0,))
+    # the reversed clasp's switched ruling is ungraded only: orientable null
+    cases["hopf-reversed"] = (front("L1 L2 X1 X3 R2 R1"), (1,))
+    # a knot with r = -1 and three rulings, none of them 2-graded
+    cases["r-nonzero"] = (front("L1 L2 L4 X3 X5 X3 X3 X5 X4 X3 R5 R2 R1"), ())
+    for stem, (f, rev) in cases.items():
+        path = tmp_path / f"{stem}.front"
+        path.write_text(render_front(f))
+        diagram = parse_front(path.read_text(), name=stem)
+        for grading in rulings.GRADING_FILTERS:
+            argv = ["rulings", str(path), "--format=json", f"--class={grading}"]
+            argv += [f"--reverse-component={c}" for c in rev]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == _indented_rulings_json(diagram, grading, rev), (stem, grading)
 
 
 def test_deterministic_output_bytes(capsys):

@@ -1,12 +1,14 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from conftest import random_fronts
+from conftest import random_fronts, ruled_random_front
 from legfronts import corpus, fronts, rulings
 from legfronts.fronts import (
+    FrontEvent,
     classical_invariants,
     components,
     connected_sum,
@@ -362,3 +364,83 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch):
     for compute in (census, enumerate_rulings):
         with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
             compute(UNLINK2)
+
+
+def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
+    real, calls = rulings._moves, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rulings, "_moves", counted)
+    listed = enumerate_rulings(front("L1 L3 " + "X2 " * 21 + "R1 R1"), "ungraded")
+    assert len(calls) <= 50
+    assert len(listed) == 17711
+    assert [r.switches for r in listed] == sorted(r.switches for r in listed)
+
+
+# -- Legendrian moves ---------------------------------------------------------
+
+
+_STRANDS_ADDED = {"L": 2, "R": -2, "X": 0}
+
+
+def _stabilized(f, rng):
+    """f with a zigzag (one left and one right cusp, no crossing) on a random strand."""
+    counts = [0, *itertools.accumulate(_STRANDS_ADDED[ev.kind] for ev in f.events)]
+    i = rng.choice([i for i, n in enumerate(counts) if n > 0])
+    h = rng.randint(1, counts[i])
+    zigzag = (FrontEvent("L", h + 1), FrontEvent("R", h)) if rng.random() < 0.5 else (
+        FrontEvent("L", h), FrontEvent("R", h + 1))
+    return replace(f, events=f.events[:i] + zigzag + f.events[i:])
+
+
+def _far_commuted(f, i):
+    """f with events i and i + 1 exchanged, or None unless they sit at least 2 heights apart.
+
+    The lower event keeps its height; the upper one moves by the strands
+    that the lower one adds or removes.
+    """
+    a, b = f.events[i], f.events[i + 1]
+    if b.height >= a.height + 2:
+        swapped = (FrontEvent(b.kind, b.height - _STRANDS_ADDED[a.kind]), a)
+    elif b.height <= a.height - 2:
+        swapped = (b, FrontEvent(a.kind, a.height + _STRANDS_ADDED[b.kind]))
+    else:
+        return None
+    return replace(f, events=f.events[:i] + swapped + f.events[i + 2:])
+
+
+def _class_data(f):
+    """Each class polynomial with its listed count; for a link the ungraded class
+    only, since its graded classes depend on the offsets between the components'
+    Maslov potentials, which the event order fixes through each reference arc."""
+    cens = census(f)
+    classes = GRADING_FILTERS if cens.is_knot else ("ungraded",)
+    return [(cens.polynomials[cls], len(enumerate_rulings(f, cls))) for cls in classes]
+
+
+def test_legendrian_moves_on_random_fronts():
+    rng = random.Random(31)
+    knots, links = [], []
+    while len(knots) < 30:
+        f = ruled_random_front(rng, max_strands=6)
+        if f.num_crossings >= 3:
+            (knots if components(f).num_components == 1 else links).append(f)
+    commuted = 0
+    for f in knots + links[:30]:
+        stab = _stabilized(f, rng)
+        assert fronts.validate(stab).ok, str(stab)
+        assert classical_invariants(stab).tb == classical_invariants(f).tb - 1
+        assert all(census(stab).count(cls) == 0 and enumerate_rulings(stab, cls) == [] for cls in GRADING_FILTERS)
+
+        before = _class_data(f)
+        for i in range(len(f.events) - 1):
+            g = _far_commuted(f, i)
+            if g is None:
+                continue
+            assert fronts.validate(g).ok, (str(f), i)
+            assert _class_data(g) == before, (str(f), i)
+            commuted += 1
+    assert commuted > 200
