@@ -26,19 +26,15 @@ from .fronts import (
 from .laurent import HomflyProfile, VZPoly, ZPoly, conway, profile
 from .rulings import (
     GradingClass,
-    PairingState,
     Ruling,
     RulingCensus,
     census,
-    classify,
     enumerate_rulings,
-    is_normal_switch,
     ruling_polynomial,
 )
 from .skein import (
     LinkDiagram,
     ResourceLimitError,
-    conway_polynomial,
     front_to_diagram,
     homfly,
     kauffman_dubrovnik,

@@ -47,6 +47,3 @@ def load(name: str) -> fronts.FrontDiagram:
     path = corpus_path(name)
     return fronts.parse_front(path.read_text(), name=name)
 
-
-def load_all() -> dict[str, fronts.FrontDiagram]:
-    return {name: load(name) for name in corpus_names()}

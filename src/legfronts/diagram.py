@@ -75,17 +75,16 @@ class LinkDiagram:
 
     # -- traversal ----------------------------------------------------------
 
-    def _walks(self, strategy: str = "min") -> list[list[Port]]:
+    def _walks(self) -> list[list[Port]]:
         """Component walks as lists of (crossing, entry port) passages.
 
-        Deterministic: the base point is the extreme unvisited port; for
+        Deterministic: the base point is the least unvisited port; for
         oriented diagrams the walk follows the stored strand directions.
         """
-        pick = min if strategy == "min" else max
         unseen = {(c, p) for c in self.crossings for p in range(4)}
         walks = []
         while unseen:
-            c0, p0 = pick(unseen)
+            c0, p0 = min(unseen)
             cr = self.crossings[c0]
             if cr.in_ports is not None and p0 not in cr.in_ports:
                 p0 = (p0 + 2) % 4
@@ -100,10 +99,10 @@ class LinkDiagram:
             walks.append(walk)
         return walks
 
-    def first_bad_crossing(self, strategy: str = "min") -> int | None:
+    def first_bad_crossing(self) -> int | None:
         """First crossing whose first visit happens on its under strand."""
         seen: set[int] = set()
-        for walk in self._walks(strategy):
+        for walk in self._walks():
             for cid, p in walk:
                 if cid in seen:
                     continue

@@ -104,9 +104,6 @@ class ZPoly:
         """Largest z-exponent, or None for the zero polynomial."""
         return max(self.terms) if self.terms else None
 
-    def min_degree(self) -> int | None:
-        return min(self.terms) if self.terms else None
-
     def coefficient(self, exp: int) -> int:
         return self.terms.get(exp, 0)
 
@@ -205,12 +202,6 @@ class VZPoly:
     def max_z_degree(self) -> int | None:
         return max(ez for _, ez in self.terms) if self.terms else None
 
-    def substitute_v_one(self) -> ZPoly:
-        out: dict[int, int] = {}
-        for (_, ez), c in self.terms.items():
-            out[ez] = out.get(ez, 0) + c
-        return ZPoly(out)
-
     def to_terms(self) -> list[dict[str, int]]:
         """JSON-friendly term list, sorted by (v, z) exponent."""
         return [{"v": ev, "z": ez, "c": self.terms[(ev, ez)]} for ev, ez in sorted(self.terms)]
@@ -248,7 +239,10 @@ def profile(p: VZPoly, at: int | None = None) -> HomflyProfile:
 
 def conway(p: VZPoly) -> ZPoly:
     """Collapse a Homfly polynomial to the Conway polynomial via v = 1."""
-    return p.substitute_v_one()
+    out: dict[int, int] = {}
+    for (_, ez), c in p.terms.items():
+        out[ez] = out.get(ez, 0) + c
+    return ZPoly(out)
 
 
 def _render(terms, names) -> str:

@@ -18,17 +18,13 @@ theta = eyes - switches; for a knot front a 2-graded ruling is an
 orientable surface with one boundary circle, so its genus is
 (switches - eyes + 1) / 2.
 
-Ruling polynomials, counts and genera come from one left-to-right sweep
-that merges equal states: a state is the pairing with the grading class
-of its switches so far, and it carries the count of partial rulings per
-number of switches, so one pass yields all three class polynomials
-without listing a ruling.
-
-Rulings are listed only when asked for, over live states alone: a
-forward pass records the moves of each reachable pairing, and a backward
-pass hands each pairing the switch sets of its paths to the empty
-pairing at the end, so a pairing that cannot close gets none and no
-partial ruling is built that does not finish.
+Censuses and listings come from one left-to-right sweep that merges
+equal states.  A state is the pairing with the grading tag of its
+switches so far and whether a graded switch sits at a negative crossing;
+it carries a value that the caller picks.  The census carries counts of
+partial rulings per number of switches, so one pass yields all three
+class polynomials without listing a ruling; the listing carries the
+switch sets themselves and reads each ruling's grading from its end tag.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 from . import fronts
 from .laurent import ZPoly
@@ -51,61 +48,6 @@ class GradingClass(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class PairingState:
-    """Fixed-point-free involution on strand heights 1..n."""
-
-    __slots__ = ("partner",)
-
-    def __init__(self, partner: dict[int, int] | None = None):
-        self.partner = dict(partner) if partner else {}
-        for k, p in self.partner.items():
-            if p == k or self.partner.get(p) != k:
-                raise ValueError("pairing must be a fixed-point-free involution")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairingState":
-        partner: dict[int, int] = {}
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-        return cls(partner)
-
-    def __len__(self) -> int:
-        return len(self.partner)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PairingState) and self.partner == other.partner
-
-    def __repr__(self) -> str:
-        pairs = sorted((a, b) for a, b in self.partner.items() if a < b)
-        return f"PairingState({pairs})"
-
-
-def is_normal_switch(state: PairingState, k: int) -> bool:
-    """Whether a switch at height k satisfies the normality condition.
-
-    The eyes through strands k and k+1 span the height intervals between
-    each strand and its partner; the switch is normal when those
-    intervals are disjoint or strictly nested.
-    """
-    pa = state.partner[k]
-    if pa == k + 1:
-        raise ValueError("paired strands cannot meet at a crossing")
-    return _normal(k, pa, state.partner[k + 1])
-
-
-def _normal(k: int, pa: int, pb: int) -> bool:
-    lo_a, hi_a = min(k, pa), max(k, pa)
-    lo_b, hi_b = min(k + 1, pb), max(k + 1, pb)
-    if hi_a < lo_b or hi_b < lo_a:
-        return True  # disjoint
-    if lo_a < lo_b and hi_b < hi_a:
-        return True  # second nested inside first
-    if lo_b < lo_a and hi_a < hi_b:
-        return True  # first nested inside second
-    return False
 
 
 @dataclass(frozen=True)
@@ -126,19 +68,6 @@ def _tag(index: int) -> int:
     return 0 if index == 0 else 1 if index % 2 == 0 else 2
 
 
-def classify(switches, indices: dict[int, int], is_knot: bool) -> tuple[GradingClass, bool | None]:
-    """Grading class of a switch set, plus surface orientability.
-
-    2-graded rulings always bound orientable surfaces; for knot fronts
-    the converse holds as well, so non-2-graded knot rulings report
-    False while link rulings report None (undetermined).
-    """
-    grading = _GRADINGS[max([_tag(indices[c]) for c in switches], default=0)]
-    two = grading is not GradingClass.UNGRADED_ONLY
-    orientable = True if two else (False if is_knot else None)
-    return grading, orientable
-
-
 def _moves(kind: str, k: int, p: tuple[int, ...]):
     """The pairings that can follow p at an event at height k + 1, each
     with whether it switches the crossing there.
@@ -155,7 +84,10 @@ def _moves(kind: str, k: int, p: tuple[int, ...]):
         q = [k + 1 if h == k else k if h == k + 1 else h for h in p]
         q[k], q[k + 1] = q[k + 1], q[k]
         yield tuple(q), False  # no switch: the strands trade eye membership
-        if _normal(k, p[k], p[k + 1]):
+        # a switch is normal when the two eyes span disjoint or nested intervals
+        lo_a, hi_a = sorted((k, p[k]))
+        lo_b, hi_b = sorted((k + 1, p[k + 1]))
+        if hi_a < lo_b or hi_b < lo_a or lo_a < lo_b < hi_b < hi_a or lo_b < lo_a < hi_a < hi_b:
             yield p, True
 
 
@@ -166,9 +98,9 @@ def enumerate_rulings(
 ) -> list[Ruling]:
     """All normal rulings in the given grading class, sorted by switch set.
 
-    The transitions of each pairing reachable at each event are found
-    once; the rulings are the paths through pairings that reach the empty
-    pairing at the end, so no branch is followed that fails later.
+    One merging sweep carries the switch sets of the partial rulings in
+    each state, taking no switch outside the class; the grading of each
+    ruling is the tag of the end state that holds it.
     """
     _check_filter(class_filter)
     return _enumerate(diagram, fronts.sweep_front(diagram, reverse), class_filter)
@@ -180,82 +112,70 @@ def _check_filter(class_filter: str) -> None:
 
 
 def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[Ruling]:
-    indices = sweep.indices
     is_knot = sweep.components.num_components == 1
-    signs = sweep.invariants.crossing_signs
     eyes = diagram.num_left_cusps
-
     limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
-    # forward: the admissible moves of each reachable pairing, event by event
-    steps: list[tuple[int, dict]] = []
-    states: dict = {(): None}
-    cid = 0
-    for ev in diagram.events:
-        if ev.kind == "X":
-            cid += 1
-        allowed = ev.kind == "X" and _tag(indices[cid]) <= limit
-        step = {p: [(q, sw) for q, sw in _moves(ev.kind, ev.height - 1, p) if allowed or not sw] for p in states}
-        steps.append((cid, step))
-        states = {q: None for moves in step.values() for q, _ in moves}
-
-    # backward: the switch sets that take each pairing to the end (where a
-    # valid front leaves only the empty pairing); a dead pairing gets none
-    tails = {p: [()] for p in states}
-    for cid, step in reversed(steps):
-        tails = {
-            p: [(cid,) + t if sw else t for q, sw in moves for t in tails.get(q, ())]
-            for p, moves in step.items()
-        }
-    found = tails.get((), [])
-
+    ends = _sweep(diagram, sweep, limit, [()], lambda sets, cid: [s + (cid,) for s in sets])
     out = []
-    for switches in sorted(found):
-        grading, orientable = classify(switches, indices, is_knot)
-        g = None
-        if is_knot and orientable:
-            spread = len(switches) - eyes + 1
-            if spread % 2 != 0 or spread < 0:
-                raise RuntimeError("2-graded knot ruling with non-integral genus")
-            g = spread // 2
-        if grading is not GradingClass.UNGRADED_ONLY:
-            # even index forces a positive crossing under the even-right convention
-            for c in switches:
-                if signs[c - 1] != 1:
-                    raise RuntimeError("2-graded switch at a negative crossing")
-        out.append(Ruling(switches, eyes, eyes - len(switches), grading, g, orientable))
+    for tag, found in ends.items():
+        # 2-graded rulings bound orientable surfaces; for a knot the converse
+        # holds too, while an ungraded-only link ruling is left undetermined
+        orientable = True if tag < 2 else (False if is_knot else None)
+        for switches in found:
+            g = None
+            if is_knot and tag < 2:
+                spread = len(switches) - eyes + 1
+                if spread % 2 != 0 or spread < 0:
+                    raise RuntimeError("2-graded knot ruling with non-integral genus")
+                g = spread // 2
+            out.append(Ruling(switches, eyes, eyes - len(switches), _GRADINGS[tag], g, orientable))
+    out.sort(key=attrgetter("switches"))
     return out
 
 
-def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
-    """The three class polynomials from one pass that merges equal states.
+def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
+    """The value of each end tag after one pass that merges equal states.
 
     A state key is (pairing, tag, bad): the pairing as in ``_moves``, the
     grading tag of the switches so far, and whether a graded switch sits
-    at a negative crossing.  Each key maps to a Counter of partial
-    rulings by number of switches.
+    at a negative crossing.  Each key carries a value, ``start`` for the
+    empty pairing; a switch at crossing cid maps it through
+    ``bump(value, cid)`` and is not taken when its tag exceeds ``limit``.
+    Values that reach one key are added with ``+``.
     """
     indices, signs = sweep.indices, sweep.invariants.crossing_signs
-    states = {((), 0, False): Counter({0: 1})}
+    states = {((), 0, False): start}
     cid = 0
     for ev in diagram.events:
         if ev.kind == "X":
             cid += 1
             tag_here, negative = _tag(indices[cid]), signs[cid - 1] != 1
-        merged: dict[tuple, Counter] = {}
-        for (p, tag, bad), sw in states.items():
+        merged: dict = {}
+        for (p, tag, bad), value in states.items():
             for q, switched in _moves(ev.kind, ev.height - 1, p):
-                key, add = (q, tag, bad), sw
+                key, add = (q, tag, bad), value
                 if switched:
+                    if tag_here > limit:
+                        continue
                     t = max(tag, tag_here)
-                    key, add = (q, t, t < 2 and (bad or negative)), {s + 1: c for s, c in sw.items()}
-                merged.setdefault(key, Counter()).update(add)
+                    key, add = (q, t, t < 2 and (bad or negative)), bump(value, cid)
+                merged[key] = merged[key] + add if key in merged else add
         states = merged
 
-    by_class = {cls: Counter() for cls in GRADING_FILTERS}
-    for (_, tag, bad), sw in states.items():
+    ends = {}
+    for (_, tag, bad), value in states.items():  # a valid front ends on the empty pairing
         if bad:
             # even index forces a positive crossing under the even-right convention
             raise RuntimeError("2-graded switch at a negative crossing")
+        ends[tag] = value
+    return ends
+
+
+def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
+    """The three class polynomials: the sweep's values count partial rulings by switches."""
+    ends = _sweep(diagram, sweep, 2, Counter({0: 1}), lambda sw, cid: Counter({s + 1: c for s, c in sw.items()}))
+    by_class = {cls: Counter() for cls in GRADING_FILTERS}
+    for tag, sw in ends.items():
         for cls in GRADING_FILTERS[:3 - tag]:  # tag 0 counts in all three classes
             by_class[cls].update(sw)
     eyes = diagram.num_left_cusps
@@ -290,7 +210,7 @@ class RulingCensus:
 
     @cached_property
     def by_class(self) -> dict[str, tuple[Ruling, ...]]:
-        """The rulings of each class, listed by one ungraded search on first access."""
+        """The rulings of each class, listed by one ungraded sweep on first access."""
         ungraded = tuple(_enumerate(self._diagram, self._sweep, "ungraded"))
         return {
             "ungraded": ungraded,

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from . import fronts
 from .diagram import Crossing, LinkDiagram, Port, _pieces, _rank_key, _sign_from
-from .laurent import VZPoly, ZPoly, conway as _conway_of
+from .laurent import VZPoly
 
 DEFAULT_MAX_CROSSINGS = 16
 
@@ -148,7 +148,6 @@ def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDia
 def homfly(
     d: LinkDiagram,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    strategy: str = "min",
 ) -> VZPoly:
     """Homfly polynomial of an oriented diagram.
 
@@ -158,11 +157,7 @@ def homfly(
     """
     if not d.is_oriented:
         raise ValueError("Homfly needs an oriented diagram")
-    return _skein_sum(d, max_crossings, False, strategy)
-
-
-def conway_polynomial(d: LinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> ZPoly:
-    return _conway_of(homfly(d, max_crossings))
+    return _skein_sum(d, max_crossings, False)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ def kauffman_dubrovnik(
     return _skein_sum(d, max_crossings, True)
 
 
-def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool, strategy: str = "min") -> VZPoly:
+def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
     """Multiply the pieces' sums by delta^(k + l - 1); the ceiling counts the input."""
     if d.num_crossings > max_crossings:
         raise ResourceLimitError(
@@ -214,11 +209,11 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool, strategy: str
     pieces, components = _pieces(d)
     total, memo = delta ** (components + d.loops - 1), {}
     for piece in pieces:
-        total = total * _expanded(piece, kauffman, strategy, delta, memo)
+        total = total * _expanded(piece, kauffman, delta, memo)
     return total
 
 
-def _expanded(d: LinkDiagram, kauffman: bool, strategy: str, delta: VZPoly, memo: dict) -> VZPoly:
+def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPoly:
     """Reduce each node, expand it at its first bad crossing unless its key
     is in ``memo``, and store its value there once its children have one."""
     stack = []
@@ -244,7 +239,7 @@ def _expanded(d: LinkDiagram, kauffman: bool, strategy: str, delta: VZPoly, memo
             continue
         if key in memo:
             continue
-        bad = cur.first_bad_crossing(strategy)
+        bad = cur.first_bad_crossing()
         if bad is None:
             walks = cur._walks()
             memo[key] = {(-_leaf_writhe(cur, walks) if kauffman else 0, 0, len(walks)): 1}

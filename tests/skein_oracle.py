@@ -20,7 +20,6 @@ from legfronts.skein import (
 def homfly(
     d: LinkDiagram,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    strategy: str = "min",
 ) -> VZPoly:
     if not d.is_oriented:
         raise ValueError("Homfly needs an oriented diagram")
@@ -32,7 +31,7 @@ def homfly(
     stack: list[tuple[LinkDiagram, VZPoly]] = [(d, VZPoly(1))]
     while stack:
         cur, coeff = stack.pop()
-        bad = cur.first_bad_crossing(strategy)
+        bad = cur.first_bad_crossing()
         if bad is None:
             n = cur.num_components()
             total = total + coeff * HOMFLY_DELTA ** (n - 1)

@@ -19,10 +19,8 @@ from legfronts.laurent import ZPoly
 from legfronts.rulings import (
     GRADING_FILTERS,
     GradingClass,
-    PairingState,
     census,
     enumerate_rulings,
-    is_normal_switch,
     ruling_polynomial,
 )
 
@@ -98,35 +96,29 @@ def oracle_switch_sets(diagram, class_filter="ungraded", reverse=()):
 # -- normality predicate ------------------------------------------------------
 
 
-def test_normal_switch_disjoint():
-    state = PairingState.from_pairs([(1, 2), (3, 4)])
-    assert is_normal_switch(state, 2)
-
-
-def test_normal_switch_interleaved():
-    state = PairingState.from_pairs([(1, 3), (2, 4)])
-    assert not is_normal_switch(state, 2)
-
-
-def test_normal_switch_disjoint_after_repair():
-    state = PairingState.from_pairs([(1, 6), (2, 3), (4, 5)])
-    assert is_normal_switch(state, 3)
-
-
-def test_normal_switch_nested():
-    state = PairingState.from_pairs([(1, 4), (2, 3)])
-    assert is_normal_switch(state, 1)
-
-
-def test_normal_switch_rejects_partners():
-    state = PairingState.from_pairs([(1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        is_normal_switch(state, 1)
-
-
-def test_pairing_state_involution_guard():
-    with pytest.raises(ValueError):
-        PairingState({1: 1})
+@pytest.mark.parametrize(
+    "pairs, k, normal",
+    [
+        pytest.param([(1, 2), (3, 4)], 2, True, id="disjoint"),
+        pytest.param([(1, 3), (2, 4)], 2, False, id="interleaved"),
+        pytest.param([(1, 6), (2, 3), (4, 5)], 3, True, id="disjoint_after_repair"),
+        pytest.param([(1, 4), (2, 3)], 1, True, id="nested"),
+        pytest.param([(1, 2), (3, 4)], 1, None, id="rejects_partners"),
+    ],
+)
+def test_normal_switch(pairs, k, normal):
+    """The moves at a crossing between heights k and k + 1 of a pairing of
+    heights 1..n: a switch only when normal, no move when the two strands
+    are partners."""
+    p = [0] * (2 * len(pairs))
+    for a, b in pairs:
+        p[a - 1], p[b - 1] = b - 1, a - 1
+    moves = list(rulings._moves("X", k - 1, tuple(p)))
+    if normal is None:
+        assert moves == []
+    else:
+        assert [switched for _, switched in moves] == ([False, True] if normal else [False])
+        assert all(q == tuple(p) for q, switched in moves if switched)
 
 
 # -- census examples ----------------------------------------------------------
@@ -196,9 +188,41 @@ def test_oracle_equivalence_on_corpus():
             assert _library_switch_sets(f, cls) == oracle_switch_sets(f, cls), (name, cls)
 
 
+# a knot front with ungraded-only rulings, which random knot fronts seldom have
+ODD_KNOT = front("L1 L2 X1 X3 X3 X2 X2 R1 R1", name="odd_knot")
+
+
 def test_oracle_equivalence_on_random_fronts():
-    for f in random_fronts(seed=21, count=25, max_crossings=8):
-        assert _library_switch_sets(f, "ungraded") == oracle_switch_sets(f, "ungraded")
+    # the census and the listing share one sweep, so each listed ruling's
+    # grading, orientability and genus are recomputed here from the indices
+    rng = random.Random(21)
+    ruled = []
+    while len(ruled) < 40:
+        f = ruled_random_front(rng, max_strands=6)
+        if f.num_crossings <= 9:
+            ruled.append(f)
+    cases = list(CLASS_SPLITTING)
+    for f in random_fronts(seed=21, count=25, max_crossings=8) + ruled + [ODD_KNOT]:
+        cases += [(f, ())] + ([(f, (0,))] if components(f).num_components > 1 else [])
+    seen = Counter()
+    for f, rev in cases:
+        is_knot = components(f).num_components == 1
+        indices = crossing_indices(f, rev)
+        for cls in GRADING_FILTERS:
+            listed = enumerate_rulings(f, cls, rev)
+            assert {r.switches for r in listed} == oracle_switch_sets(f, cls, rev), (str(f), rev, cls)
+            for r in listed:
+                ix = [indices[c] for c in r.switches]
+                two = all(i % 2 == 0 for i in ix)
+                assert r.grading is (
+                    GradingClass.Z_GRADED if not any(ix)
+                    else GradingClass.TWO_GRADED if two else GradingClass.UNGRADED_ONLY
+                ), (str(f), rev, r)
+                assert r.orientable is (True if two else False if is_knot else None)
+                assert r.genus == ((len(r.switches) - r.eyes + 1) // 2 if is_knot and two else None)
+                seen[is_knot, r.grading] += cls == "ungraded"
+    assert seen[True, GradingClass.UNGRADED_ONLY] and seen[False, GradingClass.UNGRADED_ONLY]
+    assert seen[True, GradingClass.Z_GRADED] and seen[False, GradingClass.TWO_GRADED]
 
 
 def test_oracle_equivalence_reversed_hopf():
