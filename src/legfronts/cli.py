@@ -10,6 +10,7 @@ failed, the input was invalid or an internal consistency check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -185,29 +186,40 @@ def _cmd_invariants(args) -> int:
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
-def _ruling_json(r: rulings.Ruling) -> str:
-    """One entry of the "rulings" array, laid out as json.dumps(indent=2) at depth 2."""
-    switches = ",\n        ".join(map(str, r.switches))
-    switches = f"[\n        {switches}\n      ]" if switches else "[]"
-    genus = "null" if r.genus is None else r.genus
-    return (
-        f'    {{\n      "genus": {genus},\n      "grading": "{r.grading}",\n'
-        f'      "orientable": {_JSON_WORDS[r.orientable]},\n      "switches": {switches},\n'
-        f'      "theta": {r.theta}\n    }}'
+def _ruling_json(fields, n: int) -> tuple[str, str]:
+    """One entry of the "rulings" array before and after its switch ids,
+    laid out as json.dumps(indent=2) at depth 2."""
+    _, theta, grading, genus, orientable = fields
+    head = (
+        f'    {{\n      "genus": {"null" if genus is None else genus},\n      "grading": "{grading}",\n'
+        f'      "orientable": {_JSON_WORDS[orientable]},\n      "switches": '
     )
+    tail = f',\n      "theta": {theta}\n    }}'
+    return (head + "[]", tail) if n == 0 else (head + "[\n        ", "\n      ]" + tail)
+
+
+def _ruling_text(fields, n: int) -> tuple[str, str]:
+    """One line of the text listing before and after its switch ids."""
+    _, theta, grading, genus, _ = fields
+    return "  switches=[", f"] theta={theta} genus={'-' if genus is None else genus} {grading}"
 
 
 def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
-    rev = args.reverse_component
-    cens = rulings.census(diagram, rev)
-    listed = rulings._enumerate(diagram, cens._sweep, args.grading)
+    cens = rulings.census(diagram, args.reverse_component)
+    listed = rulings._listing(diagram, cens._sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
+    render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
+    ids = [str(c) for c in range(diagram.num_crossings + 1)]
+    ends = {}  # shape -> the rendered text around its rulings' switch ids
+    entries = []
+    for switches, shape, fields in listed:
+        if shape not in ends:
+            ends[shape] = render(fields, shape[1])
+        head, tail = ends[shape]
+        entries.append(head + sep.join(map(ids.__getitem__, switches)) + tail)
     if args.format == "text":
-        print(f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}")
-        for r in listed:
-            g = "-" if r.genus is None else r.genus
-            print(f"  switches={list(r.switches)} theta={r.theta} genus={g} {r.grading}")
+        print("\n".join([f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}", *entries]))
         return EXIT_OK
     payload = {
         "front": diagram.name,
@@ -225,8 +237,8 @@ def _cmd_rulings(args) -> int:
     # "rulings" sorts after every other key, so its array closes the object;
     # the indenting encoder is pure Python, so the array is written by hand
     head = json.dumps(payload, indent=2, sort_keys=True)[:-2]
-    if listed:
-        print(f'{head},\n  "rulings": [', ",\n".join(map(_ruling_json, listed)), "  ]\n}", sep="\n")
+    if entries:
+        print(f'{head},\n  "rulings": [', ",\n".join(entries), "  ]\n}", sep="\n")
     else:
         print(f'{head},\n  "rulings": []\n}}')
     return EXIT_OK
@@ -334,28 +346,34 @@ def _cmd_connsum(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    names = corpus.corpus_names()
+    rows = [
+        (name, corpus.DESCRIPTIONS.get(name, ""), str(corpus.load(name)))
+        for name in corpus.corpus_names()
+    ]
     payload = {
         "corpus": [
             {
                 "name": name,
                 "path": str(corpus.corpus_path(name)),
-                "events": str(corpus.load(name)),
-                "description": corpus.DESCRIPTIONS.get(name, ""),
+                "events": events,
+                "description": description,
             }
-            for name in names
+            for name, description, events in rows
         ]
     }
-    lines = [
-        f"{name:20s} {corpus.DESCRIPTIONS.get(name, ''):55s} {corpus.load(name)}"
-        for name in names
-    ]
+    lines = [f"{name:20s} {description:55s} {events}" for name, description, events in rows]
     _emit(payload, args.format, lines)
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses; parse_args keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             return _cmd_validate(args)

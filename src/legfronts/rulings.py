@@ -24,7 +24,10 @@ switches so far and whether a graded switch sits at a negative crossing;
 it carries a value that the caller picks.  The census carries counts of
 partial rulings per number of switches, so one pass yields all three
 class polynomials without listing a ruling; the listing carries the
-switch sets themselves and reads each ruling's grading from its end tag.
+switch sets themselves.  Every field of a listed ruling but its switches
+depends only on its shape, the pair (end tag, switch count): the end tag
+gives the grading and orientability, the switch count theta and the
+genus.  The listing computes and checks those fields once per shape.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 
 from . import fronts
 from .laurent import ZPoly
@@ -112,6 +115,17 @@ def _check_filter(class_filter: str) -> None:
 
 
 def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[Ruling]:
+    """The rulings of the class, sorted by switch set, built from ``_listing``."""
+    return [Ruling(switches, *fields) for switches, _, fields in _listing(diagram, sweep, class_filter)]
+
+
+def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
+    """(switches, shape, fields) for each ruling of the class, sorted by switches.
+
+    The shape is the pair (end tag, switch count) and the fields are the
+    shape's (eyes, theta, grading, genus, orientable), one tuple per shape
+    shared by its rulings, so the genus integrality check runs once per shape.
+    """
     is_knot = sweep.components.num_components == 1
     eyes = diagram.num_left_cusps
     limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
@@ -121,15 +135,19 @@ def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_fil
         # 2-graded rulings bound orientable surfaces; for a knot the converse
         # holds too, while an ungraded-only link ruling is left undetermined
         orientable = True if tag < 2 else (False if is_knot else None)
+        shapes = {}  # switch count -> (shape, fields)
         for switches in found:
-            g = None
-            if is_knot and tag < 2:
-                spread = len(switches) - eyes + 1
-                if spread % 2 != 0 or spread < 0:
-                    raise RuntimeError("2-graded knot ruling with non-integral genus")
-                g = spread // 2
-            out.append(Ruling(switches, eyes, eyes - len(switches), _GRADINGS[tag], g, orientable))
-    out.sort(key=attrgetter("switches"))
+            n = len(switches)
+            if n not in shapes:
+                g = None
+                if is_knot and tag < 2:
+                    spread = n - eyes + 1
+                    if spread % 2 != 0 or spread < 0:
+                        raise RuntimeError("2-graded knot ruling with non-integral genus")
+                    g = spread // 2
+                shapes[n] = (tag, n), (eyes, eyes - n, _GRADINGS[tag], g, orientable)
+            out.append((switches, *shapes[n]))
+    out.sort(key=itemgetter(0))
     return out
 
 

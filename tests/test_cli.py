@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +175,8 @@ def _indented_rulings_json(diagram, grading, rev):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
+def _listing_cases(tmp_path):
+    """(front file, its parsed diagram, reversed components) for the listing tests."""
     torus = {n: front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(1, 16, 2)}
     cases = {f"T2-{n}": (t, ()) for n, t in torus.items()}
     power = torus[3]
@@ -189,16 +191,89 @@ def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
     cases["hopf-reversed"] = (front("L1 L2 X1 X3 R2 R1"), (1,))
     # a knot with r = -1 and three rulings, none of them 2-graded
     cases["r-nonzero"] = (front("L1 L2 L4 X3 X5 X3 X3 X5 X4 X3 R5 R2 R1"), ())
+    # a 3-component link whose rulings take all three gradings, two of them at 4 switches
+    cases["three-gradings"] = (front("L1 L1 X2 L1 X2 R5 X2 L5 X2 X1 X3 X4 L6 X3 R2 R1 R2 R1"), ())
+    out = []
     for stem, (f, rev) in cases.items():
         path = tmp_path / f"{stem}.front"
         path.write_text(render_front(f))
-        diagram = parse_front(path.read_text(), name=stem)
+        out.append((path, parse_front(path.read_text(), name=stem), rev))
+    return out
+
+
+def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
+    for path, diagram, rev in _listing_cases(tmp_path):
         for grading in rulings.GRADING_FILTERS:
             argv = ["rulings", str(path), "--format=json", f"--class={grading}"]
             argv += [f"--reverse-component={c}" for c in rev]
             code, out, _ = run(capsys, *argv)
             assert code == 0
-            assert out == _indented_rulings_json(diagram, grading, rev), (stem, grading)
+            assert out == _indented_rulings_json(diagram, grading, rev), (diagram.name, grading)
+
+
+def test_rulings_text_lists_the_enumerated_fields(tmp_path, capsys):
+    seen = set()
+    for path, diagram, rev in _listing_cases(tmp_path):
+        cens = rulings.census(diagram, rev)
+        for grading in rulings.GRADING_FILTERS:
+            listed = rulings.enumerate_rulings(diagram, grading, rev)
+            expected = [
+                f"front {diagram.name}: {cens.count(grading)} {grading} ruling(s), "
+                f"polynomial {cens.polynomials[grading]}"
+            ] + [
+                f"  switches={list(r.switches)} theta={r.theta} "
+                f"genus={'-' if r.genus is None else r.genus} {r.grading.value}"
+                for r in listed
+            ]
+            argv = ["rulings", str(path), "--format", "text", f"--class={grading}"]
+            argv += [f"--reverse-component={c}" for c in rev]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == "\n".join(expected) + "\n", (diagram.name, grading)
+            seen.update((grading, r.genus is None, bool(rev)) for r in listed)
+    assert {grading for grading, _, _ in seen} == set(rulings.GRADING_FILTERS)
+    assert (True, True) in {(nogenus, rev) for _, nogenus, rev in seen}  # a reversed link: genus "-"
+    assert (False, False) in {(nogenus, rev) for _, nogenus, rev in seen}
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    # each first call sets what its second must not inherit: a reversal,
+    # which the Hopf clasp's 2-graded census shows, and a --class
+    hopf = front("L1 L2 X1 X3 R2 R1", name="hopf")
+    path = tmp_path / "hopf.front"
+    path.write_text(render_front(hopf))
+    run(capsys, "rulings", str(path), "--reverse-component=1", "--format=json")
+    code, out, _ = run(capsys, "rulings", str(path), "--format=json")
+    assert (code, out) == (0, _indented_rulings_json(hopf, "ungraded", ()))
+    golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+    run(capsys, "rulings", "unlink2", "--reverse-component=0", "--class=two_graded", "--format=json")
+    code, out, _ = run(capsys, "rulings", "unlink2", "--format=json")
+    assert {"exit": code, "stdout": out} == golden["rulings unlink2 --format=json"]
+
+
+def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monkeypatch):
+    builds, made = [], []
+
+    def counted_parser():
+        builds.append(1)
+        return build_parser()
+
+    def counted_ruling(*args):
+        made.append(1)
+        return Ruling(*args)
+
+    build_parser, Ruling = cli.build_parser, rulings.Ruling
+    monkeypatch.setattr(cli, "build_parser", counted_parser)
+    monkeypatch.setattr(rulings, "Ruling", counted_ruling)
+    cli._parser.cache_clear()
+    path = tmp_path / "T2-15.front"
+    path.write_text(render_front(front("L1 L3 " + "X2 " * 15 + "R1 R1")))
+    outs = [run(capsys, "rulings", str(path), "--format=json") for _ in range(3)]
+    assert len(builds) == 1
+    assert made == []
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0] == 0 and len(json.loads(outs[0][1])["rulings"]) == 987
+    cli._parser.cache_clear()
 
 
 def test_deterministic_output_bytes(capsys):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_fronts, ruled_random_front
-from legfronts import corpus, fronts, rulings
+from legfronts import cli, corpus, fronts, rulings
 from legfronts.fronts import (
     FrontEvent,
     classical_invariants,
@@ -360,7 +360,14 @@ def test_sweep_counts_trefoil_power_without_listing(monkeypatch):
     assert cens.max_genus() == 8
 
 
-def test_sweep_keeps_the_negative_switch_check(monkeypatch):
+def _assert_rulings_cli_fails(capsys, name, message):
+    for grading in GRADING_FILTERS:
+        for fmt in ("json", "text"):
+            assert cli.main(["rulings", name, f"--class={grading}", f"--format={fmt}"]) == 1
+            assert capsys.readouterr() == ("", f"internal consistency check failed: {message}\n")
+
+
+def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
     real = fronts.sweep_front
 
     def flipped(diagram, reverse=()):
@@ -374,9 +381,10 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch):
     for compute in (census, enumerate_rulings):
         with pytest.raises(RuntimeError, match="2-graded switch at a negative crossing"):
             compute(TREFOIL)
+    _assert_rulings_cli_fails(capsys, "trefoil", "2-graded switch at a negative crossing")
 
 
-def test_sweep_keeps_the_genus_integrality_check(monkeypatch):
+def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
     real = fronts.sweep_front
 
     def one_component(diagram, reverse=()):
@@ -388,6 +396,7 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch):
     for compute in (census, enumerate_rulings):
         with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
             compute(UNLINK2)
+    _assert_rulings_cli_fails(capsys, "unlink2", "2-graded knot ruling with non-integral genus")
 
 
 def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
