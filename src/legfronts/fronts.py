@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 EVENT_KINDS = ("L", "R", "X")
 
@@ -181,16 +182,14 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
 # Sweep geometry: arcs, cusps and crossing sites
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(NamedTuple):
     event_index: int  # 0-based into diagram.events
     kind: str  # "L" or "R"
     upper_arc: int
     lower_arc: int
 
 
-@dataclass(frozen=True)
-class CrossingSite:
+class CrossingSite(NamedTuple):
     crossing_id: int  # 1-based in x-order
     event_index: int
     over_arc: int  # enters at height k, the strand in front
@@ -286,10 +285,12 @@ def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
 def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     """Sweep the front once and derive its oriented data from the geometry.
 
-    Arcs joined at a cusp form a component and get opposite x-directions;
-    the Maslov cusp jumps are propagated from each component's reference
-    arc and verified consistent mod 2r and even on rightward arcs, so a
-    failure indicates a traversal bug, not bad input.
+    Arcs joined at a cusp form a component and get opposite x-directions.
+    The same walk propagates the Maslov cusp jumps from its seed arc; each
+    component is then shifted so that its reference arc gets the anchor,
+    which is exact because the jumps around a component sum to +-2 rot,
+    0 mod 2r.  The potential is verified consistent mod 2r and even on
+    rightward arcs, so a failure indicates a traversal bug, not bad input.
     """
     geom = sweep_geometry(diagram)
     n_arcs = geom.num_arcs
@@ -299,8 +300,11 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
         edges[cusp.lower_arc].append((cusp.upper_arc, +1))
         edges[cusp.upper_arc].append((cusp.lower_arc, -1))
 
+    # one walk per component orients it and propagates the Maslov potential
+    # relative to the walk's seed; the anchor shift comes after the rotations
     comp = [-1] * n_arcs
     rightward = [True] * n_arcs
+    potential = [0] * n_arcs
     reps: list[int] = []  # reference arc per component
     for seed in range(n_arcs):
         if comp[seed] >= 0:
@@ -309,10 +313,11 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
         comp[seed] = len(reps)
         while todo:
             a = todo.pop()
-            for b, _ in edges[a]:
+            for b, jump in edges[a]:
                 if comp[b] < 0:
                     comp[b] = len(reps)
                     rightward[b] = not rightward[a]
+                    potential[b] = potential[a] + jump
                     members.append(b)
                     todo.append(b)
                 elif rightward[b] == rightward[a]:
@@ -363,23 +368,15 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     )
 
     modulus = 2 * r
-    potential = [None] * n_arcs
-    for rep in reps:
-        # the anchor must respect the even-right rule, and a reversed
-        # component may have a leftward reference arc
-        potential[rep] = 0 if rightward[rep] else 1
-        todo = [rep]
-        while todo:
-            a = todo.pop()
-            for b, jump in edges[a]:
-                if potential[b] is None:
-                    potential[b] = potential[a] + jump
-                    todo.append(b)
 
     def reduce(x: int) -> int:
         return x % modulus if modulus else x
 
-    potential = [reduce(mu) for mu in potential]
+    # shift each component so its reference arc gets the anchor, which must
+    # respect the even-right rule (a reversed component's reference arc may
+    # run leftward)
+    shift = [(0 if rightward[rep] else 1) - potential[rep] for rep in reps]
+    potential = [reduce(mu + shift[c]) for mu, c in zip(potential, comp)]
     for cusp in geom.cusps:
         if reduce(potential[cusp.upper_arc] - potential[cusp.lower_arc] - 1) != 0:
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")

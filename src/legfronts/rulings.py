@@ -21,9 +21,12 @@ orientable surface with one boundary circle, so its genus is
 Censuses and listings come from one left-to-right sweep that merges
 equal states.  A state is the pairing with the grading tag of its
 switches so far and whether a graded switch sits at a negative crossing;
-it carries a value that the caller picks.  The census carries counts of
-partial rulings per number of switches, so one pass yields all three
-class polynomials without listing a ruling; the listing carries the
+it carries a value that the caller picks.  The census carries the counts
+of partial rulings per number of switches packed in one int, the count
+with s switches in the w-bit slot s, w = c + 1 for c crossings: a slot
+counts distinct s-subsets of the crossings, at most C(c, s) < 2^w, so
+adding values never carries across slots, and one pass yields all three
+class polynomials without listing a ruling.  The listing carries the
 switch sets themselves.  Every field of a listed ruling but its switches
 depends only on its shape, the pair (end tag, switch count): the end tag
 gives the grading and orientability, the switch count theta and the
@@ -32,7 +35,6 @@ genus.  The listing computes and checks those fields once per shape.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -190,17 +192,35 @@ def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, s
 
 
 def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
-    """The three class polynomials: the sweep's values count partial rulings by switches."""
-    ends = _sweep(diagram, sweep, 2, Counter({0: 1}), lambda sw, cid: Counter({s + 1: c for s, c in sw.items()}))
-    by_class = {cls: Counter() for cls in GRADING_FILTERS}
-    for tag, sw in ends.items():
-        for cls in GRADING_FILTERS[:3 - tag]:  # tag 0 counts in all three classes
-            by_class[cls].update(sw)
+    """The three class polynomials from one sweep whose values are packed counts.
+
+    A value holds the number of partial rulings with s switches in bits
+    [w * s, w * (s + 1)), w = c + 1: start is 1 and a switch shifts by w.
+    The end tags partition the switch sets, so the class sums below stay
+    within the slot bound C(c, s) < 2^w as well.
+    """
+    w = diagram.num_crossings + 1
+    ends = _sweep(diagram, sweep, 2, 1, lambda v, cid: v << w)
+    z, two, ungraded = (ends.get(tag, 0) for tag in range(3))
     eyes = diagram.num_left_cusps
-    polys = {cls: ZPoly({1 - eyes + s: c for s, c in sw.items()}) for cls, sw in by_class.items()}
+    polys = {
+        cls: ZPoly(_unpack(packed, w, 1 - eyes))
+        for cls, packed in zip(GRADING_FILTERS, (z + two + ungraded, z + two, z))
+    }
     if sweep.components.num_components == 1 and any(e % 2 or e < 0 for e in polys["two_graded"].terms):
         raise RuntimeError("2-graded knot ruling with non-integral genus")
     return polys
+
+
+def _unpack(packed: int, w: int, offset: int) -> dict[int, int]:
+    """{offset + s: slot s} for the nonzero w-bit slots of ``packed``."""
+    mask, out, e = (1 << w) - 1, {}, offset
+    while packed:
+        if packed & mask:
+            out[e] = packed & mask
+        packed >>= w
+        e += 1
+    return out
 
 
 def ruling_polynomial(

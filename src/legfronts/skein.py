@@ -207,6 +207,8 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
     d = d.reduced()[0]
     delta = DUBROVNIK_DELTA if kauffman else HOMFLY_DELTA
     pieces, components = _pieces(d)
+    if components + d.loops == 0:  # the empty front: delta^-1 is no polynomial
+        raise ValueError("a front with no components has no Homfly or Kauffman polynomial")
     total, memo = delta ** (components + d.loops - 1), {}
     for piece in pieces:
         total = total * _expanded(piece, kauffman, delta, memo)

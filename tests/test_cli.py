@@ -47,6 +47,15 @@ def test_validate_semantic_violation_uses_source_line(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("command", ["homfly", "kauffman", "conway", "tests"])
+def test_empty_front_skein_commands_fail_clearly(tmp_path, capsys, command):
+    empty = tmp_path / "empty.front"
+    empty.write_text("# no events\n")
+    code, out, err = run(capsys, command, str(empty))
+    assert (code, out) == (1, "")
+    assert err == "a front with no components has no Homfly or Kauffman polynomial\n"
+
+
 def test_validate_ok(capsys):
     code, out, err = run(capsys, "validate", "trefoil")
     assert code == 0

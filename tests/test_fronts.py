@@ -219,6 +219,47 @@ def test_sweep_record_matches_the_single_quantity_functions():
             assert sweep.indices == crossing_indices(f, rev)
 
 
+def _two_walk_maslov(f, rev=()):
+    """Potential and indices by a second walk from each reference arc,
+    anchored at 0 (1 when the arc runs leftward), reduced mod 2r."""
+    sweep = sweep_front(f, rev)
+    geom, cmap = sweep.geometry, sweep.components
+    edges = [[] for _ in range(geom.num_arcs)]
+    for cusp in geom.cusps:
+        edges[cusp.lower_arc].append((cusp.upper_arc, +1))
+        edges[cusp.upper_arc].append((cusp.lower_arc, -1))
+    modulus = 2 * sweep.invariants.r
+    potential = [None] * geom.num_arcs
+    for c in range(cmap.num_components):
+        members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
+        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+        potential[rep] = 0 if cmap.arc_rightward[rep] else 1
+        todo = [rep]
+        while todo:
+            a = todo.pop()
+            for b, jump in edges[a]:
+                if potential[b] is None:
+                    potential[b] = potential[a] + jump
+                    todo.append(b)
+    reduce = lambda x: x % modulus if modulus else x
+    potential = tuple(reduce(mu) for mu in potential)
+    indices = {x.crossing_id: reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings}
+    return potential, indices
+
+
+def test_one_walk_potential_matches_two_walks():
+    seen = {"r != 0": 0, "reversed": 0, "r != 0, reversed": 0}
+    for f in random_fronts(seed=43, count=300, max_crossings=12):
+        n = components(f).num_components
+        for rev in [()] + [(0,), (n - 1,)] * (n > 1):
+            sweep = sweep_front(f, rev)
+            assert (sweep.maslov.potential, sweep.indices) == _two_walk_maslov(f, rev), (str(f), rev)
+            seen["r != 0"] += sweep.maslov.modulus > 0
+            seen["reversed"] += bool(rev)
+            seen["r != 0, reversed"] += sweep.maslov.modulus > 0 and bool(rev)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_sweep_front_rejects_invalid_front_and_unknown_component():
     with pytest.raises(ValueError, match="no such component"):
         sweep_front(TREFOIL, (1,))

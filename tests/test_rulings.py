@@ -360,6 +360,49 @@ def test_sweep_counts_trefoil_power_without_listing(monkeypatch):
     assert cens.max_genus() == 8
 
 
+def _counter_polynomials(f, rev=()):
+    """The class polynomials from a sweep whose values are switch-count Counters."""
+    bump = lambda sw, cid: Counter({s + 1: c for s, c in sw.items()})
+    ends = rulings._sweep(f, fronts.sweep_front(f, rev), 2, Counter({0: 1}), bump)
+    out = {}
+    for limit, cls in zip((2, 1, 0), GRADING_FILTERS):
+        total = Counter()
+        for tag, sw in ends.items():
+            if tag <= limit:
+                total.update(sw)
+        out[cls] = ZPoly({1 - f.num_left_cusps + s: c for s, c in total.items()})
+    return out
+
+
+def test_packed_census_matches_counter_sweep():
+    rng = random.Random(51)
+    trefoil8 = TREFOIL
+    for _ in range(7):
+        trefoil8 = connected_sum(trefoil8, TREFOIL)
+    fronts_ = random_fronts(seed=52, count=150, max_crossings=12)
+    fronts_ += [ruled_random_front(rng) for _ in range(60)]
+    fronts_ += [front("L1 L3 " + "X2 " * 21 + "R1 R1"), trefoil8]
+    seen = Counter()
+    for f in fronts_:
+        links = components(f).num_components > 1
+        for rev in [()] + [(0,)] * links:
+            polys = census(f, rev).polynomials
+            assert polys == _counter_polynomials(f, rev), (str(f), rev)
+            seen["link" if links else "knot"] += 1
+            seen["reversed"] += bool(rev)
+            seen["ruled"] += bool(polys["ungraded"])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_unpack_reads_full_and_zero_slots():
+    w, full = 3, 7
+    slots = [full, 0, full, 1, 0, 0, full]
+    packed = sum(c << (w * s) for s, c in enumerate(slots))
+    assert rulings._unpack(packed, w, -2) == {-2: 7, 0: 7, 1: 1, 4: 7}
+    assert rulings._unpack(0, w, 5) == {}
+    assert rulings._unpack((1 << 40) - 1, 8, 0) == {s: 255 for s in range(5)}
+
+
 def _assert_rulings_cli_fails(capsys, name, message):
     for grading in GRADING_FILTERS:
         for fmt in ("json", "text"):

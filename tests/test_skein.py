@@ -138,6 +138,13 @@ def test_homfly_resource_limit():
         homfly(d, max_crossings=2)
 
 
+def test_empty_front_has_no_skein_polynomial():
+    d = front_to_diagram(front("", name="empty"))
+    for poly in (homfly, kauffman_dubrovnik):
+        with pytest.raises(ValueError, match="a front with no components has no Homfly or Kauffman polynomial"):
+            poly(d)
+
+
 def test_conway_is_homfly_at_v_one():
     nablas = {"unknot": {0: 1}, "trefoil": {0: 1, 2: 1}, "51": {0: 1, 2: 3, 4: 1}, "trefoil_sum": {0: 1, 2: 2, 4: 1}}
     for name, nabla in nablas.items():
