@@ -255,11 +255,12 @@ def genus_tests(
 
 
 def _genus(ctx: _Context) -> GenusTests:
-    d, p = ctx.link, ctx.homfly
+    p = ctx.homfly
     prof = profile(p)
     deg = conway_of(p).degree()
     max_genus = ctx.census.max_genus("two_graded")
-    seifert = skein.seifert_diagram_genus(d) if d.num_components() == 1 else None
+    knot = ctx.sweep.components.num_components == 1
+    seifert = skein.seifert_diagram_genus(ctx.link) if knot else None
     return GenusTests(
         bennequin_ok=prof.M <= prof.e,
         conway_ok=deg is not None and deg >= prof.M,

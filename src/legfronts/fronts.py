@@ -34,7 +34,7 @@ Conventions fixed here and relied on by the rest of the package:
 * The Maslov potential is Z_{2r}-valued (plain integers when r = 0),
   jumps by one at each cusp with the upper strand higher, and is even on
   rightward strands.  Each component's reference arc is anchored at
-  potential 0.
+  potential 0 (1 when the component is reversed).
 """
 
 from __future__ import annotations
@@ -286,11 +286,14 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     """Sweep the front once and derive its oriented data from the geometry.
 
     Arcs joined at a cusp form a component and get opposite x-directions.
-    The same walk propagates the Maslov cusp jumps from its seed arc; each
-    component is then shifted so that its reference arc gets the anchor,
-    which is exact because the jumps around a component sum to +-2 rot,
-    0 mod 2r.  The potential is verified consistent mod 2r and even on
-    rightward arcs, so a failure indicates a traversal bug, not bad input.
+    One walk per component orients it and propagates the Maslov cusp jumps
+    from its seed, the component's least arc id: the upper arc of its
+    earliest left cusp, whose lower arc is the reference arc (earliest
+    born, then bottommost).  The seed starts leftward at potential 1, so
+    the reference arc comes out rightward at 0; a reversed component adds
+    1 to every potential, where its reference arc runs leftward.  The
+    potential is verified consistent mod 2r and even on rightward arcs,
+    so a failure indicates a traversal bug, not bad input.
     """
     geom = sweep_geometry(diagram)
     n_arcs = geom.num_arcs
@@ -300,35 +303,28 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
         edges[cusp.lower_arc].append((cusp.upper_arc, +1))
         edges[cusp.upper_arc].append((cusp.lower_arc, -1))
 
-    # one walk per component orients it and propagates the Maslov potential
-    # relative to the walk's seed; the anchor shift comes after the rotations
+    # one walk per component from its seed orients it and propagates the
+    # Maslov potential; the seed's anchor puts the reference arc at 0
     comp = [-1] * n_arcs
     rightward = [True] * n_arcs
     potential = [0] * n_arcs
-    reps: list[int] = []  # reference arc per component
+    n_comp = 0
     for seed in range(n_arcs):
         if comp[seed] >= 0:
             continue
-        members, todo = [seed], [seed]
-        comp[seed] = len(reps)
+        comp[seed], rightward[seed], potential[seed] = n_comp, False, 1
+        todo = [seed]
         while todo:
             a = todo.pop()
             for b, jump in edges[a]:
                 if comp[b] < 0:
-                    comp[b] = len(reps)
+                    comp[b] = n_comp
                     rightward[b] = not rightward[a]
                     potential[b] = potential[a] + jump
-                    members.append(b)
                     todo.append(b)
                 elif rightward[b] == rightward[a]:
                     raise RuntimeError("inconsistent orientation around a component")
-        # earliest event first, then bottommost (largest birth height)
-        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
-        if not rightward[rep]:
-            for a in members:
-                rightward[a] = not rightward[a]
-        reps.append(rep)
-    n_comp = len(reps)
+        n_comp += 1
 
     reverse = frozenset(reverse)
     unknown = reverse - set(range(n_comp))
@@ -372,11 +368,8 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     def reduce(x: int) -> int:
         return x % modulus if modulus else x
 
-    # shift each component so its reference arc gets the anchor, which must
-    # respect the even-right rule (a reversed component's reference arc may
-    # run leftward)
-    shift = [(0 if rightward[rep] else 1) - potential[rep] for rep in reps]
-    potential = [reduce(mu + shift[c]) for mu, c in zip(potential, comp)]
+    # a reversed component's reference arc runs leftward and is anchored at 1
+    potential = [reduce(mu + (c in reverse)) for mu, c in zip(potential, comp)]
     for cusp in geom.cusps:
         if reduce(potential[cusp.upper_arc] - potential[cusp.lower_arc] - 1) != 0:
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")
@@ -434,13 +427,6 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
             raise InvalidFrontError(f"invalid front {f.name!r}: {report.violations[0].message}")
     if not f1.events or f1.events[-1].kind != "R":
         raise NormalFormError(f"{f1.name!r} does not end with a right cusp")
-    n = 0
-    for ev in f1.events[:-1]:
-        n += 2 if ev.kind == "L" else -2 if ev.kind == "R" else 0
-    if n != 2:
-        raise NormalFormError(
-            f"{f1.name!r} has {n} live strands before its final event, need exactly 2"
-        )
     if not f2.events or f2.events[0] != FrontEvent("L", 1):
         raise NormalFormError(f"{f2.name!r} does not start with a height-1 left cusp")
     return FrontDiagram(

@@ -20,17 +20,20 @@ orientable surface with one boundary circle, so its genus is
 
 Censuses and listings come from one left-to-right sweep that merges
 equal states.  A state is the pairing with the grading tag of its
-switches so far and whether a graded switch sits at a negative crossing;
-it carries a value that the caller picks.  The census carries the counts
-of partial rulings per number of switches packed in one int, the count
-with s switches in the w-bit slot s, w = c + 1 for c crossings: a slot
-counts distinct s-subsets of the crossings, at most C(c, s) < 2^w, so
-adding values never carries across slots, and one pass yields all three
-class polynomials without listing a ruling.  The listing carries the
-switch sets themselves.  Every field of a listed ruling but its switches
-depends only on its shape, the pair (end tag, switch count): the end tag
-gives the grading and orientability, the switch count theta and the
-genus.  The listing computes and checks those fields once per shape.
+switches so far; it carries a value that the caller picks.  No state
+tracks the signs of its switches: an even index means equal potential
+parity at the crossing, so equal x-directions, so a positive crossing,
+and the sweep checks that at every crossing before the pass.  The
+census carries the counts of partial rulings per number of switches
+packed in one int, the count with s switches in the w-bit slot s,
+w = c + 1 for c crossings: a slot counts distinct s-subsets of the
+crossings, at most C(c, s) < 2^w, so adding values never carries across
+slots, and one pass yields all three class polynomials without listing
+a ruling.  The listing carries the switch sets themselves.  Every field
+of a listed ruling but its switches depends only on its shape, the pair
+(end tag, switch count): the end tag gives the grading and
+orientability, the switch count theta and the genus.  The listing
+computes and checks those fields once per shape.
 """
 
 from __future__ import annotations
@@ -156,39 +159,35 @@ def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filte
 def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
     """The value of each end tag after one pass that merges equal states.
 
-    A state key is (pairing, tag, bad): the pairing as in ``_moves``, the
-    grading tag of the switches so far, and whether a graded switch sits
-    at a negative crossing.  Each key carries a value, ``start`` for the
-    empty pairing; a switch at crossing cid maps it through
-    ``bump(value, cid)`` and is not taken when its tag exceeds ``limit``.
-    Values that reach one key are added with ``+``.
+    A state key is (pairing, tag): the pairing as in ``_moves`` and the
+    grading tag of the switches so far.  Each key carries a value,
+    ``start`` for the empty pairing; a switch at crossing cid maps it
+    through ``bump(value, cid)`` and is not taken when its tag exceeds
+    ``limit``.  Values that reach one key are added with ``+``.
     """
     indices, signs = sweep.indices, sweep.invariants.crossing_signs
-    states = {((), 0, False): start}
+    for cid, sign in enumerate(signs, start=1):
+        if _tag(indices[cid]) < 2 and sign != 1:
+            # even index forces a positive crossing under the even-right convention
+            raise RuntimeError("2-graded switch at a negative crossing")
+    states = {((), 0): start}
     cid = 0
     for ev in diagram.events:
         if ev.kind == "X":
             cid += 1
-            tag_here, negative = _tag(indices[cid]), signs[cid - 1] != 1
+            tag_here = _tag(indices[cid])
         merged: dict = {}
-        for (p, tag, bad), value in states.items():
+        for (p, tag), value in states.items():
             for q, switched in _moves(ev.kind, ev.height - 1, p):
-                key, add = (q, tag, bad), value
+                key, add = (q, tag), value
                 if switched:
                     if tag_here > limit:
                         continue
-                    t = max(tag, tag_here)
-                    key, add = (q, t, t < 2 and (bad or negative)), bump(value, cid)
+                    key, add = (q, max(tag, tag_here)), bump(value, cid)
                 merged[key] = merged[key] + add if key in merged else add
         states = merged
-
-    ends = {}
-    for (_, tag, bad), value in states.items():  # a valid front ends on the empty pairing
-        if bad:
-            # even index forces a positive crossing under the even-right convention
-            raise RuntimeError("2-graded switch at a negative crossing")
-        ends[tag] = value
-    return ends
+    # a valid front ends on the empty pairing
+    return {tag: value for (_, tag), value in states.items()}
 
 
 def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:

@@ -1,8 +1,9 @@
 """Skein-recursion polynomial invariants of link diagrams from fronts.
 
-Fronts convert to ``LinkDiagram``s (see ``diagram``) by smoothing cusps
-and reading the over strand from slopes; ports are numbered NW, SW, SE,
-NE, so a front-born crossing always carries its over strand on (0, 2).
+Fronts convert to ``LinkDiagram``s (see ``diagram``) in one pass over
+the events, smoothing cusps and reading the over strand from slopes;
+ports are numbered NW, SW, SE, NE, so a front-born crossing always
+carries its over strand on (0, 2).
 
 Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
@@ -76,61 +77,46 @@ def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
 
 
 def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDiagram:
-    # connector nodes: crossing ports, or cusp sides that get wired together
-    edges: list[tuple[tuple, tuple]] = []
-    stack: list[tuple] = []
-    xnum = 0
+    # One pass.  A live strand is labelled by its left end: a crossing port,
+    # or a left-cusp side (an int).  far[side] is the other end of the path
+    # through that cusp side: a port, or the side labelling another live
+    # strand.  When a strand reaches a crossing port or a right cusp, the
+    # two path ends there are joined: two ports become an arc, and a path
+    # that closes on itself is a free loop.
+    far: dict = {}
+    adj: dict[Port, Port] = {}
+    stack: list = []
+    loops = xnum = 0
+
+    def end(h):  # the far end of the path along the strand at height h + 1
+        return far.pop(stack[h], stack[h])
+
+    def join(x, y):
+        if x in far:
+            far[x] = y
+        if y in far:
+            far[y] = x
+        if x not in far and y not in far:
+            adj[x], adj[y] = y, x
+
     for i, ev in enumerate(diagram.events):
         k = ev.height
         if ev.kind == "L":
-            stack[k - 1:k - 1] = [("c", i, 0), ("c", i, 1)]
+            stack[k - 1:k - 1] = [2 * i, 2 * i + 1]
+            far[2 * i], far[2 * i + 1] = 2 * i + 1, 2 * i
         elif ev.kind == "R":
-            edges.append((stack[k - 1], ("c", i, 0)))
-            edges.append((stack[k], ("c", i, 1)))
+            a, b = end(k - 1), end(k)
+            if a == stack[k]:
+                loops += 1
+            else:
+                join(a, b)
             del stack[k - 1:k + 1]
         else:
             xnum += 1
-            edges.append((stack[k - 1], ("p", xnum, 0)))  # NW: upper-left strand
-            edges.append((stack[k], ("p", xnum, 1)))  # SW: lower-left strand
-            stack[k - 1] = ("p", xnum, 3)  # NE continues at height k
-            stack[k] = ("p", xnum, 2)  # SE continues at height k + 1
-
-    link: dict[tuple, tuple] = {}
-    for a, b in edges:
-        link[a] = b
-        link[b] = a
-
-    def sibling(node):
-        return ("c", node[1], 1 - node[2])
-
-    adj: dict[Port, Port] = {}
-    loops = 0
-    visited: set[tuple] = set()
-    # ports first: follow each port's arc through cusp connectors to the far port
-    for node in list(link):
-        if node[0] != "p" or node in visited:
-            continue
-        visited.add(node)
-        cur = link[node]
-        while cur[0] == "c":
-            visited.add(cur)
-            cur = sibling(cur)
-            visited.add(cur)
-            cur = link[cur]
-        visited.add(cur)
-        adj[(node[1], node[2])] = (cur[1], cur[2])
-        adj[(cur[1], cur[2])] = (node[1], node[2])
-    # anything left is a closed loop of cusp connectors
-    for node in list(link):
-        if node in visited:
-            continue
-        cur = node
-        while cur not in visited:
-            visited.add(cur)
-            nxt = sibling(cur)
-            visited.add(nxt)
-            cur = link[nxt]
-        loops += 1
+            join(end(k - 1), (xnum, 0))  # NW: upper-left strand
+            join(end(k), (xnum, 1))  # SW: lower-left strand
+            stack[k - 1] = (xnum, 3)  # NE continues at height k
+            stack[k] = (xnum, 2)  # SE continues at height k + 1
 
     crossings = {}
     rightward = sweep.components.arc_rightward

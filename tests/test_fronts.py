@@ -254,6 +254,14 @@ def test_one_walk_potential_matches_two_walks():
         for rev in [()] + [(0,), (n - 1,)] * (n > 1):
             sweep = sweep_front(f, rev)
             assert (sweep.maslov.potential, sweep.indices) == _two_walk_maslov(f, rev), (str(f), rev)
+            # each component's earliest-born bottommost arc runs rightward at
+            # potential 0, or leftward at 1 when the component is reversed
+            geom, cmap = sweep.geometry, sweep.components
+            for c in range(n):
+                members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
+                ref = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+                anchor = (False, 1) if c in rev else (True, 0)
+                assert (cmap.arc_rightward[ref], sweep.maslov.potential[ref]) == anchor, (str(f), rev, c)
             seen["r != 0"] += sweep.maslov.modulus > 0
             seen["reversed"] += bool(rev)
             seen["r != 0, reversed"] += sweep.maslov.modulus > 0 and bool(rev)

@@ -420,10 +420,15 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
         signs[c - 1] = -signs[c - 1]
         return replace(sweep, invariants=replace(sweep.invariants, crossing_signs=tuple(signs)))
 
+    # crossing 4, of index 0, is the only even-index crossing here, and no
+    # ruling switches it: the front has no rulings at all
+    unswitched = front("L1 X1 X1 R1 L1 X1 L3 X2 R3 L2 L1 R5 R1 R1", name="unswitched")
+    assert census(unswitched).count("ungraded") == 0
     monkeypatch.setattr(fronts, "sweep_front", flipped)
     for compute in (census, enumerate_rulings):
-        with pytest.raises(RuntimeError, match="2-graded switch at a negative crossing"):
-            compute(TREFOIL)
+        for f in (TREFOIL, unswitched):
+            with pytest.raises(RuntimeError, match="2-graded switch at a negative crossing"):
+                compute(f)
     _assert_rulings_cli_fails(capsys, "trefoil", "2-graded switch at a negative crossing")
 
 

@@ -3,15 +3,25 @@ import random
 import pytest
 
 import skein_oracle
-from conftest import nested_unlink, random_front, random_fronts
+from conftest import nested_unlink, random_front, random_fronts, ruled_random_front
 from legfronts import cli, corpus
-from legfronts.fronts import FrontDiagram, classical_invariants, components, connected_sum, front, render_front
+from legfronts.fronts import (
+    FrontDiagram,
+    classical_invariants,
+    components,
+    connected_sum,
+    front,
+    render_front,
+    sweep_front,
+)
 from legfronts.laurent import VZPoly, ZPoly, conway
+from legfronts.diagram import Crossing
 from legfronts.skein import (
     DUBROVNIK_DELTA,
     HOMFLY_DELTA,
     LinkDiagram,
     ResourceLimitError,
+    _resolved,
     front_to_diagram,
     homfly,
     kauffman_dubrovnik,
@@ -56,6 +66,72 @@ def test_trefoil_diagram():
 def test_diagram_writhe_matches_front_writhe():
     for f in random_fronts(seed=31, count=30, max_crossings=10):
         assert front_to_diagram(f).writhe() == classical_invariants(f).writhe
+
+
+def _connector_resolved(f, sweep):
+    """Reference resolver: wire crossing ports and cusp sides into a
+    connector graph, chase each port through the cusps to its far port,
+    and count what is left as crossing-free loops."""
+    edges, stack, xnum = [], [], 0
+    for i, ev in enumerate(f.events):
+        k = ev.height
+        if ev.kind == "L":
+            stack[k - 1:k - 1] = [("c", i, 0), ("c", i, 1)]
+        elif ev.kind == "R":
+            edges += [(stack[k - 1], ("c", i, 0)), (stack[k], ("c", i, 1))]
+            del stack[k - 1:k + 1]
+        else:
+            xnum += 1
+            edges += [(stack[k - 1], ("p", xnum, 0)), (stack[k], ("p", xnum, 1))]
+            stack[k - 1], stack[k] = ("p", xnum, 3), ("p", xnum, 2)
+    link = {}
+    for a, b in edges:
+        link[a], link[b] = b, a
+
+    def sibling(node):
+        return ("c", node[1], 1 - node[2])
+
+    adj, loops, visited = {}, 0, set()
+    for node in [n for n in link if n[0] == "p"]:
+        if node in visited:
+            continue
+        visited.add(node)
+        cur = link[node]
+        while cur[0] == "c":
+            visited |= {cur, sibling(cur)}
+            cur = link[sibling(cur)]
+        visited.add(cur)
+        adj[node[1:]], adj[cur[1:]] = cur[1:], node[1:]
+    for node in link:
+        if node in visited:
+            continue
+        cur = node
+        while cur not in visited:
+            visited |= {cur, sibling(cur)}
+            cur = link[sibling(cur)]
+        loops += 1
+    rightward = sweep.components.arc_rightward
+    crossings = {
+        x.crossing_id: Crossing(True, (0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3))
+        for x in sweep.geometry.crossings
+    }
+    return crossings, adj, loops
+
+
+def test_one_pass_resolver_matches_the_connector_graph():
+    rng = random.Random(36)
+    cases = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=37, count=150)
+    cases += [ruled_random_front(rng) for _ in range(150)]
+    seen = {"loops": 0, "reversed": 0}
+    for f in cases:
+        n = components(f).num_components
+        for rev in [()] + [(c,) for c in range(n)] * (n > 1):
+            sweep = sweep_front(f, rev)
+            d = _resolved(f, sweep)
+            assert (d.crossings, d.adj, d.loops) == _connector_resolved(f, sweep), (str(f), rev)
+            seen["loops"] += d.loops > 0 and d.num_crossings > 0
+            seen["reversed"] += bool(rev)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_diagram_component_count_matches_front():
