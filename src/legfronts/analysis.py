@@ -10,8 +10,10 @@ read off the Homfly polynomial, and runs the no-ruling and genus tests
 that the polynomial data supports.
 
 Every check reads its inputs from one context per (front, reverse): the
-sweep record, the link diagram, Homfly, Kauffman and the ruling census,
-each computed on first use and then kept for the context's lifetime.
+sweep record, the link diagram, Homfly and its degree profile, Kauffman,
+the ruling census and the no-ruling flags for the context's Khovanov
+bound, each computed on first use and then kept for the context's
+lifetime.
 ``analyze`` runs all checks on one context, so each quantity is computed
 once per report; a standalone check builds a context of its own.
 """
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 from . import fronts, rulings, skein
-from .laurent import VZPoly, ZPoly, conway as conway_of, profile
+from .laurent import HomflyProfile, VZPoly, ZPoly, conway as conway_of, profile
 
 FIRED = "fired"
 QUIET = "quiet"
@@ -33,8 +35,9 @@ class _Context:
     """The quantities the checks read for one (front, reverse), each
     computed on first use and at most once."""
 
-    def __init__(self, diagram: fronts.FrontDiagram, max_crossings: int, reverse):
+    def __init__(self, diagram: fronts.FrontDiagram, max_crossings: int, reverse, khovanov_bound=None):
         self.diagram, self.max_crossings, self.reverse = diagram, max_crossings, reverse
+        self.khovanov_bound = khovanov_bound
 
     @cached_property
     def sweep(self) -> fronts.FrontSweep:
@@ -49,8 +52,16 @@ class _Context:
         return skein.homfly(self.link, self.max_crossings)
 
     @cached_property
+    def homfly_profile(self) -> HomflyProfile:
+        return profile(self.homfly)
+
+    @cached_property
     def kauffman(self) -> VZPoly:
         return skein.kauffman_dubrovnik(self.link, self.max_crossings)
+
+    @cached_property
+    def flags(self) -> dict[str, str]:
+        return _no_ruling(self.homfly_profile, self.kauffman, self.khovanov_bound)
 
     @cached_property
     def census(self) -> rulings.RulingCensus:
@@ -161,19 +172,18 @@ def rho_report(
     condition pins rho = -infinity; otherwise the tool reports unknown
     rather than guessing.
     """
-    return _rho(_Context(diagram, max_crossings, reverse), khovanov_bound)
+    return _rho(_Context(diagram, max_crossings, reverse, khovanov_bound))
 
 
-def _rho(ctx: _Context, khovanov_bound: int | None) -> RhoResult:
+def _rho(ctx: _Context) -> RhoResult:
     if ctx.sweep.components.num_components != 1:
         return RhoResult("unknown", None, "ruling genus is defined for knot fronts")
-    prof = profile(ctx.homfly)
-    cens = ctx.census
+    prof, cens = ctx.homfly_profile, ctx.census
     if cens.count("two_graded"):
         value = prof.M // 2
         matches = cens.max_genus("two_graded") == value
         return RhoResult("value", value, "this front carries a 2-graded ruling", matches)
-    fired = no_ruling_tests(ctx.homfly, ctx.kauffman, khovanov_bound)
+    fired = ctx.flags
     if any(v == FIRED for v in fired.values()):
         names = sorted(k for k, v in fired.items() if v == FIRED)
         return RhoResult("minus_infinity", None, f"no-ruling condition(s) fired: {names}")
@@ -197,8 +207,11 @@ def no_ruling_tests(
     homology on the diagonal i - j = k, in that grading convention); the
     condition reports not_evaluated when absent.
     """
-    prof = profile(homfly_poly)
-    e = prof.e
+    return _no_ruling(profile(homfly_poly), kauffman_poly, khovanov_bound)
+
+
+def _no_ruling(prof: HomflyProfile, kauffman_poly: VZPoly, khovanov_bound: int | None) -> dict[str, str]:
+    e, p_slice = prof.e, prof.Q  # Q is the Homfly slice at v^e
     out: dict[str, str] = {}
     if khovanov_bound is None:
         out["khovanov"] = NOT_EVALUATED
@@ -206,7 +219,6 @@ def no_ruling_tests(
         out["khovanov"] = FIRED if e >= 2 + khovanov_bound else QUIET
     kmin = kauffman_poly.min_v_degree()
     out["kauffman"] = FIRED if kmin is not None and kmin < e else QUIET
-    p_slice = homfly_poly.coefficient_of_v(e)
     out["negative_counts"] = FIRED if any(c < 0 for c in p_slice.terms.values()) else QUIET
     if out["kauffman"] == QUIET:
         f_slice = kauffman_poly.coefficient_of_v(e)
@@ -255,8 +267,7 @@ def genus_tests(
 
 
 def _genus(ctx: _Context) -> GenusTests:
-    p = ctx.homfly
-    prof = profile(p)
+    p, prof = ctx.homfly, ctx.homfly_profile
     deg = conway_of(p).degree()
     max_genus = ctx.census.max_genus("two_graded")
     knot = ctx.sweep.components.num_components == 1
@@ -337,12 +348,12 @@ def analyze(
     reverse=(),
 ) -> AnalysisReport:
     """Run every check on one front and collect a structured report."""
-    ctx = _Context(diagram, max_crossings, reverse)
+    ctx = _Context(diagram, max_crossings, reverse, khovanov_bound)
     ruth = _rutherford(ctx)
     cert = _max_tb(ctx)
-    rho = _rho(ctx, khovanov_bound)
+    rho = _rho(ctx)
     gtests = _genus(ctx)
-    flags = no_ruling_tests(ctx.homfly, ctx.kauffman, khovanov_bound)
+    flags = ctx.flags
     # soundness: the no-ruling conditions must stay quiet whenever a
     # 2-graded ruling was actually observed
     sound = not (cert.has_two_graded_ruling and FIRED in flags.values())

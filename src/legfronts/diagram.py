@@ -7,6 +7,19 @@ ports pairwise.  Crossing-free components are tracked as a bare loop
 count.  Crossing ids are arbitrary integers; the skein moves keep the ids
 of the crossings they do not remove, and keep their order.
 
+Flat format.  A diagram keeps its crossing ids sorted and addresses a
+crossing by its rank, its position in that order.  Port p of the crossing
+of rank i is the integer P = 4 * i + p, so P >> 2 is the crossing, P & 3
+the port and P ^ 2 the port across from it.  Four tuples hold the
+diagram: the ids, per rank the over flag of the (0, 2) strand and the
+inflow port of each strand (None when unoriented), and ``_adj``, where
+``_adj[P]`` is the port at the other end of P's arc.  A move builds new
+tuples; removing a crossing drops its entries and moves every port above
+it down by four, so ranks stay positions in id order.  Every diagram
+built, by the constructor or a move, has its matching checked for
+symmetry.  The constructor takes dicts keyed by ids and by (id, port)
+pairs, and ``crossings`` and ``adj`` give them back.
+
 ``reduced`` strips Reidemeister-I curls and Reidemeister-II bigons whose
 one strand is over at both crossings.  ``_pieces`` cuts a diagram into
 split components and connected summands: it grows a spanning tree of the
@@ -15,20 +28,20 @@ XOR of the bits over its subtree; two arcs cut the graph exactly when
 their labels are equal, and in a planar diagram they bound a disk, a
 connected sum.
 
-``_rank_key`` is the memo key of the skein expansion: the crossing
-records and the port matching with every crossing id replaced by its rank
-among the ids, free loops left out.  Two diagrams with equal keys differ
-only by a renaming of crossings and by their free loops, so a quantity
-that ignores names, like a skein polynomial, agrees on both up to the
-loops' factor.  Ranks rather than ids make the key
-catch repeats: the twist sub-diagrams that a skein tree meets again after
-a switch and a bigon strip, or after a smoothing, carry other ids in the
-same order.
+``memo_key`` is the memo key of the skein expansion: the over flags, the
+inflow ports and the matching, all by rank, free loops left out.  Two
+diagrams with equal keys differ only by an order-preserving renaming of
+crossings and by their free loops, so a quantity that ignores names,
+like a skein polynomial, agrees on both up to the loops' factor.  Ranks
+rather than ids make the key catch repeats: the twist sub-diagrams that
+a skein tree meets again after a switch and a bigon strip, or after a
+smoothing, carry other ids in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -43,158 +56,203 @@ Port = tuple[int, int]  # (crossing id, port 0..3)
 class LinkDiagram:
     """Combinatorial oriented (or orientation-stripped) link diagram."""
 
-    def __init__(self, crossings: dict[int, Crossing], adj: dict[Port, Port], loops: int = 0):
-        self.crossings = dict(crossings)
-        self.adj = dict(adj)
-        self.loops = loops
-        for p, q in self.adj.items():
-            if self.adj.get(q) != p:
-                raise ValueError("arc matching is not symmetric")
+    __slots__ = ("_ids", "_over", "_ins", "_adj", "loops")
 
-    # -- basic queries ------------------------------------------------------
+    def __init__(self, crossings: dict[int, Crossing], adj: dict[Port, Port], loops: int = 0):
+        if any(adj.get(q) != p for p, q in adj.items()):
+            raise ValueError("arc matching is not symmetric")
+        ids = sorted(crossings)
+        rank = {c: 4 * i for i, c in enumerate(ids)}
+        self._set(tuple(ids), tuple(crossings[c].over02 for c in ids), tuple(crossings[c].in_ports for c in ids),
+                  tuple(rank[c] + q for c, q in (adj[(c, p)] for c in ids for p in range(4))), loops)
+
+    def _set(self, ids, over, ins, adj, loops) -> "LinkDiagram":
+        if adj and itemgetter(*adj)(adj) != tuple(range(len(adj))):
+            raise ValueError("arc matching is not symmetric")
+        self._ids, self._over, self._ins, self._adj, self.loops = ids, over, ins, adj, loops
+        return self
+
+    # -- read views and basic queries ----------------------------------------
+
+    @property
+    def crossings(self) -> dict[int, Crossing]:
+        return dict(zip(self._ids, map(Crossing, self._over, self._ins)))
+
+    @property
+    def adj(self) -> dict[Port, Port]:
+        ids = self._ids
+        return {(ids[p >> 2], p & 3): (ids[q >> 2], q & 3) for p, q in enumerate(self._adj)}
 
     @property
     def num_crossings(self) -> int:
-        return len(self.crossings)
+        return len(self._ids)
 
     @property
     def is_oriented(self) -> bool:
-        return all(c.in_ports is not None for c in self.crossings.values())
+        return None not in self._ins
+
+    def over02(self, cid: int) -> bool:
+        """Whether the strand through ports (0, 2) of a crossing is over."""
+        return self._over[self._ids.index(cid)]
 
     def sign(self, cid: int) -> int:
-        cr = self.crossings[cid]
-        if cr.in_ports is None:
+        i = self._ids.index(cid)
+        if self._ins[i] is None:
             raise ValueError("crossing sign needs an oriented diagram")
-        return _sign_from(cr.over02, cr.in_ports)
+        return _sign_from(self._over[i], self._ins[i])
 
     def writhe(self) -> int:
-        return sum(self.sign(c) for c in self.crossings)
+        return sum(map(self.sign, self._ids))
 
     def num_components(self) -> int:
-        return len(self._walks()) + self.loops
+        return self._walks()[1] + self.loops
+
+    def memo_key(self) -> tuple:
+        """Over flags, inflow ports and matching by rank; loops left out."""
+        return self._over, self._ins, self._adj
 
     # -- traversal ----------------------------------------------------------
 
-    def _walks(self) -> list[list[Port]]:
-        """Component walks as lists of (crossing, entry port) passages.
+    def _walks(self) -> tuple[list[int], int]:
+        """Entry ports in the order the component walks pass them, and the
+        number of walks.
 
-        Deterministic: the base point is the least unvisited port; for
+        Deterministic: each walk starts at the least unvisited port; for
         oriented diagrams the walk follows the stored strand directions.
         """
-        unseen = {(c, p) for c in self.crossings for p in range(4)}
-        walks = []
-        while unseen:
-            c0, p0 = min(unseen)
-            cr = self.crossings[c0]
-            if cr.in_ports is not None and p0 not in cr.in_ports:
-                p0 = (p0 + 2) % 4
-            walk = []
-            cur = (c0, p0)
-            while cur in unseen:
-                cid, p = cur
-                unseen.discard((cid, p))
-                unseen.discard((cid, (p + 2) % 4))
-                walk.append(cur)
-                cur = self.adj[(cid, (p + 2) % 4)]
-            walks.append(walk)
-        return walks
+        adj, ins, order, walks = self._adj, self._ins, [], 0
+        seen = [False] * len(adj)
+        for p in range(len(adj)):
+            if not seen[p]:
+                walks += 1
+                if ins[p >> 2] is not None and p & 3 not in ins[p >> 2]:
+                    p ^= 2
+                while not seen[p]:
+                    seen[p] = seen[p ^ 2] = True
+                    order.append(p)
+                    p = adj[p ^ 2]
+        return order, walks
 
     def first_bad_crossing(self) -> int | None:
         """First crossing whose first visit happens on its under strand."""
-        seen: set[int] = set()
-        for walk in self._walks():
-            for cid, p in walk:
-                if cid in seen:
-                    continue
-                seen.add(cid)
-                on_over = (p % 2 == 0) == self.crossings[cid].over02
-                if not on_over:
-                    return cid
+        met = set()
+        for p in self._walks()[0]:
+            if p >> 2 not in met:
+                if p & 1 == self._over[p >> 2]:  # entered on the under strand
+                    return self._ids[p >> 2]
+                met.add(p >> 2)
         return None
+
+    def walk_writhe(self) -> tuple[int, int]:
+        """Writhe under walk-induced orientations, and the number of walks.
+
+        For a descending diagram self-crossing signs do not depend on the
+        orientation choice and the inter-component signs cancel, so any
+        per-component orientation gives the same total.
+        """
+        order, walks = self._walks()
+        first, w = {}, 0
+        for p in order:
+            if p >> 2 in first:  # the second passage: the two inflow ports are known
+                w += _sign_from(self._over[p >> 2], (first[p >> 2], p & 3))
+            first[p >> 2] = p & 3
+        return w, walks
+
+    def seifert_circles(self) -> int:
+        """Circles of the oriented smoothing of every crossing, free loops included."""
+        adj, ins, seen, circles = self._adj, self._ins, set(), self.loops
+        for p in range(len(adj)):
+            if p & 3 in ins[p >> 2] and p not in seen:  # an inflow port on a new circle
+                circles += 1
+                while p not in seen:
+                    seen.add(p)
+                    # the smoothing leads out through the other strand's outflow port
+                    p = adj[p - (p & 3) + (sum(ins[p >> 2]) - (p & 3) ^ 2)]
+        return circles
 
     # -- skein moves --------------------------------------------------------
 
     def switched(self, cid: int) -> "LinkDiagram":
         """Swap over and under strands at one crossing."""
-        cr = self.crossings[cid]
-        out = dict(self.crossings)
-        out[cid] = Crossing(not cr.over02, cr.in_ports)
-        return LinkDiagram(out, self.adj, self.loops)
+        i, over = self._ids.index(cid), self._over
+        over = over[:i] + (not over[i],) + over[i + 1:]
+        return _diagram(self._ids, over, self._ins, self._adj, self.loops)
 
     def smoothed_oriented(self, cid: int) -> "LinkDiagram":
         """Reconnect along orientation (the Seifert smoothing)."""
-        cr = self.crossings[cid]
-        if cr.in_ports is None:
+        i = self._ids.index(cid)
+        if self._ins[i] is None:
             raise ValueError("oriented smoothing needs an oriented diagram")
-        i1, i2 = cr.in_ports
-        return self._fused(cid, ((i1, (i2 + 2) % 4), (i2, (i1 + 2) % 4)))
+        i1, i2 = self._ins[i]
+        return self._fused(i, ((i1, i2 ^ 2), (i2, i1 ^ 2)))
 
     def smoothings_unoriented(self, cid: int) -> tuple["LinkDiagram", "LinkDiagram"]:
         """The two planar reconnections: port pairing {(1,2),(0,3)} first,
         then {(0,1),(2,3)}."""
-        return (
-            self._fused(cid, ((1, 2), (0, 3))),
-            self._fused(cid, ((0, 1), (2, 3))),
-        )
+        i = self._ids.index(cid)
+        return self._fused(i, ((1, 2), (0, 3))), self._fused(i, ((0, 1), (2, 3)))
 
     def reduced(self) -> tuple["LinkDiagram", int]:
         """Strip Reidemeister-I curls and Reidemeister-II bigons until none
         is left; also return the summed sign of the curls removed.
 
-        A curl, two adjacent ports of one crossing joined, is fused and the
-        freed loop dropped.  A bigon, adjacent ports of two crossings joined
-        pairwise, goes when one strand is over at both crossings and no
-        outer port leads back into them.
+        A curl, two adjacent ports of one crossing joined, goes with its
+        crossing, and the other two ports are joined.  A bigon, adjacent
+        ports of two crossings joined pairwise, goes when one strand is over
+        at both crossings and no outer port leads back into them.  Ports
+        are scanned in order.
         """
         d, curls = self, 0
         while True:
-            adj, crs = d.adj, d.crossings
-            for (c, p), (c2, b) in adj.items():
-                q = (p + 1) % 4
-                if c2 == c:
-                    if b == q:
-                        curls += _sign_from(crs[c].over02, ((p + 2) % 4, q))
-                        d = d._fused(c, ((p, q), ((p + 2) % 4, (q + 2) % 4)))
-                        d.loops -= 1  # the curl's own loop, now free
-                        break
-                elif (adj[(c, q)] == (c2, (b - 1) % 4)
-                        and (p % 2 == b % 2) == (crs[c].over02 == crs[c2].over02)
-                        and all(adj[(x, r % 4)][0] not in (c, c2)
-                                for x, r in ((c, p + 2), (c, p + 3), (c2, b + 1), (c2, b + 2)))):
+            adj, over = d._adj, d._over
+            for p, b in enumerate(adj):
+                c, c2, q = p >> 2, b >> 2, p - (p & 3) + (p + 1 & 3)  # q: next port CCW
+                if b == q:
+                    curls += _sign_from(over[c], (p + 2 & 3, q & 3))
+                    d = d._fused(c, ((p + 2 & 3, q + 2 & 3),))  # the curl's own arc goes with it
+                    break
+                if (c2 != c and adj[q] == b - (b & 3) + (b - 1 & 3)
+                        and ((p ^ b) & 1 == 0) == (over[c] == over[c2])
+                        and all(adj[x] >> 2 not in (c, c2) for x in (p ^ 2, q ^ 2, b ^ 2, adj[q] ^ 2))):
                     # both strands run straight through both crossings and the
                     # bigon's arcs, so the outer ports join up along them
-                    d = d._fused(c, ((0, 2), (1, 3)))._fused(c2, ((0, 2), (1, 3)))
+                    d = d._fused(c, ((0, 2), (1, 3)))._fused(c2 - (c2 > c), ((0, 2), (1, 3)))
                     break
             else:
                 return d, curls
 
     def unoriented(self) -> "LinkDiagram":
-        stripped = {c: Crossing(cr.over02, None) for c, cr in self.crossings.items()}
-        return LinkDiagram(stripped, self.adj, self.loops)
+        return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self.loops)
 
-    def _fused(self, cid: int, pairs) -> "LinkDiagram":
-        """Remove a crossing, wiring its ports together pairwise."""
-        wire = {}
+    def _fused(self, i: int, pairs) -> "LinkDiagram":
+        """Remove the crossing of rank i, wiring its ports together pairwise.
+
+        Each pair splices the arcs at its two ports into one, reading the
+        matching as earlier splices left it; a pair whose ports share an
+        arc closes a loop.  Ports in no pair must be joined to each other.
+        """
+        base, adj, loops = 4 * i, list(self._adj), self.loops
         for a, b in pairs:
-            wire[a], wire[b] = b, a
-        old = self.adj
-        adj = {k: v for k, v in old.items() if k[0] != cid and v[0] != cid}
-        loops, todo = self.loops, {0, 1, 2, 3}
-        # walks from outside arcs first; what they leave are closed loops
-        for p0 in sorted(todo, key=lambda p: old[(cid, p)][0] == cid):
-            p = p0
-            while p in todo:
-                q = wire[p]
-                todo -= {p, q}
-                end = old[(cid, q)]
-                if end[0] != cid:
-                    start = old[(cid, p0)]
-                    adj[start], adj[end] = end, start
-                    break
-                loops += end[1] == p0  # back at the start: a closed loop
-                p = end[1]
-        crossings = {c: cr for c, cr in self.crossings.items() if c != cid}
-        return LinkDiagram(crossings, adj, loops)
+            x, y = adj[base + a], adj[base + b]
+            if x == base + b:
+                loops += 1
+            else:
+                adj[x], adj[y] = y, x
+        del adj[base:base + 4]
+        adj = tuple([x - 4 if x > base else x for x in adj])
+        return _diagram(*(t[:i] + t[i + 1:] for t in (self._ids, self._over, self._ins)), adj, loops)
+
+    def _part(self, ranks) -> "LinkDiagram":
+        """The crossings of some ranks, ascending, with the ports that led
+        out of them joined pairwise and no free loops."""
+        new = {r: 4 * k for k, r in enumerate(ranks)}
+        adj = [new[q >> 2] + (q & 3) if q >> 2 in new else None
+               for r in ranks for q in self._adj[4 * r:4 * r + 4]]
+        loose = [p for p, q in enumerate(adj) if q is None]
+        for p, q in zip(loose, loose[::-1]):  # join the two cut ports
+            adj[p] = q
+        fields = (tuple(t[r] for r in ranks) for t in (self._ids, self._over, self._ins))
+        return _diagram(*fields, tuple(adj), 0)
 
     # -- export -------------------------------------------------------------
 
@@ -203,25 +261,18 @@ class LinkDiagram:
         at the under strand's inflow port and continuing counterclockwise."""
         if not self.is_oriented:
             raise ValueError("PD export needs an oriented diagram")
-        arc_no: dict[frozenset[Port], int] = {}
-        n = 0
-        for walk in self._walks():
-            for cid, p in walk:
-                key = frozenset({(cid, p), self.adj[(cid, p)]})
-                if key not in arc_no:
-                    n += 1
-                    arc_no[key] = n
-        rows = []
-        for cid in sorted(self.crossings):
-            cr = self.crossings[cid]
-            under = 1 if cr.over02 else 0
-            start = cr.in_ports[0] if cr.in_ports[0] % 2 == under else cr.in_ports[1]
-            row = []
-            for step in range(4):
-                p = (start + step) % 4
-                row.append(arc_no[frozenset({(cid, p), self.adj[(cid, p)]})])
-            rows.append(row)
+        adj, label = self._adj, {}
+        for p in self._walks()[0]:  # every arc is entered once
+            label[p] = label[adj[p]] = len(label) // 2 + 1
+        # ins[ins[0] % 2 != over] is the under strand's inflow port
+        rows = [[label[4 * i + (ins[ins[0] % 2 != over] + s) % 4] for s in range(4)]
+                for i, (over, ins) in enumerate(zip(self._over, self._ins))]
         return {"crossings": rows, "free_loops": self.loops}
+
+
+def _diagram(*fields) -> LinkDiagram:
+    """A diagram from its flat fields: ids, over flags, inflow ports, matching, loops."""
+    return LinkDiagram.__new__(LinkDiagram)._set(*fields)
 
 
 def _sign_from(over02: bool, in_ports: tuple[int, int]) -> int:
@@ -235,35 +286,33 @@ def _sign_from(over02: bool, in_ports: tuple[int, int]) -> int:
 
 def _pieces(d: LinkDiagram) -> tuple[list[LinkDiagram], int]:
     """Split components and connected summands (free loops left out), and the split count."""
-    pieces, todo = [], [(d.crossings.keys(), d.adj)] if d.crossings else []
+    pieces, todo = [], [d._part(range(d.num_crossings))] if d.num_crossings else []
     components = len(todo)
     while todo:
-        keep, adj = todo.pop()
-        order, up = _tree(adj, min(keep))
-        side = set(order) if len(order) < len(keep) else None
+        cur = todo.pop()
+        adj, n = cur._adj, cur.num_crossings
+        order, up = _tree(adj, 0)
+        side = set(order) if len(order) < n else None
         components += side is not None
         if side is None:
-            acc, arcs = dict.fromkeys(order, 0), {}
-            for x, y in adj.items():
-                if x < y and up[x[0]] != x and up[y[0]] != y:  # an arc off the tree
+            acc, arcs = [0] * n, {}
+            for x, y in enumerate(adj):
+                if x < y and up[x >> 2] != x and up[y >> 2] != y:  # an arc off the tree
                     b = 1 << len(arcs)
                     arcs[b] = x
-                    acc[x[0]] ^= b
-                    acc[y[0]] ^= b
+                    acc[x >> 2] ^= b
+                    acc[y >> 2] ^= b
             for c in reversed(order[1:]):
-                acc[adj[up[c]][0]] ^= acc[c]
+                acc[adj[up[c]] >> 2] ^= acc[c]
                 if acc[c] in arcs:  # two arcs with one label: a connected sum
                     x = arcs[acc[c]]
                     side = set(_tree(adj, c, (up[c], adj[up[c]], x, adj[x]))[0])
                     break
                 arcs[acc[c]] = up[c]
         if side is None:
-            pieces.append(LinkDiagram({c: d.crossings[c] for c in order}, adj))
-        for part in (side, keep - side) if side else ():
-            part_adj = {x: y for x, y in adj.items() if x[0] in part}
-            loose = [x for x, y in part_adj.items() if y[0] not in part]
-            part_adj.update(zip(loose, loose[::-1]))  # join the two cut ports
-            todo.append((part, part_adj))
+            pieces.append(cur)
+        else:
+            todo += [cur._part(sorted(side)), cur._part([c for c in range(n) if c not in side])]
     return pieces, components
 
 
@@ -271,17 +320,8 @@ def _tree(adj, root: int, cut=()) -> tuple[list[int], dict]:
     """Breadth-first tree avoiding ``cut``: crossings in order, each one's tree port."""
     order, up = [root], {root: None}
     for c in order:
-        for x in [(c, p) for p in range(4)]:
-            if x not in cut and adj[x][0] not in up:
-                up[adj[x][0]] = adj[x]
-                order.append(adj[x][0])
+        for x in range(4 * c, 4 * c + 4):
+            if x not in cut and adj[x] >> 2 not in up:
+                up[adj[x] >> 2] = adj[x]
+                order.append(adj[x] >> 2)
     return order, up
-
-
-def _rank_key(d: LinkDiagram) -> tuple:
-    """Crossings in id order and the matching of ports as rank * 4 + port;
-    ``d.loops`` is not part of it."""
-    ids = sorted(d.crossings)
-    rank = {c: 4 * i for i, c in enumerate(ids)}
-    ends = [d.adj[(c, p)] for c in ids for p in range(4)]
-    return tuple(d.crossings[c] for c in ids), tuple(rank[c] + p for c, p in ends)

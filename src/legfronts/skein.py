@@ -18,20 +18,28 @@ into split components and connected summands, each expanded alone with
 its two cut ports joined; k split components and l free loops add the
 factor delta^(k + l - 1).
 
+Every node is a ``LinkDiagram`` in the flat format of ``diagram``: a
+crossing is its rank, a port the integer 4 * rank + port, and the moves,
+reductions, walks and cuts run on integer tuples.  This module reads no
+ports: it asks the diagram for the first bad crossing, a crossing's sign
+or over flag, a leaf's writhe and walk count, and the memo key.
+
 The expansion is memoized.  A node's value is the sum of its leaves
 c v^ev z^ez delta^(n-1), kept as {(ev, ez, n): c} relative to the node;
 a parent shifts its children's values by the branch monomials, by the
 curls their reduction removed and by their free loops.  The key of a
-reduced node is its rank key (``diagram._rank_key``), which leaves free
-loops out.  Equal keys mean the two diagrams differ only by a renaming
-of crossings, and neither Homfly of an oriented diagram nor the
-Dubrovnik polynomial of an unoriented one depends on names, so a hit is
-exact.  A twist region meets its shorter windows again under other ids,
-so T(2,n) expands n + 1 nodes instead of a Fibonacci tree.  One memo
-serves one call of ``homfly`` or ``kauffman_dubrovnik`` and is shared by
-its pieces, so equal summands are expanded once; nothing is kept between
-calls.  The expansion runs on an explicit stack, so no ceiling the
-caller sets can reach Python's recursion limit.
+reduced node is ``memo_key()``: its over flags, inflow ports and port
+matching, all by rank, with free loops left out.  Equal keys mean the two
+diagrams differ only by a renaming of crossings, and neither Homfly of
+an oriented diagram nor the Dubrovnik polynomial of an unoriented one
+depends on names, so a hit is exact.  A twist region meets its shorter
+windows again under other ids, so T(2,n) expands n + 1 nodes instead of
+a Fibonacci tree.  One memo serves one call of ``homfly`` or
+``kauffman_dubrovnik`` and is shared by its pieces, so equal summands are
+expanded once; nothing is kept between calls.  The expansion runs on an
+explicit stack, so no ceiling the caller sets can reach Python's
+recursion limit.  The root's value is multiplied out against the powers
+of delta, each built once.
 
 Conventions (pinned operationally by the test suite):
 
@@ -44,15 +52,16 @@ Conventions (pinned operationally by the test suite):
   diagram with writhe w takes the value a^w ((a - a^{-1})/z + 1)^(n-1).
   The ambient invariant is a^{-w(L)} D(L), reported in the Homfly
   variable convention a = v^{-1}.
-* Seifert circles come from smoothing every crossing along orientation;
-  for a knot diagram with c crossings and s circles the Seifert surface
-  has genus (c - s + 1)/2.
+* Seifert circles are the cycles of the smoothing of every crossing
+  along orientation, counted in one pass over the ports; for a knot
+  diagram with c crossings and s circles the Seifert surface has genus
+  (c - s + 1)/2.
 """
 
 from __future__ import annotations
 
 from . import fronts
-from .diagram import Crossing, LinkDiagram, Port, _pieces, _rank_key, _sign_from
+from .diagram import Crossing, LinkDiagram, Port, _pieces
 from .laurent import VZPoly
 
 DEFAULT_MAX_CROSSINGS = 16
@@ -150,23 +159,6 @@ def homfly(
 # Kauffman polynomial, Dubrovnik flavor
 
 
-def _leaf_writhe(d: LinkDiagram, walks: list[list[Port]]) -> int:
-    """Writhe of a descending diagram under walk-induced orientations.
-
-    Self-crossing signs do not depend on the orientation choice and the
-    inter-component signs of a descending diagram cancel, so any
-    per-component orientation gives the same total.
-    """
-    entries: dict[int, list[int]] = {}
-    for walk in walks:
-        for cid, p in walk:
-            entries.setdefault(cid, []).append(p)
-    w = 0
-    for cid, ports in entries.items():
-        w += _sign_from(d.crossings[cid].over02, (ports[0], ports[1]))
-    return w
-
-
 def kauffman_dubrovnik(
     d: LinkDiagram,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
@@ -209,7 +201,7 @@ def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPo
     def branch(c, node, ev, ez, loops):
         # a child's shift (c, ev, ez, n) and key; queued unless known
         node, curls = node.reduced()
-        key = _rank_key(node)
+        key = node.memo_key()
         if key not in memo:
             stack.append((key, node, None))
         return c, ev - curls if kauffman else ev, ez, node.loops - loops, key
@@ -229,15 +221,15 @@ def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPo
             continue
         bad = cur.first_bad_crossing()
         if bad is None:
-            walks = cur._walks()
-            memo[key] = {(-_leaf_writhe(cur, walks) if kauffman else 0, 0, len(walks)): 1}
+            w, walks = cur.walk_writhe()
+            memo[key] = {(-w if kauffman else 0, 0, walks): 1}
             continue
         branches, loops = [], cur.loops
         stack.append((key, cur, branches))
         if kauffman:
             # with ports in CCW order, over on (0,2) plays the role of L+
             # relative to the smoothing labels (L0 joins (1,2)/(0,3))
-            si = 1 if cur.crossings[bad].over02 else -1
+            si = 1 if cur.over02(bad) else -1
             smooth_a, smooth_b = cur.smoothings_unoriented(bad)
             branches += [branch(1, cur.switched(bad), 0, 0, loops),
                          branch(si, smooth_a, 0, 1, loops), branch(-si, smooth_b, 0, 1, loops)]
@@ -246,11 +238,16 @@ def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPo
             branches += [branch(1, cur.switched(bad), 2 * s, 0, loops),
                          branch(s, cur.smoothed_oriented(bad), s, 1, loops)]
     _, ev, ez, n, key = root
-    total = VZPoly(0)
-    for m in {m for _, _, m in memo[key]}:
-        terms = {(e + ev, f + ez): c for (e, f, k), c in memo[key].items() if k == m}
-        total = total + VZPoly(terms) * delta ** (m + n - 1)
-    return total
+    powers, total = [VZPoly(1)], {}
+    for (e, f, m), c in memo[key].items():
+        if m + n < 1:
+            raise ValueError("negative powers are not defined for polynomials")
+        while len(powers) < m + n:  # each power of delta built once
+            powers.append(powers[-1] * delta)
+        for (de, df), x in powers[m + n - 1].terms.items():
+            term = (e + ev + de, f + ez + df)
+            total[term] = total.get(term, 0) + c * x
+    return VZPoly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +255,10 @@ def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPo
 
 
 def seifert_circle_count(d: LinkDiagram) -> int:
-    """Circles left after smoothing every crossing along orientation."""
+    """Circles left after smoothing every crossing along orientation, free loops included."""
     if not d.is_oriented:
         raise ValueError("Seifert smoothing needs an oriented diagram")
-    for cid in list(d.crossings):
-        d = d.smoothed_oriented(cid)
-    return d.loops
+    return d.seifert_circles()
 
 
 def seifert_diagram_genus(d: LinkDiagram) -> int:

@@ -6,6 +6,7 @@ straightforward, so the property tests compare ``legfronts.skein.homfly``
 and ``kauffman_dubrovnik`` against them.
 """
 
+import tuple_reference
 from legfronts.laurent import VZPoly
 from legfronts.skein import (
     DEFAULT_MAX_CROSSINGS,
@@ -13,7 +14,6 @@ from legfronts.skein import (
     HOMFLY_DELTA,
     LinkDiagram,
     ResourceLimitError,
-    _leaf_writhe,
 )
 
 
@@ -67,9 +67,8 @@ def kauffman_dubrovnik(
         cur, coeff = stack.pop()
         bad = cur.first_bad_crossing()
         if bad is None:
-            walks = cur._walks()
-            n = len(walks) + cur.loops
-            wl = _leaf_writhe(cur, walks)
+            wl, walks = tuple_reference.leaf(cur)
+            n = walks + cur.loops
             leaf = VZPoly.monomial(1, -wl, 0) * DUBROVNIK_DELTA ** (n - 1)
             total = total + coeff * leaf
             continue
@@ -77,7 +76,7 @@ def kauffman_dubrovnik(
         smooth_a, smooth_b = cur.smoothings_unoriented(bad)
         # with ports in CCW order, over on (0,2) plays the role of L+
         # relative to the smoothing labels (L0 joins (1,2)/(0,3))
-        si = 1 if cur.crossings[bad].over02 else -1
+        si = 1 if cur.over02(bad) else -1
         stack.append((switched, coeff))
         stack.append((smooth_a, coeff * z * si))
         stack.append((smooth_b, coeff * z * (-si)))

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import pytest
 
 from conftest import random_fronts
-from legfronts import corpus, fronts, rulings, skein
+from legfronts import analysis, corpus, fronts, rulings, skein
 from legfronts.analysis import (
     FIRED,
     NOT_EVALUATED,
@@ -265,15 +265,28 @@ def test_analyze_soundness_flags_quiet_when_rulings_exist():
 ])
 def test_analyze_computes_each_quantity_once(monkeypatch, diagram, reverse):
     calls = Counter()
-    for module, name in ((skein, "homfly"), (skein, "kauffman_dubrovnik"),
-                         (rulings, "enumerate_rulings"), (fronts, "sweep_geometry")):
+    for module, name in ((skein, "homfly"), (skein, "kauffman_dubrovnik"), (rulings, "enumerate_rulings"),
+                         (fronts, "sweep_geometry"), (analysis, "profile"), (analysis, "_no_ruling")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    assert analyze(diagram, reverse=reverse).ok
+    assert analyze(diagram, reverse=reverse, khovanov_bound=10).ok
     assert calls["homfly"] == calls["kauffman_dubrovnik"] == calls["sweep_geometry"] == 1
+    assert calls["profile"] == calls["_no_ruling"] == 1
     assert calls["enumerate_rulings"] == 0
+
+
+def test_analyze_passes_the_khovanov_bound_to_flags_and_rho():
+    fronts_ = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=42, count=20, max_crossings=7)
+    for f in fronts_:
+        d = skein.front_to_diagram(f)
+        for bound in (None, -2, 0, 5):
+            report = analyze(f, khovanov_bound=bound)
+            assert report.noruling_flags == no_ruling_tests(skein.homfly(d), skein.kauffman_dubrovnik(d), bound)
+            assert report.rho == asdict(rho_report(f, bound))
+    # no ruling on this front, and e = 0 >= 2 + (-2) fires the Khovanov condition
+    assert analyze(corpus.load("stabilized_unknot"), khovanov_bound=-2).rho["kind"] == "minus_infinity"
 
 
 def test_analyze_agrees_with_standalone_checks_on_random_fronts():

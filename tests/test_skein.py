@@ -3,8 +3,9 @@ import random
 import pytest
 
 import skein_oracle
+import tuple_reference
 from conftest import nested_unlink, random_front, random_fronts, ruled_random_front
-from legfronts import cli, corpus
+from legfronts import cli, corpus, diagram
 from legfronts.fronts import (
     FrontDiagram,
     classical_invariants,
@@ -351,11 +352,16 @@ def test_skein_matches_unreduced_oracle():
 # -- split components and connected summands ------------------------------------
 
 
-def trefoil_power(k: int) -> FrontDiagram:
-    f = TREFOIL
-    for _ in range(k - 1):
-        f = connected_sum(f, TREFOIL)
+def chain(factors) -> FrontDiagram:
+    """The left-to-right connected sum of fronts."""
+    f = factors[0]
+    for g in factors[1:]:
+        f = connected_sum(f, g)
     return f
+
+
+def trefoil_power(k: int) -> FrontDiagram:
+    return chain([TREFOIL] * k)
 
 
 def test_composites_match_oracle_and_factor():
@@ -405,6 +411,18 @@ def test_connected_summands_are_expanded_one_by_one(monkeypatch):
     assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 4
     assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 7)
     assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 4)
+    # the fixed fronts of the skein-deep benchmark
+    twist = [front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(14)]
+    hopf = front("L1 L2 X1 X3 R2 R1")
+    fixed = {
+        "T(2,11)": (twist[11], (12, 12)),
+        "T(2,13)": (twist[13], (14, 14)),
+        "trefoil^#4": (trefoil_power(4), (7, 4)),
+        "T(2,5)#T(2,7)": (connected_sum(twist[5], twist[7]), (13, 8)),
+        "hopf^#3#trefoil^#2": (chain([hopf] * 3 + [TREFOIL] * 2), (9, 6)),
+    }
+    for name, (f, counts) in fixed.items():
+        assert (nodes(homfly, f)[1], nodes(kauffman_dubrovnik, f)[1]) == counts, name
 
 
 def test_ceiling_counts_the_input_not_its_pieces(tmp_path, capsys):
@@ -539,3 +557,78 @@ def test_pd_export_shape():
 def test_pd_export_unknot():
     pd = front_to_diagram(UNKNOT).to_pd()
     assert pd == {"crossings": [], "free_loops": 1}
+
+
+# -- the flat kernel against the tuple-port reference ---------------------------
+
+
+def test_flat_kernel_matches_tuple_reference_beyond_the_oracle():
+    # 11-13 crossings, past the unreduced oracle's reach; links also with
+    # component 0 reversed
+    rng = random.Random(43)
+    cases = 0
+    while cases < 150:
+        f = random_front(rng, max_events=30, max_strands=6)
+        if not 11 <= f.num_crossings <= 13:
+            continue
+        for reverse in [()] if components(f).num_components == 1 else [(), (0,)]:
+            d = front_to_diagram(f, reverse)
+            assert homfly(d) == tuple_reference.homfly(d), (str(f), reverse)
+            assert kauffman_dubrovnik(d) == tuple_reference.kauffman_dubrovnik(d), (str(f), reverse)
+        cases += 1
+
+
+def test_diagram_round_trips_through_the_flat_format():
+    # non-contiguous ids, a mix of over flags, one free loop
+    trefoil = front_to_diagram(TREFOIL)
+    ids = {1: 40, 2: -7, 3: 12}
+    crossings = {ids[c]: Crossing(c != 2, cr.in_ports) for c, cr in trefoil.crossings.items()}
+    adj = {(ids[c], p): (ids[c2], q) for (c, p), (c2, q) in trefoil.adj.items()}
+    d = LinkDiagram(crossings, adj, 1)
+    assert (d.crossings, d.adj, d.loops) == (crossings, adj, 1)
+    assert d.num_crossings == 3 and d.num_components() == 2
+    assert d.switched(-7).crossings == {**crossings, -7: Crossing(True, crossings[-7].in_ports)}
+    assert d.unoriented().crossings == {c: Crossing(cr.over02, None) for c, cr in crossings.items()}
+    smoothed = d.smoothed_oriented(12)
+    reference = tuple_reference.TupleDiagram(crossings, adj, 1).smoothed_oriented(12)
+    assert (smoothed.crossings, smoothed.adj, smoothed.loops) == (reference.crossings, reference.adj, reference.loops)
+    asymmetric = dict(adj)
+    asymmetric[(40, 0)], asymmetric[(40, 1)] = asymmetric[(40, 1)], asymmetric[(40, 0)]
+    with pytest.raises(ValueError, match="arc matching is not symmetric"):
+        LinkDiagram(crossings, asymmetric, 1)
+    del asymmetric[(40, 0)]
+    with pytest.raises(ValueError, match="arc matching is not symmetric"):
+        LinkDiagram(crossings, asymmetric, 1)
+    # the check runs on the flat fields of every diagram a move builds
+    with pytest.raises(ValueError, match="arc matching is not symmetric"):
+        diagram._diagram((1,), (True,), ((0, 1),), (1, 0, 3, 3), 0)
+
+
+def test_walks_leaves_and_exports_match_tuple_reference():
+    rng = random.Random(44)
+    fronts = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=45, count=120)
+    for f in fronts + [ruled_random_front(rng) for _ in range(60)]:
+        n = components(f).num_components
+        for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
+            d = front_to_diagram(f, reverse)
+            ref = tuple_reference.TupleDiagram.of(d)
+            assert d.to_pd() == ref.to_pd()
+            assert d.num_components() == ref.num_components()
+            assert d.first_bad_crossing() == ref.first_bad_crossing()
+            bare = d.unoriented()
+            assert bare.walk_writhe() == tuple_reference.leaf(bare)
+            assert bare.first_bad_crossing() == tuple_reference.TupleDiagram.of(bare).first_bad_crossing()
+
+
+def test_seifert_circles_in_one_pass_match_smoothing_every_crossing():
+    rng = random.Random(46)
+    fronts = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=47, count=150)
+    fronts += random_fronts(seed=48, count=50, knots_only=True) + [ruled_random_front(rng) for _ in range(50)]
+    links = 0
+    for f in fronts:
+        n = components(f).num_components
+        links += n > 1
+        for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
+            d = front_to_diagram(f, reverse)
+            assert seifert_circle_count(d) == tuple_reference.seifert_circle_count(d), (str(f), reverse)
+    assert links >= 50
