@@ -210,14 +210,17 @@ def _cmd_rulings(args) -> int:
     listed = rulings._listing(diagram, cens._sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
-    ids = [str(c) for c in range(diagram.num_crossings + 1)]
+    # a switch set is a string of code points chr(cid): one translate writes
+    # each id with a separator after it, and the last separator is cut
+    ids = {cid: f"{cid}{sep}" for cid in range(1, diagram.num_crossings + 1)}
+    cut = -len(sep)
     ends = {}  # shape -> the rendered text around its rulings' switch ids
     entries = []
     for switches, shape, fields in listed:
         if shape not in ends:
             ends[shape] = render(fields, shape[1])
         head, tail = ends[shape]
-        entries.append(head + sep.join(map(ids.__getitem__, switches)) + tail)
+        entries.append(f"{head}{switches.translate(ids)[:cut]}{tail}")
     if args.format == "text":
         print("\n".join([f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}", *entries]))
         return EXIT_OK

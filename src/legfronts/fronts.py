@@ -295,6 +295,18 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     potential is verified consistent mod 2r and even on rightward arcs,
     so a failure indicates a traversal bug, not bad input.
     """
+    return _sweep_front(diagram, reverse, None)
+
+
+def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
+    """``sweep_front``, with each seed's start taken from ``anchor`` if given.
+
+    ``anchor`` is a pair of per-arc sequences (rightward, potential), such
+    as another front's record induces on this one's arcs; the seed of each
+    component starts at its entries, before the reduction mod this front's
+    own 2r.  The orientation and offset of every component then come from
+    the anchor, so ``reverse`` should be empty.
+    """
     geom = sweep_geometry(diagram)
     n_arcs = geom.num_arcs
     # per arc, the arcs it meets at a cusp with the Maslov jump towards them
@@ -312,7 +324,11 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     for seed in range(n_arcs):
         if comp[seed] >= 0:
             continue
-        comp[seed], rightward[seed], potential[seed] = n_comp, False, 1
+        comp[seed] = n_comp
+        if anchor is None:
+            rightward[seed], potential[seed] = False, 1
+        else:
+            rightward[seed], potential[seed] = anchor[0][seed], anchor[1][seed]
         todo = [seed]
         while todo:
             a = todo.pop()

@@ -29,11 +29,15 @@ packed in one int, the count with s switches in the w-bit slot s,
 w = c + 1 for c crossings: a slot counts distinct s-subsets of the
 crossings, at most C(c, s) < 2^w, so adding values never carries across
 slots, and one pass yields all three class polynomials without listing
-a ruling.  The listing carries the switch sets themselves.  Every field
-of a listed ruling but its switches depends only on its shape, the pair
-(end tag, switch count): the end tag gives the grading and
-orientability, the switch count theta and the genus.  The listing
-computes and checks those fields once per shape.
+a ruling.  The listing carries the switch sets themselves, each as a
+string with one code point per crossing id, chr(cid) in increasing
+order: strings compare by code point, so their order is the order of
+the id tuples, and the listing sorts them at C speed.  ``Ruling``
+converts a set back to its tuple of ids.  Every field of a listed
+ruling but its switches depends only on its shape, the pair (end tag,
+switch count): the end tag gives the grading and orientability, the
+switch count theta and the genus.  The listing computes and checks
+those fields once per shape.
 """
 
 from __future__ import annotations
@@ -121,39 +125,46 @@ def _check_filter(class_filter: str) -> None:
 
 def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[Ruling]:
     """The rulings of the class, sorted by switch set, built from ``_listing``."""
-    return [Ruling(switches, *fields) for switches, _, fields in _listing(diagram, sweep, class_filter)]
+    listed = _listing(diagram, sweep, class_filter)
+    return [Ruling(tuple(map(ord, switches)), *fields) for switches, _, fields in listed]
 
 
 def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
     """(switches, shape, fields) for each ruling of the class, sorted by switches.
 
-    The shape is the pair (end tag, switch count) and the fields are the
-    shape's (eyes, theta, grading, genus, orientable), one tuple per shape
-    shared by its rulings, so the genus integrality check runs once per shape.
+    A switch set is a string, one code point chr(cid) per switched
+    crossing id in increasing order, so the string order is the order of
+    the id tuples and ``len`` is the switch count.  The shape is the pair
+    (end tag, switch count) and the fields are the shape's (eyes, theta,
+    grading, genus, orientable), one tuple per shape shared by its
+    rulings, so the genus integrality check runs once per shape.
     """
     is_knot = sweep.components.num_components == 1
     eyes = diagram.num_left_cusps
     limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
-    ends = _sweep(diagram, sweep, limit, [()], lambda sets, cid: [s + (cid,) for s in sets])
+    ends = _sweep(diagram, sweep, limit, [""], _add_switch)
     out = []
     for tag, found in ends.items():
         # 2-graded rulings bound orientable surfaces; for a knot the converse
         # holds too, while an ungraded-only link ruling is left undetermined
         orientable = True if tag < 2 else (False if is_knot else None)
         shapes = {}  # switch count -> (shape, fields)
-        for switches in found:
-            n = len(switches)
-            if n not in shapes:
-                g = None
-                if is_knot and tag < 2:
-                    spread = n - eyes + 1
-                    if spread % 2 != 0 or spread < 0:
-                        raise RuntimeError("2-graded knot ruling with non-integral genus")
-                    g = spread // 2
-                shapes[n] = (tag, n), (eyes, eyes - n, _GRADINGS[tag], g, orientable)
-            out.append((switches, *shapes[n]))
+        for n in set(map(len, found)):
+            g = None
+            if is_knot and tag < 2:
+                spread = n - eyes + 1
+                if spread % 2 != 0 or spread < 0:
+                    raise RuntimeError("2-graded knot ruling with non-integral genus")
+                g = spread // 2
+            shapes[n] = (tag, n), (eyes, eyes - n, _GRADINGS[tag], g, orientable)
+        out += [(switches, *shapes[len(switches)]) for switches in found]
     out.sort(key=itemgetter(0))
     return out
+
+
+def _add_switch(sets: list[str], cid: int) -> list[str]:
+    c = chr(cid)
+    return [s + c for s in sets]
 
 
 def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
@@ -163,7 +174,9 @@ def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, s
     grading tag of the switches so far.  Each key carries a value,
     ``start`` for the empty pairing; a switch at crossing cid maps it
     through ``bump(value, cid)`` and is not taken when its tag exceeds
-    ``limit``.  Values that reach one key are added with ``+``.
+    ``limit``.  Values that reach one key are added with ``+``: packed
+    counts for the census, lists of switch-set strings for the listing,
+    where a switch appends chr(cid) to each string.
     """
     indices, signs = sweep.indices, sweep.invariants.crossing_signs
     for cid, sign in enumerate(signs, start=1):

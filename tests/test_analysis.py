@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 from dataclasses import asdict
 
@@ -220,6 +222,67 @@ def test_connsum_check_with_stabilized_factor():
     res = connsum_check(corpus.load("stabilized_unknot"), corpus.load("trefoil"))
     assert res.counts_ok and res.polynomials_ok
     assert res.genus_additive is None
+
+
+def test_connsum_check_orients_the_second_summand_as_the_composite_does(monkeypatch):
+    # the composite runs f2's first arc rightward, against f2's own default
+    # orientation of its first component, which splits the Hopf clasp's census
+    trefoil = corpus.load("trefoil")
+    composite = fronts.connected_sum(trefoil, HOPF)
+    c1, c2, c12 = rulings.census(trefoil), rulings.census(HOPF), rulings.census(composite)
+    assert c12.polynomials["two_graded"] != c1.polynomials["two_graded"] * c2.polynomials["two_graded"]
+    walks = []
+    real = fronts.sweep_geometry
+    monkeypatch.setattr(fronts, "sweep_geometry", lambda d: walks.append(d.name) or real(d))
+    res = connsum_check(trefoil, HOPF)
+    assert res.counts_ok and res.polynomials_ok and res.passed
+    assert sorted(walks) == sorted([trefoil.name, HOPF.name, composite.name])  # one sweep per front
+
+
+def test_connsum_check_shifts_the_second_summand_potential_as_the_composite_does():
+    # reversing f2's first component fixes the orientation but leaves its
+    # potential 2 above the composite's, which the z-graded class sees
+    trefoil = corpus.load("trefoil")
+    f2 = fronts.connected_sum(trefoil, HOPF)
+    c1, c12 = rulings.census(trefoil), rulings.census(fronts.connected_sum(trefoil, f2))
+    reversed_first = rulings.census(f2, (0,))
+    for cls in rulings.GRADING_FILTERS:
+        product = c1.polynomials[cls] * reversed_first.polynomials[cls]
+        assert (c12.polynomials[cls] == product) == (cls != "z_graded"), cls
+    res = connsum_check(trefoil, f2)
+    assert res.counts_ok and res.polynomials_ok and res.passed
+
+
+def _chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = fronts.connected_sum(out, f)
+    return out
+
+
+def test_connsum_check_passes_on_seeded_chains():
+    # pairs of chains drawn as the census-sum benchmark draws them; every
+    # third composite also has a component reversed
+    torus = lambda n: front("L1 L3 " + "X2 " * n + "R1 R1", name=f"T(2,{n})")
+    factors = [corpus.load("trefoil"), torus(5), torus(7), HOPF, front("L1 R1", name="unknot")]
+    counts = {f.name: rulings.census(f).count("ungraded") for f in factors}
+    rng = random.Random(7)
+    checked = reversed_ = 0
+    while checked < 300:
+        fa = [rng.choice(factors) for _ in range(rng.randint(1, 3))]
+        fb = [rng.choice(factors) for _ in range(rng.randint(1, 3))]
+        if math.prod(counts[f.name] for f in fa + fb) > 500:
+            continue
+        a, b = _chain(fa), _chain(fb)
+        rev = ()
+        if checked % 3 == 0:
+            n = components(fronts.connected_sum(a, b)).num_components
+            rev = (rng.randrange(n),)
+            reversed_ += n > 1
+        res = connsum_check(a, b, rev)
+        assert res.passed, (a.name, b.name, rev, res)
+        checked += 1
+    assert reversed_ > 20
 
 
 # -- full report ---------------------------------------------------------------------------

@@ -173,7 +173,8 @@ def _indented_rulings_json(diagram, grading, rev):
                 "grading": str(r.grading),
                 "orientable": r.orientable,
             }
-            for r in rulings.enumerate_rulings(diagram, grading, rev)
+            # sorted here by the id tuples, so that the listing's own order is checked
+            for r in sorted(rulings.enumerate_rulings(diagram, grading, rev), key=lambda r: r.switches)
         ],
         "polynomial": poly.to_terms(),
         "polynomial_text": str(poly),
@@ -202,6 +203,9 @@ def _listing_cases(tmp_path):
     cases["r-nonzero"] = (front("L1 L2 L4 X3 X5 X3 X3 X5 X4 X3 R5 R2 R1"), ())
     # a 3-component link whose rulings take all three gradings, two of them at 4 switches
     cases["three-gradings"] = (front("L1 L1 X2 L1 X2 R5 X2 L5 X2 X1 X3 X4 L6 X3 R2 R1 R2 R1"), ())
+    # all three end tags and switch sets with ids on both sides of 9 | 10, where
+    # the id order, (..., 8, 9, 10, 11) before (..., 8, 11), is not the decimal text order
+    cases["three-gradings#trefoil"] = (connected_sum(cases["three-gradings"][0], torus[3]), ())
     out = []
     for stem, (f, rev) in cases.items():
         path = tmp_path / f"{stem}.front"
@@ -217,6 +221,7 @@ def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
             argv += [f"--reverse-component={c}" for c in rev]
             code, out, _ = run(capsys, *argv)
             assert code == 0
+            assert out.isascii(), (diagram.name, grading)  # no switch code point left untranslated
             assert out == _indented_rulings_json(diagram, grading, rev), (diagram.name, grading)
 
 
@@ -238,6 +243,7 @@ def test_rulings_text_lists_the_enumerated_fields(tmp_path, capsys):
             argv += [f"--reverse-component={c}" for c in rev]
             code, out, _ = run(capsys, *argv)
             assert code == 0
+            assert out.isascii(), (diagram.name, grading)
             assert out == "\n".join(expected) + "\n", (diagram.name, grading)
             seen.update((grading, r.genus is None, bool(rev)) for r in listed)
     assert {grading for grading, _, _ in seen} == set(rulings.GRADING_FILTERS)

@@ -461,6 +461,17 @@ def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
     assert [r.switches for r in listed] == sorted(r.switches for r in listed)
 
 
+def test_rulings_keep_int_tuple_switches():
+    # ids on both sides of 9 | 10; the listing's switch sets are strings inside
+    f = front("L1 L3 " + "X2 " * 13 + "R1 R1")
+    by_class = census(f).by_class
+    for cls in GRADING_FILTERS:
+        for listed in (enumerate_rulings(f, cls), by_class[cls]):
+            assert listed and all(type(r.switches) is tuple for r in listed)
+            assert all(type(c) is int for r in listed for c in r.switches)
+    assert max(max(r.switches) for r in by_class["ungraded"]) == 13
+
+
 # -- Legendrian moves ---------------------------------------------------------
 
 
