@@ -302,18 +302,9 @@ def connsum_check(
 
     The composite is swept once, with ``reverse``, and each summand's
     census is taken under the orientation and Maslov potential that the
-    composite induces on its arcs.  f1's arcs keep their ids in the
-    composite; f2's first-cusp arcs 0 and 1 continue the upper and lower
-    arcs of f1's closing cusp, and its arc a >= 2 is arc A1 + a - 2 for
-    f1's A1 arcs.
+    composite induces on its arcs.
     """
-    composite = fronts.connected_sum(f1, f2)
-    s12 = fronts.sweep_front(composite, reverse)
-    rightward, potential = s12.components.arc_rightward, s12.maslov.potential
-    s1 = fronts._sweep_front(f1, (), (rightward, potential))
-    closing = s1.geometry.cusps[-1]
-    arcs = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, len(rightward)))
-    s2 = fronts._sweep_front(f2, (), ([rightward[a] for a in arcs], [potential[a] for a in arcs]))
+    composite, s12, s1, s2 = fronts._connected_sum_sweeps(f1, f2, reverse)
     c1, c2, c12 = (rulings._census(f, s) for f, s in ((f1, s1), (f2, s2), (composite, s12)))
     counts_ok = all(
         c12.count(cls) == c1.count(cls) * c2.count(cls) for cls in rulings.GRADING_FILTERS

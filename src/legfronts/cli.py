@@ -73,15 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check front files and report violations")
     p.add_argument("fronts", nargs="+")
+    p.set_defaults(run=_cmd_validate)
     _add_common(p, orientable=False)
 
     p = sub.add_parser("invariants", help="tb, rotation numbers, writhe, Maslov data")
     p.add_argument("front")
+    p.set_defaults(run=_cmd_invariants)
     _add_common(p)
 
     p = sub.add_parser("rulings", help="enumerate normal rulings")
     p.add_argument("front")
     p.add_argument("--class", dest="grading", choices=rulings.GRADING_FILTERS, default="ungraded")
+    p.set_defaults(run=_cmd_rulings)
     _add_common(p)
 
     for name, help_text in (
@@ -91,28 +94,34 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("front")
+        p.set_defaults(run=_cmd_poly)
         _add_common(p, skeinful=True)
 
     p = sub.add_parser("rutherford", help="ruling polynomial vs polynomial slices")
     p.add_argument("front")
+    p.set_defaults(run=_cmd_rutherford)
     _add_common(p, skeinful=True)
 
     p = sub.add_parser("rho", help="ruling genus: value, -infinity, or unknown")
     p.add_argument("front")
     p.add_argument("--khovanov-bound", type=int, default=None)
+    p.set_defaults(run=_cmd_rho)
     _add_common(p, skeinful=True)
 
     p = sub.add_parser("tests", help="full analysis report for one front")
     p.add_argument("front")
     p.add_argument("--khovanov-bound", type=int, default=None)
+    p.set_defaults(run=_cmd_tests)
     _add_common(p, skeinful=True)
 
     p = sub.add_parser("connsum", help="splice two fronts and verify multiplicativity")
     p.add_argument("front1")
     p.add_argument("front2")
+    p.set_defaults(run=_cmd_connsum)
     _add_common(p)
 
     p = sub.add_parser("corpus", help="list the bundled fronts")
+    p.set_defaults(run=_cmd_corpus)
     _add_common(p, orientable=False)
     return parser
 
@@ -207,7 +216,7 @@ def _ruling_text(fields, n: int) -> tuple[str, str]:
 def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
     cens = rulings.census(diagram, args.reverse_component)
-    listed = rulings._listing(diagram, cens._sweep, args.grading)
+    listed = rulings._listing(diagram, cens._sweep, rulings._limit(args.grading))
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
     # a switch set is a string of code points chr(cid): one translate writes
@@ -247,17 +256,17 @@ def _cmd_rulings(args) -> int:
     return EXIT_OK
 
 
-def _cmd_poly(args, which: str) -> int:
+def _cmd_poly(args) -> int:
     diagram = _load_front(args.front)
     d = skein.front_to_diagram(diagram, args.reverse_component)
-    if which == "homfly":
+    if args.command == "homfly":
         poly = skein.homfly(d, args.max_crossings)
-    elif which == "kauffman":
+    elif args.command == "kauffman":
         poly = skein.kauffman_dubrovnik(d, args.max_crossings)
     else:
         poly = conway_of(skein.homfly(d, args.max_crossings))
-    payload = {"front": diagram.name, **_poly_payload(which, poly)}
-    _emit(payload, args.format, [f"{which}({diagram.name}) = {poly}"])
+    payload = {"front": diagram.name, **_poly_payload(args.command, poly)}
+    _emit(payload, args.format, [f"{args.command}({diagram.name}) = {poly}"])
     return EXIT_OK
 
 
@@ -378,25 +387,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "rulings":
-            return _cmd_rulings(args)
-        if args.command in ("homfly", "kauffman", "conway"):
-            return _cmd_poly(args, args.command)
-        if args.command == "rutherford":
-            return _cmd_rutherford(args)
-        if args.command == "rho":
-            return _cmd_rho(args)
-        if args.command == "tests":
-            return _cmd_tests(args)
-        if args.command == "connsum":
-            return _cmd_connsum(args)
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except fronts.FrontFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_FAIL

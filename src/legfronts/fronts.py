@@ -24,17 +24,18 @@ each return one field of a fresh record.
 
 Conventions fixed here and relied on by the rest of the package:
 
-* Each component is oriented so that its earliest-born bottommost arc
-  travels rightward (components may be reversed individually).  For the
-  plain unknot front this orients the lower strand rightward.
+* One seed rule orients each component and starts its Maslov potential:
+  the walk from its least arc id starts leftward at potential 1, so its
+  reference arc (earliest born, then bottommost) comes out rightward at 0,
+  and a reversed component starts flipped and one higher.  For the plain
+  unknot front this orients the lower strand rightward.
 * At a crossing the strand of lesser slope is in front, i.e. the over
   strand enters at height k and leaves at height k+1.  A crossing is
   positive exactly when its two strands agree in x-direction, which is
   the sign of det(over direction, under direction).
 * The Maslov potential is Z_{2r}-valued (plain integers when r = 0),
   jumps by one at each cusp with the upper strand higher, and is even on
-  rightward strands.  Each component's reference arc is anchored at
-  potential 0 (1 when the component is reversed).
+  rightward strands.
 """
 
 from __future__ import annotations
@@ -290,33 +291,33 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     from its seed, the component's least arc id: the upper arc of its
     earliest left cusp, whose lower arc is the reference arc (earliest
     born, then bottommost).  The seed starts leftward at potential 1, so
-    the reference arc comes out rightward at 0; a reversed component adds
-    1 to every potential, where its reference arc runs leftward.  The
-    potential is verified consistent mod 2r and even on rightward arcs,
-    so a failure indicates a traversal bug, not bad input.
+    the reference arc comes out rightward at 0; a reversed component's seed
+    starts flipped and one higher.  The potential is verified consistent
+    mod 2r and even on rightward arcs, so a failure indicates a traversal
+    bug, not bad input.
     """
     return _sweep_front(diagram, reverse, None)
 
 
 def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
-    """``sweep_front``, with each seed's start taken from ``anchor`` if given.
+    """``sweep_front``, with each seed started through an arc map if given.
 
-    ``anchor`` is a pair of per-arc sequences (rightward, potential), such
-    as another front's record induces on this one's arcs; the seed of each
-    component starts at its entries, before the reduction mod this front's
-    own 2r.  The orientation and offset of every component then come from
-    the anchor, so ``reverse`` should be empty.
+    ``anchor`` is a pair (record, arcs): arc a continues arc ``arcs[a]`` of
+    another front's ``FrontSweep``, and each seed starts at that arc's
+    direction and potential, not leftward at 1, before the reduction mod
+    this front's own 2r; ``reverse`` still flips and raises a component.
     """
     geom = sweep_geometry(diagram)
     n_arcs = geom.num_arcs
+    reverse = frozenset(reverse)
+    record, arcs = anchor or (None, None)
     # per arc, the arcs it meets at a cusp with the Maslov jump towards them
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n_arcs)]
     for cusp in geom.cusps:
         edges[cusp.lower_arc].append((cusp.upper_arc, +1))
         edges[cusp.upper_arc].append((cusp.lower_arc, -1))
 
-    # one walk per component from its seed orients it and propagates the
-    # Maslov potential; the seed's anchor puts the reference arc at 0
+    # one walk per component from its seed orients it and propagates the potential
     comp = [-1] * n_arcs
     rightward = [True] * n_arcs
     potential = [0] * n_arcs
@@ -325,10 +326,9 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
         if comp[seed] >= 0:
             continue
         comp[seed] = n_comp
-        if anchor is None:
-            rightward[seed], potential[seed] = False, 1
-        else:
-            rightward[seed], potential[seed] = anchor[0][seed], anchor[1][seed]
+        flip = n_comp in reverse  # the seed rule: flipped and one higher when reversed
+        rightward[seed], potential[seed] = (flip, 1 + flip) if record is None else (
+            record.components.arc_rightward[arcs[seed]] != flip, record.maslov.potential[arcs[seed]] + flip)
         todo = [seed]
         while todo:
             a = todo.pop()
@@ -342,14 +342,9 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
                     raise RuntimeError("inconsistent orientation around a component")
         n_comp += 1
 
-    reverse = frozenset(reverse)
     unknown = reverse - set(range(n_comp))
     if unknown:
         raise ValueError(f"no such component(s): {sorted(unknown)}")
-    if reverse:
-        rightward = [
-            (not r) if comp[a] in reverse else r for a, r in enumerate(rightward)
-        ]
     # a cusp is a down cusp when the traversal passes downward through it,
     # i.e. when its upper arc is directed toward the cusp point
     cusp_down = tuple(
@@ -384,8 +379,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     def reduce(x: int) -> int:
         return x % modulus if modulus else x
 
-    # a reversed component's reference arc runs leftward and is anchored at 1
-    potential = [reduce(mu + (c in reverse)) for mu, c in zip(potential, comp)]
+    potential = [reduce(mu) for mu in potential]
     for cusp in geom.cusps:
         if reduce(potential[cusp.upper_arc] - potential[cusp.lower_arc] - 1) != 0:
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")
@@ -449,3 +443,17 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
         f1.events[:-1] + f2.events[1:],
         name=f"{f1.name}#{f2.name}",
     )
+
+
+def _connected_sum_sweeps(f1: FrontDiagram, f2: FrontDiagram, reverse):
+    """The composite, its sweep under ``reverse`` and each summand's sweep
+    under the orientation and potential the composite induces: f1's arcs
+    keep their ids, f2's arcs 0 and 1 continue the upper and lower arcs of
+    f1's closing cusp, and f2's arc a >= 2 is arc A1 + a - 2 for f1's A1.
+    """
+    composite = connected_sum(f1, f2)
+    s12 = sweep_front(composite, reverse)
+    s1 = _sweep_front(f1, (), (s12, range(s12.geometry.num_arcs)))
+    closing = s1.geometry.cusps[-1]
+    arcs = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, s12.geometry.num_arcs))
+    return composite, s12, s1, _sweep_front(f2, (), (s12, arcs))

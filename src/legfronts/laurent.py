@@ -11,8 +11,7 @@ Degree conventions used throughout the package:
 * ``min_v_degree`` of a nonzero two-variable polynomial is the exponent
   ``e`` of the smallest power of v that occurs anywhere.
 * ``profile`` packages ``e`` together with ``M``, the largest z-exponent
-  among the ``v^e`` monomials, and a one-variable slice ``Q`` taken at a
-  chosen v-power (``e`` by default).
+  among the ``v^e`` monomials, and ``Q``, the one-variable slice at ``v^e``.
 * Substituting v = 1 collapses a two-variable polynomial to ``ZPoly``;
   applied to a Homfly polynomial this yields the Conway polynomial.
 """
@@ -218,23 +217,21 @@ class HomflyProfile:
     """The degree data the v^e slice of a two-variable polynomial carries.
 
     e is the minimum v-degree, M the maximum z-degree among v^e monomials,
-    and Q the one-variable slice at the v-power ``at`` (defaults to e).
+    and Q the one-variable slice at v^e.
     """
 
     e: int
     M: int
     Q: ZPoly
-    at: int
 
 
-def profile(p: VZPoly, at: int | None = None) -> HomflyProfile:
+def profile(p: VZPoly) -> HomflyProfile:
     """Extract (e, M, Q) from a nonzero two-variable polynomial."""
     if not p:
         raise ValueError("the zero polynomial has no degree profile")
     e = p.min_v_degree()
     M = max(ez for (ev, ez) in p.terms if ev == e)
-    slot = e if at is None else at
-    return HomflyProfile(e=e, M=M, Q=p.coefficient_of_v(slot), at=slot)
+    return HomflyProfile(e=e, M=M, Q=p.coefficient_of_v(e))
 
 
 def conway(p: VZPoly) -> ZPoly:

@@ -13,10 +13,12 @@ normality condition.
 
 Gradedness is a mask on switch choices: a ruling is 2-graded when every
 switch has even Maslov index and Z-graded when every index is the zero
-residue.  The Euler characteristic of the associated surface is
-theta = eyes - switches; for a knot front a 2-graded ruling is an
-orientable surface with one boundary circle, so its genus is
-(switches - eyes + 1) / 2.
+residue.  A switch set has the grading tag 0 (Z-graded), 1 (2-graded) or
+2 (ungraded only); one table maps each class filter to the largest tag
+it admits, and every reader of a class filter checks it there.  The
+Euler characteristic of the associated surface is theta = eyes -
+switches; for a knot front a 2-graded ruling is an orientable surface
+with one boundary circle, so its genus is (switches - eyes + 1) / 2.
 
 Censuses and listings come from one left-to-right sweep that merges
 equal states.  A state is the pairing with the grading tag of its
@@ -50,7 +52,9 @@ from operator import itemgetter
 from . import fronts
 from .laurent import ZPoly
 
-GRADING_FILTERS = ("ungraded", "two_graded", "z_graded")
+# the class table: the largest grading tag each class filter admits
+_LIMITS = {"ungraded": 2, "two_graded": 1, "z_graded": 0}
+GRADING_FILTERS = tuple(_LIMITS)
 
 
 class GradingClass(Enum):
@@ -78,6 +82,13 @@ _GRADINGS = (GradingClass.Z_GRADED, GradingClass.TWO_GRADED, GradingClass.UNGRAD
 
 def _tag(index: int) -> int:
     return 0 if index == 0 else 1 if index % 2 == 0 else 2
+
+
+def _limit(class_filter: str) -> int:
+    """The largest tag a switch of the class may have, from the class table."""
+    if class_filter not in GRADING_FILTERS:
+        raise ValueError(f"class_filter must be one of {GRADING_FILTERS}")
+    return _LIMITS[class_filter]
 
 
 def _moves(kind: str, k: int, p: tuple[int, ...]):
@@ -114,23 +125,18 @@ def enumerate_rulings(
     each state, taking no switch outside the class; the grading of each
     ruling is the tag of the end state that holds it.
     """
-    _check_filter(class_filter)
-    return _enumerate(diagram, fronts.sweep_front(diagram, reverse), class_filter)
+    limit = _limit(class_filter)
+    return _enumerate(diagram, fronts.sweep_front(diagram, reverse), limit)
 
 
-def _check_filter(class_filter: str) -> None:
-    if class_filter not in GRADING_FILTERS:
-        raise ValueError(f"class_filter must be one of {GRADING_FILTERS}")
-
-
-def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[Ruling]:
-    """The rulings of the class, sorted by switch set, built from ``_listing``."""
-    listed = _listing(diagram, sweep, class_filter)
+def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int) -> list[Ruling]:
+    """The rulings ``limit`` admits, sorted by switch set, built from ``_listing``."""
+    listed = _listing(diagram, sweep, limit)
     return [Ruling(tuple(map(ord, switches)), *fields) for switches, _, fields in listed]
 
 
-def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
-    """(switches, shape, fields) for each ruling of the class, sorted by switches.
+def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int) -> list[tuple]:
+    """(switches, shape, fields) for each ruling ``limit`` admits, sorted by switches.
 
     A switch set is a string, one code point chr(cid) per switched
     crossing id in increasing order, so the string order is the order of
@@ -141,7 +147,6 @@ def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, class_filte
     """
     is_knot = sweep.components.num_components == 1
     eyes = diagram.num_left_cusps
-    limit = 2 - GRADING_FILTERS.index(class_filter)  # the largest tag a switch may have
     ends = _sweep(diagram, sweep, limit, [""], _add_switch)
     out = []
     for tag, found in ends.items():
@@ -208,16 +213,15 @@ def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -
 
     A value holds the number of partial rulings with s switches in bits
     [w * s, w * (s + 1)), w = c + 1: start is 1 and a switch shifts by w.
-    The end tags partition the switch sets, so the class sums below stay
-    within the slot bound C(c, s) < 2^w as well.
+    A class sums the end tags it admits; the end tags partition the switch
+    sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
     """
     w = diagram.num_crossings + 1
     ends = _sweep(diagram, sweep, 2, 1, lambda v, cid: v << w)
-    z, two, ungraded = (ends.get(tag, 0) for tag in range(3))
     eyes = diagram.num_left_cusps
     polys = {
-        cls: ZPoly(_unpack(packed, w, 1 - eyes))
-        for cls, packed in zip(GRADING_FILTERS, (z + two + ungraded, z + two, z))
+        cls: ZPoly(_unpack(sum(v for tag, v in ends.items() if tag <= limit), w, 1 - eyes))
+        for cls, limit in _LIMITS.items()
     }
     if sweep.components.num_components == 1 and any(e % 2 or e < 0 for e in polys["two_graded"].terms):
         raise RuntimeError("2-graded knot ruling with non-integral genus")
@@ -245,7 +249,7 @@ def ruling_polynomial(
     For 2-graded rulings of a knot front the exponent 1 - theta equals
     twice the ruling genus.
     """
-    _check_filter(class_filter)
+    _limit(class_filter)
     return census(diagram, reverse).polynomials[class_filter]
 
 
@@ -261,24 +265,26 @@ class RulingCensus:
     @cached_property
     def by_class(self) -> dict[str, tuple[Ruling, ...]]:
         """The rulings of each class, listed by one ungraded sweep on first access."""
-        ungraded = tuple(_enumerate(self._diagram, self._sweep, "ungraded"))
+        listed = _enumerate(self._diagram, self._sweep, _LIMITS["ungraded"])
         return {
-            "ungraded": ungraded,
-            "two_graded": tuple(r for r in ungraded if r.grading is not GradingClass.UNGRADED_ONLY),
-            "z_graded": tuple(r for r in ungraded if r.grading is GradingClass.Z_GRADED),
+            cls: tuple(r for r in listed if _GRADINGS.index(r.grading) <= limit)
+            for cls, limit in _LIMITS.items()
         }
 
     def count(self, class_filter: str) -> int:
+        _limit(class_filter)
         return sum(self.polynomials[class_filter].terms.values())
 
     def counts_by_theta(self, class_filter: str) -> dict[int, int]:
+        _limit(class_filter)
         return {1 - e: c for e, c in self.polynomials[class_filter].terms.items()}
 
     def max_genus(self, class_filter: str = "two_graded") -> int | None:
-        """Half the top z-degree of the 2-graded (or Z-graded) polynomial; None for links."""
+        """Half the top z-degree of the class's 2-graded rulings, the ones with a genus; None for links."""
+        genus_class = min(class_filter, "two_graded", key=_limit)
         if not self.is_knot:
             return None
-        top = self.polynomials["z_graded" if class_filter == "z_graded" else "two_graded"].degree()
+        top = self.polynomials[genus_class].degree()
         return None if top is None else top // 2
 
 

@@ -11,6 +11,7 @@ from legfronts.analysis import (
     FIRED,
     NOT_EVALUATED,
     QUIET,
+    GenusTests,
     analyze,
     connsum_check,
     genus_tests,
@@ -194,6 +195,13 @@ def test_genus_tests_trefoil_sum():
     assert g.half_homfly_z_degree == 2
     assert g.seifert_genus == 2
     assert g.chain_ok
+
+
+def test_genus_chain_fails_on_either_side():
+    # a ruling genus above half the Homfly z-degree, then that above the Seifert genus
+    assert not GenusTests(True, True, 2, 1, 1).chain_ok
+    assert not GenusTests(True, True, 1, 2, 1).chain_ok
+    assert GenusTests(True, True, None, 2, None).chain_ok
 
 
 def test_genus_tests_on_corpus_knots():

@@ -154,6 +154,18 @@ def test_missing_input(capsys):
     code, _, err = run(capsys, "homfly", "no_such_front")
     assert code == 1
     assert "no_such_front" in err
+    for command in ("invariants", "validate"):
+        code, out, err = run(capsys, command, "no/such/path.front")
+        assert (code, out) == (1, "")
+        assert err == "'no/such/path.front' is neither a file nor a bundled front\n"
+
+
+def test_invariants_reports_a_parse_error_without_a_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.front"
+    bad.write_text("L 1\nR\n")
+    code, out, err = run(capsys, "invariants", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "parse error: line 2: expected 'L|R|X <height>', got 'R'\n"
 
 
 def _indented_rulings_json(diagram, grading, rev):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,9 @@ from legfronts import corpus
 from legfronts.fronts import (
     FrontEvent,
     FrontFormatError,
+    InvalidFrontError,
     NormalFormError,
+    _sweep_front,
     classical_invariants,
     components,
     connected_sum,
@@ -79,6 +82,16 @@ def test_parse_rejects_junk():
         parse_front("L x\n")
     with pytest.raises(FrontFormatError):
         parse_front("L 0\n")
+
+
+def test_tokens_and_events_reject_junk():
+    for tokens in ("Q1", "L0", "X"):
+        with pytest.raises(ValueError, match="bad event token"):
+            front(tokens)
+    with pytest.raises(ValueError, match="unknown event kind"):
+        FrontEvent("Q", 1)
+    with pytest.raises(ValueError, match="positive integer"):
+        FrontEvent("L", 0)
 
 
 def test_parse_comments_and_blanks():
@@ -219,6 +232,19 @@ def test_sweep_record_matches_the_single_quantity_functions():
             assert sweep.indices == crossing_indices(f, rev)
 
 
+def test_an_anchor_on_the_fronts_own_record_keeps_each_reversal():
+    # the seed rule flips and raises an anchored component as it does a default one
+    seen = Counter()
+    for f in random_fronts(seed=43, count=80, max_crossings=9):
+        own = sweep_front(f)
+        n = own.components.num_components
+        for rev in [()] + [(c,) for c in range(n)]:
+            assert _sweep_front(f, rev, (own, range(own.geometry.num_arcs))) == sweep_front(f, rev), (str(f), rev)
+            seen["reversed link"] += n > 1 and bool(rev)
+            seen["r != 0"] += own.maslov.modulus > 0
+    assert min(seen.values()) >= 20, seen
+
+
 def _two_walk_maslov(f, rev=()):
     """Potential and indices by a second walk from each reference arc,
     anchored at 0 (1 when the arc runs leftward), reduced mod 2r."""
@@ -311,6 +337,13 @@ def test_connected_sum_normal_form_errors():
         connected_sum(empty, UNKNOT)
     with pytest.raises(NormalFormError):
         connected_sum(UNKNOT, empty)
+
+
+def test_connected_sum_rejects_an_invalid_operand():
+    bad = front("L1 X2 R1", name="bad")
+    for f1, f2 in ((bad, UNKNOT), (UNKNOT, bad)):
+        with pytest.raises(InvalidFrontError, match="invalid front 'bad'"):
+            connected_sum(f1, f2)
 
 
 def test_unlink2_is_normal_form_operand():

@@ -309,8 +309,17 @@ def test_class_filter_agrees_with_filtered_ungraded():
 
 
 def test_bad_class_filter():
-    with pytest.raises(ValueError):
-        enumerate_rulings(UNKNOT, "graded")
+    cens = census(TREFOIL)
+    for bad in ("graded", "bogus", "ungraded_only"):
+        for read in (
+            lambda: enumerate_rulings(UNKNOT, bad),
+            lambda: ruling_polynomial(UNKNOT, bad),
+            lambda: cens.count(bad),
+            lambda: cens.counts_by_theta(bad),
+            lambda: cens.max_genus(bad),
+        ):
+            with pytest.raises(ValueError, match="class_filter must be one of"):
+                read()
 
 
 # -- merged sweep against the listed rulings ----------------------------------
@@ -489,10 +498,12 @@ def _stabilized(f, rng):
 
 
 def _far_commuted(f, i):
-    """f with events i and i + 1 exchanged, or None unless they sit at least 2 heights apart.
+    """(g, arcs) for f with events i and i + 1 exchanged, or None unless they
+    sit at least 2 heights apart; arc a of g continues arc arcs[a] of f.
 
     The lower event keeps its height; the upper one moves by the strands
-    that the lower one adds or removes.
+    that the lower one adds or removes.  Arc ids follow the left cusps, so
+    only two exchanged left cusps trade their pairs of arc ids.
     """
     a, b = f.events[i], f.events[i + 1]
     if b.height >= a.height + 2:
@@ -501,16 +512,33 @@ def _far_commuted(f, i):
         swapped = (b, FrontEvent(a.kind, a.height + _STRANDS_ADDED[b.kind]))
     else:
         return None
-    return replace(f, events=f.events[:i] + swapped + f.events[i + 2:])
+    arcs = list(range(2 * f.num_left_cusps))
+    if a.kind == b.kind == "L":
+        j = 2 * sum(ev.kind == "L" for ev in f.events[:i])
+        arcs[j:j + 4] = arcs[j + 2:j + 4] + arcs[j:j + 2]
+    return replace(f, events=f.events[:i] + swapped + f.events[i + 2:]), arcs
 
 
-def _class_data(f):
-    """Each class polynomial with its listed count; for a link the ungraded class
-    only, since its graded classes depend on the offsets between the components'
-    Maslov potentials, which the event order fixes through each reference arc."""
-    cens = census(f)
-    classes = GRADING_FILTERS if cens.is_knot else ("ungraded",)
-    return [(cens.polynomials[cls], len(enumerate_rulings(f, cls))) for cls in classes]
+def _class_data(f, sweep):
+    """tb, then each class polynomial with its listed count, under the sweep record."""
+    cens = rulings._census(f, sweep)
+    return [sweep.invariants.tb] + [
+        (cens.polynomials[cls], len(rulings._enumerate(f, sweep, rulings._limit(cls))))
+        for cls in GRADING_FILTERS
+    ]
+
+
+def test_far_commutation_keeps_link_gradings_under_the_induced_arc_map():
+    # exchanging the first two left cusps moves each component's reference
+    # arc, and with it the default offset between the components' potentials
+    f = front("L1 L3 L4 X2 R4 R1 L3 X2 L4 R4 X2 X2 X2 R3 R1 L1 R1")
+    g, arcs = _far_commuted(f, 0)
+    assert str(g).startswith("L1 L1 L4 X2") and arcs[:4] == [2, 3, 0, 1]
+    assert census(f).polynomials["two_graded"] == ZPoly({-4: 1, -2: 3, 0: 1})
+    assert census(g).polynomials["two_graded"] == ZPoly({-4: 1})
+    assert (classical_invariants(f).tb, classical_invariants(g).tb) == (-1, -9)
+    sf = fronts.sweep_front(f)
+    assert _class_data(g, fronts._sweep_front(g, (), (sf, arcs))) == _class_data(f, sf)
 
 
 def test_legendrian_moves_on_random_fronts():
@@ -527,12 +555,14 @@ def test_legendrian_moves_on_random_fronts():
         assert classical_invariants(stab).tb == classical_invariants(f).tb - 1
         assert all(census(stab).count(cls) == 0 and enumerate_rulings(stab, cls) == [] for cls in GRADING_FILTERS)
 
-        before = _class_data(f)
+        sf = fronts.sweep_front(f)
+        before = _class_data(f, sf)
         for i in range(len(f.events) - 1):
-            g = _far_commuted(f, i)
-            if g is None:
+            moved = _far_commuted(f, i)
+            if moved is None:
                 continue
+            g, arcs = moved
             assert fronts.validate(g).ok, (str(f), i)
-            assert _class_data(g) == before, (str(f), i)
+            assert _class_data(g, fronts._sweep_front(g, (), (sf, arcs))) == before, (str(f), i)
             commuted += 1
     assert commuted > 200
