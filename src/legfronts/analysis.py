@@ -20,7 +20,7 @@ once per report; a standalone check builds a context of its own.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from . import fronts, rulings, skein
@@ -377,7 +377,7 @@ def analyze(
             "has_two_graded_ruling": cert.has_two_graded_ruling,
             "consistent": cert.consistent,
         },
-        rho=asdict(rho),
+        rho={"kind": rho.kind, "value": rho.value, "reason": rho.reason, "genus_matches": rho.genus_matches},
         noruling_flags=flags,
         bennequin_test=gtests.bennequin_ok,
         conway_test=gtests.conway_ok,

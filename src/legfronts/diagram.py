@@ -18,7 +18,8 @@ tuples; removing a crossing drops its entries and moves every port above
 it down by four, so ranks stay positions in id order.  Every diagram
 built, by the constructor or a move, has its matching checked for
 symmetry.  The constructor takes dicts keyed by ids and by (id, port)
-pairs, and ``crossings`` and ``adj`` give them back.
+pairs, checks that they match every crossing port and nothing else, and
+``crossings`` and ``adj`` give them back.
 
 ``reduced`` strips Reidemeister-I curls and Reidemeister-II bigons whose
 one strand is over at both crossings.  ``_pieces`` cuts a diagram into
@@ -26,7 +27,8 @@ split components and connected summands: it grows a spanning tree of the
 crossings, gives every other arc a bit, and labels each tree arc with the
 XOR of the bits over its subtree; two arcs cut the graph exactly when
 their labels are equal, and in a planar diagram they bound a disk, a
-connected sum.
+connected sum.  ``_summands`` reduces a diagram and cuts it once, on
+first use, and keeps the result in a private slot.
 
 ``memo_key`` is the memo key of the skein expansion: the over flags, the
 inflow ports and the matching, all by rank, free loops left out.  Two
@@ -56,11 +58,18 @@ Port = tuple[int, int]  # (crossing id, port 0..3)
 class LinkDiagram:
     """Combinatorial oriented (or orientation-stripped) link diagram."""
 
-    __slots__ = ("_ids", "_over", "_ins", "_adj", "loops")
+    # _cut is filled by _summands on first use and never set elsewhere
+    __slots__ = ("_ids", "_over", "_ins", "_adj", "loops", "_cut")
 
     def __init__(self, crossings: dict[int, Crossing], adj: dict[Port, Port], loops: int = 0):
         if any(adj.get(q) != p for p, q in adj.items()):
             raise ValueError("arc matching is not symmetric")
+        for port in [(c, p) for c in crossings for p in range(4)]:
+            if port not in adj:
+                raise ValueError(f"crossing port {port} has no arc")
+        for p, (c, q) in adj.items():
+            if c not in crossings or q not in range(4):
+                raise ValueError(f"the arc at port {p} leads to {(c, q)}, which is no crossing port")
         ids = sorted(crossings)
         rank = {c: 4 * i for i, c in enumerate(ids)}
         self._set(tuple(ids), tuple(crossings[c].over02 for c in ids), tuple(crossings[c].in_ports for c in ids),
@@ -220,6 +229,20 @@ class LinkDiagram:
                     break
             else:
                 return d, curls
+
+    def _summands(self) -> tuple[list["LinkDiagram"], int, int]:
+        """The pieces and split count ``_pieces`` cuts the reduced diagram
+        into, and the free loops the reduction adds.
+
+        Computed on first use and kept for the diagram's lifetime, so every
+        skein polynomial of one diagram shares one reduction and one cut.
+        The loops are kept as a difference because ``loops`` is writable.
+        """
+        cut = getattr(self, "_cut", None)
+        if cut is None:
+            d = self.reduced()[0]
+            cut = self._cut = (*_pieces(d), d.loops - self.loops)
+        return cut
 
     def unoriented(self) -> "LinkDiagram":
         return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self.loops)

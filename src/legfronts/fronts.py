@@ -15,10 +15,10 @@ x-coordinate.  A strand arc runs from a left cusp to a right cusp,
 passing through crossings; components are obtained by joining the two
 arcs that meet at each cusp.
 
-``sweep_front`` sweeps a validated front once and derives everything
-else from that one geometry: the component map and orientations, tb and
-the rotation numbers, the Maslov potential and the crossing indices,
-held in one ``FrontSweep`` record.  ``components``,
+``sweep_front`` sweeps a front once, checking its heights as it goes,
+and derives everything else from that one geometry: the component map
+and orientations, tb and the rotation numbers, the Maslov potential and
+the crossing indices, held in one ``FrontSweep`` record.  ``components``,
 ``classical_invariants``, ``maslov_potential`` and ``crossing_indices``
 each return one field of a fresh record.
 
@@ -206,23 +206,30 @@ class FrontGeometry:
 
 
 def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
-    report = validate(diagram)
-    if not report.ok:
-        first = report.violations[0]
-        raise InvalidFrontError(f"invalid front {diagram.name!r}: {first.message}")
+    """Arcs, cusps and crossing sites, read in one pass that also checks
+    each height against the live strand count.
+
+    The first failed check raises ``InvalidFrontError`` with the message of
+    the first violation ``validate`` reports; a valid front is never
+    validated separately.
+    """
     stack: list[int] = []  # arc id per current height, top first
     births: list[tuple[int, int]] = []
     cusps: list[Cusp] = []
     crossings: list[CrossingSite] = []
     for i, ev in enumerate(diagram.events):
-        k = ev.height
+        k = ev.height  # >= 1, as FrontEvent checks
         if ev.kind == "L":
+            if k > len(stack) + 1:
+                _invalid(diagram)
             upper = len(births)
             births.append((i, k))
             lower = len(births)
             births.append((i, k + 1))
             stack[k - 1:k - 1] = [upper, lower]
             cusps.append(Cusp(i, "L", upper, lower))
+        elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
+            _invalid(diagram)
         elif ev.kind == "R":
             upper, lower = stack[k - 1], stack[k]
             del stack[k - 1:k + 1]
@@ -231,7 +238,13 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
             over, under = stack[k - 1], stack[k]
             crossings.append(CrossingSite(len(crossings) + 1, i, over, under))
             stack[k - 1], stack[k] = under, over
+    if stack:
+        _invalid(diagram)
     return FrontGeometry(len(births), tuple(births), tuple(cusps), tuple(crossings))
+
+
+def _invalid(diagram: FrontDiagram):
+    raise InvalidFrontError(f"invalid front {diagram.name!r}: {validate(diagram).violations[0].message}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +445,8 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
     two freed strands of f1 continue into f2's events unchanged.
     """
     for f in (f1, f2):
-        report = validate(f)
-        if not report.ok:
-            raise InvalidFrontError(f"invalid front {f.name!r}: {report.violations[0].message}")
+        if not validate(f).ok:
+            _invalid(f)
     if not f1.events or f1.events[-1].kind != "R":
         raise NormalFormError(f"{f1.name!r} does not end with a right cusp")
     if not f2.events or f2.events[0] != FrontEvent("L", 1):

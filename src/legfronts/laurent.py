@@ -52,6 +52,9 @@ class ZPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as one; zero included
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "ZPoly":
@@ -144,6 +147,9 @@ class VZPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as one; zero included
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "VZPoly":

@@ -1,9 +1,10 @@
 """Skein-recursion polynomial invariants of link diagrams from fronts.
 
 Fronts convert to ``LinkDiagram``s (see ``diagram``) in one pass over
-the events, smoothing cusps and reading the over strand from slopes;
-ports are numbered NW, SW, SE, NE, so a front-born crossing always
-carries its over strand on (0, 2).
+the events, smoothing cusps and reading the over strand from slopes,
+that writes the diagram's flat fields directly; ports are numbered NW,
+SW, SE, NE, so a front-born crossing always carries its over strand on
+(0, 2).
 
 Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
@@ -16,7 +17,8 @@ Homfly), and so are Reidemeister-II bigons whose one strand is over at
 both crossings (worth 1 to both).  The input is reduced once and cut
 into split components and connected summands, each expanded alone with
 its two cut ports joined; k split components and l free loops add the
-factor delta^(k + l - 1).
+factor delta^(k + l - 1).  The diagram keeps its reduction and cut for
+its lifetime, so Homfly and Kauffman of one diagram share them.
 
 Every node is a ``LinkDiagram`` in the flat format of ``diagram``: a
 crossing is its rank, a port the integer 4 * rank + port, and the moves,
@@ -36,10 +38,12 @@ depends on names, so a hit is exact.  A twist region meets its shorter
 windows again under other ids, so T(2,n) expands n + 1 nodes instead of
 a Fibonacci tree.  One memo serves one call of ``homfly`` or
 ``kauffman_dubrovnik`` and is shared by its pieces, so equal summands are
-expanded once; nothing is kept between calls.  The expansion runs on an
+expanded once; no memo outlives its call.  The expansion runs on an
 explicit stack, so no ceiling the caller sets can reach Python's
-recursion limit.  The root's value is multiplied out against the powers
-of delta, each built once.
+recursion limit.  A piece's value is multiplied out against the powers
+of delta, the first piece's shifted by the factor delta^(k + l - 1).
+The powers come from one table per delta, grown on demand and kept for
+the life of the process; every returned polynomial is a fresh object.
 
 Conventions (pinned operationally by the test suite):
 
@@ -61,7 +65,7 @@ Conventions (pinned operationally by the test suite):
 from __future__ import annotations
 
 from . import fronts
-from .diagram import Crossing, LinkDiagram, Port, _pieces
+from .diagram import LinkDiagram, _diagram
 from .laurent import VZPoly
 
 DEFAULT_MAX_CROSSINGS = 16
@@ -86,33 +90,36 @@ def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
 
 
 def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDiagram:
-    # One pass.  A live strand is labelled by its left end: a crossing port,
-    # or a left-cusp side (an int).  far[side] is the other end of the path
-    # through that cusp side: a port, or the side labelling another live
-    # strand.  When a strand reaches a crossing port or a right cusp, the
-    # two path ends there are joined: two ports become an arc, and a path
-    # that closes on itself is a free loop.
-    far: dict = {}
-    adj: dict[Port, Port] = {}
-    stack: list = []
-    loops = xnum = 0
+    # One pass, straight into the flat fields of a ``LinkDiagram``: crossing id c
+    # has rank c - 1, so its port p is 4 * (c - 1) + p.  A live strand is
+    # labelled by its left end: a crossing port, or a left-cusp side (a
+    # negative int).  far[side] is the other end of the path through that
+    # cusp side: a port, or the side labelling another live strand.  When a
+    # strand reaches a crossing port or a right cusp, the two path ends
+    # there are joined: two ports become an arc, and a path that closes on
+    # itself is a free loop.
+    sites = sweep.geometry.crossings
+    far: dict[int, int] = {}
+    adj = [0] * (4 * len(sites))
+    stack: list[int] = []
+    loops = base = 0
 
     def end(h):  # the far end of the path along the strand at height h + 1
         return far.pop(stack[h], stack[h])
 
-    def join(x, y):
-        if x in far:
+    def join(x, y):  # a side still labels a live strand, so it is in far
+        if x < 0:
             far[x] = y
-        if y in far:
+        if y < 0:
             far[y] = x
-        if x not in far and y not in far:
+        if x >= 0 and y >= 0:
             adj[x], adj[y] = y, x
 
     for i, ev in enumerate(diagram.events):
         k = ev.height
         if ev.kind == "L":
-            stack[k - 1:k - 1] = [2 * i, 2 * i + 1]
-            far[2 * i], far[2 * i + 1] = 2 * i + 1, 2 * i
+            stack[k - 1:k - 1] = [~(2 * i), ~(2 * i + 1)]
+            far[~(2 * i)], far[~(2 * i + 1)] = ~(2 * i + 1), ~(2 * i)
         elif ev.kind == "R":
             a, b = end(k - 1), end(k)
             if a == stack[k]:
@@ -121,19 +128,15 @@ def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDia
                 join(a, b)
             del stack[k - 1:k + 1]
         else:
-            xnum += 1
-            join(end(k - 1), (xnum, 0))  # NW: upper-left strand
-            join(end(k), (xnum, 1))  # SW: lower-left strand
-            stack[k - 1] = (xnum, 3)  # NE continues at height k
-            stack[k] = (xnum, 2)  # SE continues at height k + 1
+            join(end(k - 1), base)  # NW: upper-left strand
+            join(end(k), base + 1)  # SW: lower-left strand
+            stack[k - 1] = base + 3  # NE continues at height k
+            stack[k] = base + 2  # SE continues at height k + 1
+            base += 4
 
-    crossings = {}
     rightward = sweep.components.arc_rightward
-    for site in sweep.geometry.crossings:
-        over_in = 0 if rightward[site.over_arc] else 2
-        under_in = 1 if rightward[site.under_arc] else 3
-        crossings[site.crossing_id] = Crossing(True, (over_in, under_in))
-    return LinkDiagram(crossings, adj, loops)
+    ins = tuple((0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3) for x in sites)
+    return _diagram(tuple(range(1, len(sites) + 1)), (True,) * len(sites), ins, tuple(adj), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +185,36 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
         raise ResourceLimitError(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
         )
-    d = d.reduced()[0]
-    delta = DUBROVNIK_DELTA if kauffman else HOMFLY_DELTA
-    pieces, components = _pieces(d)
-    if components + d.loops == 0:  # the empty front: delta^-1 is no polynomial
+    pieces, components, added = d._summands()
+    n = components + d.loops + added - 1
+    if n < 0:  # the empty front: delta^-1 is no polynomial
         raise ValueError("a front with no components has no Homfly or Kauffman polynomial")
-    total, memo = delta ** (components + d.loops - 1), {}
-    for piece in pieces:
-        total = total * _expanded(piece, kauffman, delta, memo)
+    powers = _DUBROVNIK_POWERS if kauffman else _HOMFLY_POWERS
+    if not pieces:  # an unlink: a fresh copy of the kept power
+        return VZPoly(_delta_power(powers, n).terms)
+    memo = {}
+    total = _expanded(pieces[0], kauffman, powers, memo, n)  # the first piece takes the delta factor
+    for piece in pieces[1:]:
+        total = total * _expanded(piece, kauffman, powers, memo, 0)
     return total
 
 
-def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPoly:
+# delta^n at index n, grown on demand and kept for the life of the process;
+# the powers are only read here, never handed to a caller
+_HOMFLY_POWERS = [VZPoly(1), VZPoly(HOMFLY_DELTA.terms)]
+_DUBROVNIK_POWERS = [VZPoly(1), VZPoly(DUBROVNIK_DELTA.terms)]
+
+
+def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
+    while len(powers) <= n:
+        powers.append(powers[-1] * powers[1])
+    return powers[n]
+
+
+def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, extra: int) -> VZPoly:
     """Reduce each node, expand it at its first bad crossing unless its key
-    is in ``memo``, and store its value there once its children have one."""
+    is in ``memo``, and store its value there once its children have one;
+    the root's value is multiplied out times delta^extra."""
     stack = []
 
     def branch(c, node, ev, ez, loops):
@@ -238,13 +257,11 @@ def _expanded(d: LinkDiagram, kauffman: bool, delta: VZPoly, memo: dict) -> VZPo
             branches += [branch(1, cur.switched(bad), 2 * s, 0, loops),
                          branch(s, cur.smoothed_oriented(bad), s, 1, loops)]
     _, ev, ez, n, key = root
-    powers, total = [VZPoly(1)], {}
+    total = {}
     for (e, f, m), c in memo[key].items():
         if m + n < 1:
             raise ValueError("negative powers are not defined for polynomials")
-        while len(powers) < m + n:  # each power of delta built once
-            powers.append(powers[-1] * delta)
-        for (de, df), x in powers[m + n - 1].terms.items():
+        for (de, df), x in _delta_power(powers, m + n - 1 + extra).terms.items():
             term = (e + ev + de, f + ez + df)
             total[term] = total.get(term, 0) + c * x
     return VZPoly(total)

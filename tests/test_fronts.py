@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_fronts
+from conftest import random_front, random_fronts
 from legfronts import corpus
 from legfronts.fronts import (
+    FrontDiagram,
     FrontEvent,
     FrontFormatError,
     InvalidFrontError,
@@ -59,6 +60,38 @@ def test_validate_open_strands():
 def test_validate_never_raises_on_negative_count():
     report = validate(front("L1 R1 R1 L1"))
     assert not report.ok
+
+
+def test_sweep_raises_the_first_violation_validate_reports():
+    # the sweep checks heights in its one pass; each failed check must
+    # word the error as the first violation of a separate validation
+    rng = random.Random(23)
+    kinds = Counter()
+    for i in range(3000):
+        if i % 3 == 0:  # random events
+            events = tuple(FrontEvent(rng.choice("LRX"), rng.randint(1, 5)) for _ in range(rng.randint(0, 9)))
+        elif i % 3 == 1:  # a valid front cut short, mostly leaving strands open
+            events = random_front(rng).events
+            events = events[:rng.randint(0, len(events))]
+        else:  # a valid front with one height one past its range
+            events = list(random_front(rng).events)
+            j = rng.randrange(len(events))
+            n = sum(2 if ev.kind == "L" else -2 if ev.kind == "R" else 0 for ev in events[:j])
+            events[j] = FrontEvent(events[j].kind, n + 2 if events[j].kind == "L" else max(n, 1))
+        f = FrontDiagram(tuple(events), name="bad")
+        report = validate(f)
+        if report.ok:
+            assert sweep_geometry(f).num_arcs == 2 * f.num_left_cusps
+            continue
+        first = report.violations[0]
+        with pytest.raises(InvalidFrontError) as info:
+            sweep_geometry(f)
+        assert str(info.value) == f"invalid front 'bad': {first.message}"
+        kinds["open" if first.event_index is None else first.message.split(" height")[0]] += 1
+    # "strand count went negative" is never first: a right-cusp range
+    # violation always comes before it
+    assert set(kinds) == {"left cusp", "right cusp", "crossing", "open"}, kinds
+    assert min(kinds.values()) >= 50, kinds
 
 
 # -- parser -----------------------------------------------------------------

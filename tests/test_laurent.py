@@ -139,3 +139,16 @@ def test_power():
     assert VZPoly({(1, 1): 1}) ** 0 == VZPoly(1)
     with pytest.raises(ValueError):
         ZPoly(1) ** -1
+
+
+@given(st.integers(min_value=-10**20, max_value=10**20))
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    for poly in (ZPoly(c), VZPoly(c)):
+        assert poly == c and hash(poly) == hash(c)
+        assert {c: "int"}.get(poly) == "int"
+        assert {poly: "poly"}.get(c) == "poly"
+    assert hash(ZPoly(0)) == hash(VZPoly({})) == hash(0)
+    # a non-constant polynomial still hashes by its terms
+    assert hash(ZPoly({1: 3})) == hash(ZPoly({1: 3}))
+    assert len({ZPoly({1: 3}), ZPoly({1: 3}), ZPoly(3), 3}) == 2
+

@@ -129,7 +129,9 @@ def test_one_pass_resolver_matches_the_connector_graph():
         for rev in [()] + [(c,) for c in range(n)] * (n > 1):
             sweep = sweep_front(f, rev)
             d = _resolved(f, sweep)
-            assert (d.crossings, d.adj, d.loops) == _connector_resolved(f, sweep), (str(f), rev)
+            reference = _connector_resolved(f, sweep)
+            assert (d.crossings, d.adj, d.loops) == reference, (str(f), rev)
+            assert d.memo_key() == LinkDiagram(*reference).memo_key(), (str(f), rev)
             seen["loops"] += d.loops > 0 and d.num_crossings > 0
             seen["reversed"] += bool(rev)
     assert min(seen.values()) >= 20, seen
@@ -425,6 +427,40 @@ def test_connected_summands_are_expanded_one_by_one(monkeypatch):
         assert (nodes(homfly, f)[1], nodes(kauffman_dubrovnik, f)[1]) == counts, name
 
 
+def test_both_polynomials_share_one_reduction_and_cut(monkeypatch):
+    calls = []
+    pieces = diagram._pieces
+
+    def counted(d):
+        calls.append(d)
+        return pieces(d)
+
+    monkeypatch.setattr(diagram, "_pieces", counted)
+    d = front_to_diagram(chain([TREFOIL, front("L1 L2 X1 X3 R2 R1"), TREFOIL]))
+    p, f = homfly(d), kauffman_dubrovnik(d)
+    assert len(calls) == 1
+    assert (homfly(d), kauffman_dubrovnik(d)) == (p, f) and len(calls) == 1
+    # the cut keeps the loops its reduction adds, so a later change of the
+    # writable loop count still reaches both polynomials
+    d.loops += 1
+    assert (homfly(d), kauffman_dubrovnik(d)) == (p * HOMFLY_DELTA, f * DUBROVNIK_DELTA)
+    assert len(calls) == 1
+
+
+def test_returned_polynomials_are_fresh():
+    # the powers of delta are kept between calls; no caller may reach them
+    for f in (UNKNOT, corpus.load("unlink2"), nested_unlink(3), TREFOIL, connected_sum(TREFOIL, TREFOIL)):
+        d = front_to_diagram(f)
+        for poly in (homfly, kauffman_dubrovnik):
+            first = poly(d)
+            expected = VZPoly(first.terms)
+            first.terms[(99, 99)] = 1
+            first.terms.pop(next(iter(expected.terms)))
+            assert poly(d) == expected, (str(f), poly.__name__)
+            assert poly(front_to_diagram(f)) == expected, (str(f), poly.__name__)
+    assert homfly(front_to_diagram(nested_unlink(3))) == HOMFLY_DELTA * HOMFLY_DELTA
+
+
 def test_ceiling_counts_the_input_not_its_pieces(tmp_path, capsys):
     d = front_to_diagram(trefoil_power(6))
     with pytest.raises(ResourceLimitError):
@@ -599,6 +635,15 @@ def test_diagram_round_trips_through_the_flat_format():
     del asymmetric[(40, 0)]
     with pytest.raises(ValueError, match="arc matching is not symmetric"):
         LinkDiagram(crossings, asymmetric, 1)
+    # every crossing port needs an arc, and every arc two crossing ports
+    with pytest.raises(ValueError, match=r"crossing port \(1, 0\) has no arc"):
+        LinkDiagram({1: Crossing(True, (0, 1))}, {})
+    dangling = {(1, 0): (1, 1), (1, 1): (1, 0), (1, 2): (2, 0), (2, 0): (1, 2), (1, 3): (2, 1), (2, 1): (1, 3)}
+    with pytest.raises(ValueError, match=r"the arc at port \(1, 2\) leads to \(2, 0\), which is no crossing port"):
+        LinkDiagram({1: Crossing(True, (0, 1))}, dangling)
+    with pytest.raises(ValueError, match=r"the arc at port \(1, 2\) leads to \(1, 5\)"):
+        LinkDiagram({1: Crossing(True, (0, 1))}, {(1, 0): (1, 1), (1, 1): (1, 0), (1, 2): (1, 5),
+                                                  (1, 5): (1, 2), (1, 3): (1, 4), (1, 4): (1, 3)})
     # the check runs on the flat fields of every diagram a move builds
     with pytest.raises(ValueError, match="arc matching is not symmetric"):
         diagram._diagram((1,), (True,), ((0, 1),), (1, 0, 3, 3), 0)
