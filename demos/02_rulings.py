@@ -21,7 +21,7 @@ print()
 torus = corpus.load("51")
 cens = census(torus)
 print("5_1 census:", cens.count("two_graded"), "two-graded rulings, by genus:",
-      sorted(r.genus for r in cens.by_class["two_graded"]))
+      sorted(r.genus for r in enumerate_rulings(torus, "two_graded")))
 print("   polynomial:", cens.polynomials["two_graded"], " (the z^4 term is the genus-2 ruling)")
 
 print()

@@ -45,7 +45,7 @@ class _Context:
 
     @cached_property
     def link(self) -> skein.LinkDiagram:
-        return skein._resolved(self.diagram, self.sweep)
+        return skein._resolved(self.sweep)
 
     @cached_property
     def homfly(self) -> VZPoly:
@@ -65,7 +65,7 @@ class _Context:
 
     @cached_property
     def census(self) -> rulings.RulingCensus:
-        return rulings._census(self.diagram, self.sweep)
+        return rulings._census(self.sweep)
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,8 @@ def connsum_check(
     census is taken under the orientation and Maslov potential that the
     composite induces on its arcs.
     """
-    composite, s12, s1, s2 = fronts._connected_sum_sweeps(f1, f2, reverse)
-    c1, c2, c12 = (rulings._census(f, s) for f, s in ((f1, s1), (f2, s2), (composite, s12)))
+    s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, reverse)
+    c1, c2, c12 = map(rulings._census, (s1, s2, s12))
     counts_ok = all(
         c12.count(cls) == c1.count(cls) * c2.count(cls) for cls in rulings.GRADING_FILTERS
     )
@@ -319,7 +319,7 @@ def connsum_check(
     genus_additive = None
     if g1 is not None and g2 is not None:
         genus_additive = g12 == g1 + g2
-    return ConnSumResult(composite, counts_ok, polynomials_ok, genus_additive)
+    return ConnSumResult(s12.diagram, counts_ok, polynomials_ok, genus_additive)
 
 
 @dataclass(frozen=True)

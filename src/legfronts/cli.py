@@ -4,7 +4,7 @@ Every subcommand reads fronts in the text format (``L|R|X <height>`` per
 line, ``#`` comments); a bare corpus name like ``trefoil`` resolves to the
 bundled file of that name.  Exit codes: 0 all checks passed, 1 a check
 failed, the input was invalid or an internal consistency check failed,
-2 the skein crossing ceiling was hit.
+2 the skein crossing ceiling was hit or, from argparse, a usage error.
 """
 
 from __future__ import annotations
@@ -215,8 +215,9 @@ def _ruling_text(fields, n: int) -> tuple[str, str]:
 
 def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
-    cens = rulings.census(diagram, args.reverse_component)
-    listed = rulings._listing(diagram, cens._sweep, rulings._limit(args.grading))
+    sweep = fronts.sweep_front(diagram, args.reverse_component)
+    cens = rulings._census(sweep)
+    listed = rulings._listing(sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
     # a switch set is a string of code points chr(cid): one translate writes

@@ -18,9 +18,9 @@ arcs that meet at each cusp.
 ``sweep_front`` sweeps a front once, checking its heights as it goes,
 and derives everything else from that one geometry: the component map
 and orientations, tb and the rotation numbers, the Maslov potential and
-the crossing indices, held in one ``FrontSweep`` record.  ``components``,
-``classical_invariants``, ``maslov_potential`` and ``crossing_indices``
-each return one field of a fresh record.
+the crossing indices, held in one ``FrontSweep`` record beside the front
+itself.  ``components``, ``classical_invariants``, ``maslov_potential``
+and ``crossing_indices`` each return one field of a fresh record.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -199,8 +199,9 @@ class CrossingSite(NamedTuple):
 
 @dataclass(frozen=True)
 class FrontGeometry:
+    """Arcs 2j and 2j + 1 are the upper and lower arcs of left cusp j, from 0."""
+
     num_arcs: int
-    arc_birth: tuple[tuple[int, int], ...]  # (event index, birth height) per arc
     cusps: tuple[Cusp, ...]
     crossings: tuple[CrossingSite, ...]
 
@@ -214,7 +215,7 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
     validated separately.
     """
     stack: list[int] = []  # arc id per current height, top first
-    births: list[tuple[int, int]] = []
+    n_arcs = 0
     cusps: list[Cusp] = []
     crossings: list[CrossingSite] = []
     for i, ev in enumerate(diagram.events):
@@ -222,12 +223,9 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
         if ev.kind == "L":
             if k > len(stack) + 1:
                 _invalid(diagram)
-            upper = len(births)
-            births.append((i, k))
-            lower = len(births)
-            births.append((i, k + 1))
-            stack[k - 1:k - 1] = [upper, lower]
-            cusps.append(Cusp(i, "L", upper, lower))
+            stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
+            cusps.append(Cusp(i, "L", n_arcs, n_arcs + 1))
+            n_arcs += 2
         elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
         elif ev.kind == "R":
@@ -240,7 +238,7 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
             stack[k - 1], stack[k] = under, over
     if stack:
         _invalid(diagram)
-    return FrontGeometry(len(births), tuple(births), tuple(cusps), tuple(crossings))
+    return FrontGeometry(n_arcs, tuple(cusps), tuple(crossings))
 
 
 def _invalid(diagram: FrontDiagram):
@@ -257,7 +255,6 @@ class ComponentMap:
     arc_component: tuple[int, ...]
     arc_rightward: tuple[bool, ...]
     cusp_down: tuple[bool, ...]  # aligned with FrontGeometry.cusps
-    reversed_components: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -278,8 +275,10 @@ class MaslovAssignment:
 
 @dataclass(frozen=True)
 class FrontSweep:
-    """Everything read off one oriented front, from one validated sweep."""
+    """Everything read off one oriented front, from one validated sweep,
+    beside the front itself, so that no reader pairs it with another."""
 
+    diagram: FrontDiagram
     geometry: FrontGeometry
     components: ComponentMap
     invariants: ClassicalInvariants
@@ -364,7 +363,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
         (not rightward[c.upper_arc]) if c.kind == "L" else rightward[c.upper_arc]
         for c in geom.cusps
     )
-    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward), cusp_down, reverse)
+    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward), cusp_down)
 
     signs = tuple(
         crossing_sign(rightward[x.over_arc], rightward[x.under_arc]) for x in geom.crossings
@@ -403,7 +402,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
         x.crossing_id: reduce(potential[x.over_arc] - potential[x.under_arc])
         for x in geom.crossings
     }
-    return FrontSweep(geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
+    return FrontSweep(diagram, geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
 
 
 def components(diagram: FrontDiagram, reverse=()) -> ComponentMap:
@@ -458,14 +457,14 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
 
 
 def _connected_sum_sweeps(f1: FrontDiagram, f2: FrontDiagram, reverse):
-    """The composite, its sweep under ``reverse`` and each summand's sweep
-    under the orientation and potential the composite induces: f1's arcs
-    keep their ids, f2's arcs 0 and 1 continue the upper and lower arcs of
-    f1's closing cusp, and f2's arc a >= 2 is arc A1 + a - 2 for f1's A1.
+    """The records of f1, f2 and their composite: the composite swept under
+    ``reverse``, each summand under the orientation and potential the
+    composite induces.  f1's arcs keep their ids, f2's arcs 0 and 1
+    continue the upper and lower arcs of f1's closing cusp, and f2's arc
+    a >= 2 is arc A1 + a - 2 for f1's A1.
     """
-    composite = connected_sum(f1, f2)
-    s12 = sweep_front(composite, reverse)
+    s12 = sweep_front(connected_sum(f1, f2), reverse)
     s1 = _sweep_front(f1, (), (s12, range(s12.geometry.num_arcs)))
     closing = s1.geometry.cusps[-1]
     arcs = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, s12.geometry.num_arcs))
-    return composite, s12, s1, _sweep_front(f2, (), (s12, arcs))
+    return s1, _sweep_front(f2, (), (s12, arcs)), s12

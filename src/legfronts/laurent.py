@@ -61,7 +61,9 @@ class ZPoly:
         return ZPoly({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "ZPoly":
-        if isinstance(other, int):
+        if not isinstance(other, ZPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = ZPoly(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -71,10 +73,12 @@ class ZPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "ZPoly":
-        return self + (-other if isinstance(other, ZPoly) else -ZPoly(other))
+        if isinstance(other, ZPoly):
+            return self + -other
+        return self + -ZPoly(other) if isinstance(other, int) else NotImplemented
 
     def __rsub__(self, other) -> "ZPoly":
-        return ZPoly(other) - self
+        return ZPoly(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, int):
@@ -156,7 +160,9 @@ class VZPoly:
         return VZPoly({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other) -> "VZPoly":
-        if isinstance(other, int):
+        if not isinstance(other, VZPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = VZPoly(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -166,10 +172,12 @@ class VZPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "VZPoly":
-        return self + (-other if isinstance(other, VZPoly) else -VZPoly(other))
+        if isinstance(other, VZPoly):
+            return self + -other
+        return self + -VZPoly(other) if isinstance(other, int) else NotImplemented
 
     def __rsub__(self, other) -> "VZPoly":
-        return VZPoly(other) - self
+        return VZPoly(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other) -> "VZPoly":
         if isinstance(other, int):

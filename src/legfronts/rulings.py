@@ -18,35 +18,38 @@ residue.  A switch set has the grading tag 0 (Z-graded), 1 (2-graded) or
 it admits, and every reader of a class filter checks it there.  The
 Euler characteristic of the associated surface is theta = eyes -
 switches; for a knot front a 2-graded ruling is an orientable surface
-with one boundary circle, so its genus is (switches - eyes + 1) / 2.
+with one boundary circle, so its genus is half its z-exponent 1 - theta,
+(switches - eyes + 1) / 2.  ``_genus`` applies that rule, and raises
+when it gives no natural number, for the listing and the census alike.
 
-Censuses and listings come from one left-to-right sweep that merges
-equal states.  A state is the pairing with the grading tag of its
-switches so far; it carries a value that the caller picks.  No state
-tracks the signs of its switches: an even index means equal potential
-parity at the crossing, so equal x-directions, so a positive crossing,
-and the sweep checks that at every crossing before the pass.  The
-census carries the counts of partial rulings per number of switches
-packed in one int, the count with s switches in the w-bit slot s,
-w = c + 1 for c crossings: a slot counts distinct s-subsets of the
-crossings, at most C(c, s) < 2^w, so adding values never carries across
-slots, and one pass yields all three class polynomials without listing
-a ruling.  The listing carries the switch sets themselves, each as a
-string with one code point per crossing id, chr(cid) in increasing
-order: strings compare by code point, so their order is the order of
-the id tuples, and the listing sorts them at C speed.  ``Ruling``
-converts a set back to its tuple of ids.  Every field of a listed
-ruling but its switches depends only on its shape, the pair (end tag,
-switch count): the end tag gives the grading and orientability, the
-switch count theta and the genus.  The listing computes and checks
-those fields once per shape.
+Censuses and listings each come from one left-to-right pass over a
+front's sweep record, ``fronts.FrontSweep``, which carries the front and
+its crossing indices and signs; the pass merges equal states.  A state
+is the pairing with the grading tag of its switches so far; it carries a
+value that the caller picks.  No state tracks the signs of its switches:
+an even index means equal potential parity at the crossing, so equal
+x-directions, so a positive crossing, and the pass checks that at every
+crossing before it starts.  The census carries the counts of partial
+rulings per number of switches packed in one int, the count with s
+switches in the w-bit slot s, w = c + 1 for c crossings: a slot counts
+distinct s-subsets of the crossings, at most C(c, s) < 2^w, so adding
+values never carries across slots, and one pass yields all three class
+polynomials, which are all a ``RulingCensus`` holds.  Only
+``enumerate_rulings`` lists rulings: its pass carries the switch sets
+themselves, each a string with one code point per crossing id, chr(cid)
+in increasing order.  Strings compare by code point, so their order is
+the order of the id tuples, and the listing sorts them at C speed;
+``Ruling`` converts a set back to its tuple of ids.  Every field of a
+listed ruling but its switches depends only on its shape, the pair (end
+tag, switch count): the end tag gives the grading and orientability, the
+switch count theta and the genus.  The listing computes and checks those
+fields once per shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import itemgetter
 
 from . import fronts
@@ -91,6 +94,13 @@ def _limit(class_filter: str) -> int:
     return _LIMITS[class_filter]
 
 
+def _genus(exponent: int) -> int:
+    """The genus of a 2-graded knot ruling: half its z-exponent 1 - theta."""
+    if exponent % 2 != 0 or exponent < 0:
+        raise RuntimeError("2-graded knot ruling with non-integral genus")
+    return exponent // 2
+
+
 def _moves(kind: str, k: int, p: tuple[int, ...]):
     """The pairings that can follow p at an event at height k + 1, each
     with whether it switches the crossing there.
@@ -125,18 +135,13 @@ def enumerate_rulings(
     each state, taking no switch outside the class; the grading of each
     ruling is the tag of the end state that holds it.
     """
-    limit = _limit(class_filter)
-    return _enumerate(diagram, fronts.sweep_front(diagram, reverse), limit)
-
-
-def _enumerate(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int) -> list[Ruling]:
-    """The rulings ``limit`` admits, sorted by switch set, built from ``_listing``."""
-    listed = _listing(diagram, sweep, limit)
+    _limit(class_filter)  # a bad filter is reported before the front is swept
+    listed = _listing(fronts.sweep_front(diagram, reverse), class_filter)
     return [Ruling(tuple(map(ord, switches)), *fields) for switches, _, fields in listed]
 
 
-def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int) -> list[tuple]:
-    """(switches, shape, fields) for each ruling ``limit`` admits, sorted by switches.
+def _listing(sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
+    """(switches, shape, fields) for each ruling of the class, sorted by switches.
 
     A switch set is a string, one code point chr(cid) per switched
     crossing id in increasing order, so the string order is the order of
@@ -145,9 +150,10 @@ def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int)
     grading, genus, orientable), one tuple per shape shared by its
     rulings, so the genus integrality check runs once per shape.
     """
+    limit = _limit(class_filter)
     is_knot = sweep.components.num_components == 1
-    eyes = diagram.num_left_cusps
-    ends = _sweep(diagram, sweep, limit, [""], _add_switch)
+    eyes = sweep.diagram.num_left_cusps
+    ends = _sweep(sweep, limit, [""], _add_switch)
     out = []
     for tag, found in ends.items():
         # 2-graded rulings bound orientable surfaces; for a knot the converse
@@ -155,12 +161,7 @@ def _listing(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int)
         orientable = True if tag < 2 else (False if is_knot else None)
         shapes = {}  # switch count -> (shape, fields)
         for n in set(map(len, found)):
-            g = None
-            if is_knot and tag < 2:
-                spread = n - eyes + 1
-                if spread % 2 != 0 or spread < 0:
-                    raise RuntimeError("2-graded knot ruling with non-integral genus")
-                g = spread // 2
+            g = _genus(n - eyes + 1) if is_knot and tag < 2 else None
             shapes[n] = (tag, n), (eyes, eyes - n, _GRADINGS[tag], g, orientable)
         out += [(switches, *shapes[len(switches)]) for switches in found]
     out.sort(key=itemgetter(0))
@@ -172,8 +173,8 @@ def _add_switch(sets: list[str], cid: int) -> list[str]:
     return [s + c for s in sets]
 
 
-def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
-    """The value of each end tag after one pass that merges equal states.
+def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
+    """The value of each end tag after one merging pass over the record's front.
 
     A state key is (pairing, tag): the pairing as in ``_moves`` and the
     grading tag of the switches so far.  Each key carries a value,
@@ -190,7 +191,7 @@ def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, s
             raise RuntimeError("2-graded switch at a negative crossing")
     states = {((), 0): start}
     cid = 0
-    for ev in diagram.events:
+    for ev in sweep.diagram.events:
         if ev.kind == "X":
             cid += 1
             tag_here = _tag(indices[cid])
@@ -208,7 +209,7 @@ def _sweep(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep, limit: int, s
     return {tag: value for (_, tag), value in states.items()}
 
 
-def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
+def _swept_polynomials(sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
     """The three class polynomials from one sweep whose values are packed counts.
 
     A value holds the number of partial rulings with s switches in bits
@@ -216,15 +217,16 @@ def _swept_polynomials(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -
     A class sums the end tags it admits; the end tags partition the switch
     sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
     """
-    w = diagram.num_crossings + 1
-    ends = _sweep(diagram, sweep, 2, 1, lambda v, cid: v << w)
-    eyes = diagram.num_left_cusps
+    w = sweep.diagram.num_crossings + 1
+    ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
+    eyes = sweep.diagram.num_left_cusps
     polys = {
         cls: ZPoly(_unpack(sum(v for tag, v in ends.items() if tag <= limit), w, 1 - eyes))
         for cls, limit in _LIMITS.items()
     }
-    if sweep.components.num_components == 1 and any(e % 2 or e < 0 for e in polys["two_graded"].terms):
-        raise RuntimeError("2-graded knot ruling with non-integral genus")
+    if sweep.components.num_components == 1:
+        for e in polys["two_graded"].terms:
+            _genus(e)
     return polys
 
 
@@ -259,17 +261,6 @@ class RulingCensus:
     is_knot: bool
     rotation_gcd: int
     polynomials: dict[str, ZPoly]
-    _diagram: fronts.FrontDiagram = field(repr=False, compare=False)
-    _sweep: fronts.FrontSweep = field(repr=False, compare=False)
-
-    @cached_property
-    def by_class(self) -> dict[str, tuple[Ruling, ...]]:
-        """The rulings of each class, listed by one ungraded sweep on first access."""
-        listed = _enumerate(self._diagram, self._sweep, _LIMITS["ungraded"])
-        return {
-            cls: tuple(r for r in listed if _GRADINGS.index(r.grading) <= limit)
-            for cls, limit in _LIMITS.items()
-        }
 
     def count(self, class_filter: str) -> int:
         _limit(class_filter)
@@ -285,20 +276,18 @@ class RulingCensus:
         if not self.is_knot:
             return None
         top = self.polynomials[genus_class].degree()
-        return None if top is None else top // 2
+        return None if top is None else _genus(top)
 
 
 def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
-    """The class polynomials from one merged sweep; rulings are listed lazily."""
-    return _census(diagram, fronts.sweep_front(diagram, reverse))
+    """The class polynomials from one merged sweep; ``enumerate_rulings`` lists the rulings."""
+    return _census(fronts.sweep_front(diagram, reverse))
 
 
-def _census(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> RulingCensus:
+def _census(sweep: fronts.FrontSweep) -> RulingCensus:
     return RulingCensus(
-        front_name=diagram.name,
+        front_name=sweep.diagram.name,
         is_knot=sweep.components.num_components == 1,
         rotation_gcd=sweep.invariants.r,
-        polynomials=_swept_polynomials(diagram, sweep),
-        _diagram=diagram,
-        _sweep=sweep,
+        polynomials=_swept_polynomials(sweep),
     )

@@ -86,10 +86,10 @@ class ResourceLimitError(RuntimeError):
 def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
     """Resolve a front: cusps become smooth turns, the lesser-slope strand
     crosses in front, orientations come from the component map."""
-    return _resolved(diagram, fronts.sweep_front(diagram, reverse))
+    return _resolved(fronts.sweep_front(diagram, reverse))
 
 
-def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDiagram:
+def _resolved(sweep: fronts.FrontSweep) -> LinkDiagram:
     # One pass, straight into the flat fields of a ``LinkDiagram``: crossing id c
     # has rank c - 1, so its port p is 4 * (c - 1) + p.  A live strand is
     # labelled by its left end: a crossing port, or a left-cusp side (a
@@ -115,7 +115,7 @@ def _resolved(diagram: fronts.FrontDiagram, sweep: fronts.FrontSweep) -> LinkDia
         if x >= 0 and y >= 0:
             adj[x], adj[y] = y, x
 
-    for i, ev in enumerate(diagram.events):
+    for i, ev in enumerate(sweep.diagram.events):
         k = ev.height
         if ev.kind == "L":
             stack[k - 1:k - 1] = [~(2 * i), ~(2 * i + 1)]

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from legfronts import cli, corpus, rulings, skein
+from legfronts import cli, corpus, fronts, rulings, skein
 from legfronts.fronts import connected_sum, front, parse_front, render_front
 
 
@@ -279,7 +282,7 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
 
 
 def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monkeypatch):
-    builds, made = [], []
+    builds, made, swept = [], [], []
 
     def counted_parser():
         builds.append(1)
@@ -289,18 +292,41 @@ def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monke
         made.append(1)
         return Ruling(*args)
 
-    build_parser, Ruling = cli.build_parser, rulings.Ruling
+    build_parser, Ruling, sweep_geometry = cli.build_parser, rulings.Ruling, fronts.sweep_geometry
     monkeypatch.setattr(cli, "build_parser", counted_parser)
     monkeypatch.setattr(rulings, "Ruling", counted_ruling)
+    monkeypatch.setattr(fronts, "sweep_geometry", lambda d: swept.append(d.name) or sweep_geometry(d))
     cli._parser.cache_clear()
     path = tmp_path / "T2-15.front"
     path.write_text(render_front(front("L1 L3 " + "X2 " * 15 + "R1 R1")))
     outs = [run(capsys, "rulings", str(path), "--format=json") for _ in range(3)]
     assert len(builds) == 1
     assert made == []
+    assert swept == ["T2-15"] * 3  # one front sweep per op
     assert outs[0] == outs[1] == outs[2]
     assert outs[0][0] == 0 and len(json.loads(outs[0][1])["rulings"]) == 987
     cli._parser.cache_clear()
+
+
+def _run_module(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "legfronts.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_module_exits_with_the_code_main_returns(tmp_path, capsys):
+    proc = _run_module("tests", "trefoil", "--format", "json")
+    assert (proc.returncode, proc.stdout) == run(capsys, "tests", "trefoil", "--format", "json")[:2]
+    assert proc.returncode == 0
+    torus = tmp_path / "T2-17.front"
+    torus.write_text(render_front(front("L1 L3 " + "X2 " * 17 + "R1 R1")))
+    proc = _run_module("homfly", str(torus))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "resource limit: 17 crossings exceed the ceiling of 16\n"
+    missing = str(tmp_path / "missing.front")
+    proc = _run_module("homfly", missing)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"{missing!r} is neither a file nor a bundled front\n"
 
 
 def test_deterministic_output_bytes(capsys):

@@ -258,7 +258,10 @@ def test_sweep_record_matches_the_single_quantity_functions():
         reversals = [()] + ([(0,)] if components(f).num_components > 1 else [])
         for rev in reversals:
             sweep = sweep_front(f, rev)
+            assert sweep.diagram is f
             assert sweep.geometry == sweep_geometry(f)
+            left = [(c.upper_arc, c.lower_arc) for c in sweep.geometry.cusps if c.kind == "L"]
+            assert left == [(a, a + 1) for a in range(0, sweep.geometry.num_arcs, 2)]
             assert sweep.components == components(f, rev)
             assert sweep.invariants == classical_invariants(f, rev)
             assert sweep.maslov == maslov_potential(f, rev)
@@ -278,6 +281,12 @@ def test_an_anchor_on_the_fronts_own_record_keeps_each_reversal():
     assert min(seen.values()) >= 20, seen
 
 
+def _arc_births(f):
+    """(event index, birth height) per arc, read off the events: arcs 2j and
+    2j + 1 are the upper and lower arcs of the j-th left cusp."""
+    return [(i, ev.height + lower) for i, ev in enumerate(f.events) if ev.kind == "L" for lower in (0, 1)]
+
+
 def _two_walk_maslov(f, rev=()):
     """Potential and indices by a second walk from each reference arc,
     anchored at 0 (1 when the arc runs leftward), reduced mod 2r."""
@@ -288,10 +297,11 @@ def _two_walk_maslov(f, rev=()):
         edges[cusp.lower_arc].append((cusp.upper_arc, +1))
         edges[cusp.upper_arc].append((cusp.lower_arc, -1))
     modulus = 2 * sweep.invariants.r
+    births = _arc_births(f)
     potential = [None] * geom.num_arcs
     for c in range(cmap.num_components):
         members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
-        rep = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+        rep = min(members, key=lambda a: (births[a][0], -births[a][1]))
         potential[rep] = 0 if cmap.arc_rightward[rep] else 1
         todo = [rep]
         while todo:
@@ -315,10 +325,10 @@ def test_one_walk_potential_matches_two_walks():
             assert (sweep.maslov.potential, sweep.indices) == _two_walk_maslov(f, rev), (str(f), rev)
             # each component's earliest-born bottommost arc runs rightward at
             # potential 0, or leftward at 1 when the component is reversed
-            geom, cmap = sweep.geometry, sweep.components
+            cmap, births = sweep.components, _arc_births(f)
             for c in range(n):
                 members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
-                ref = min(members, key=lambda a: (geom.arc_birth[a][0], -geom.arc_birth[a][1]))
+                ref = min(members, key=lambda a: (births[a][0], -births[a][1]))
                 anchor = (False, 1) if c in rev else (True, 0)
                 assert (cmap.arc_rightward[ref], sweep.maslov.potential[ref]) == anchor, (str(f), rev, c)
             seen["r != 0"] += sweep.maslov.modulus > 0

@@ -152,3 +152,26 @@ def test_a_constant_hashes_as_the_int_it_equals(c):
     assert hash(ZPoly({1: 3})) == hash(ZPoly({1: 3}))
     assert len({ZPoly({1: 3}), ZPoly({1: 3}), ZPoly(3), 3}) == 2
 
+
+
+@pytest.mark.parametrize("cls", [ZPoly, VZPoly])
+def test_foreign_operands_raise_type_error(cls):
+    p = cls(1)
+    for foreign in (1.5, "1", None, ZPoly(1) if cls is VZPoly else VZPoly(1)):
+        for combine in (
+            lambda: p + foreign, lambda: foreign + p, lambda: p - foreign,
+            lambda: foreign - p, lambda: p * foreign, lambda: foreign * p,
+        ):
+            with pytest.raises(TypeError):
+                combine()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        assert name in cls.__dict__ and cls.__dict__[name](p, 1.5) is NotImplemented
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6))
+def test_int_operands_mix_on_either_side(a, b):
+    for cls in (ZPoly, VZPoly):
+        p = cls(a)
+        assert p + b == b + p == cls(a + b)
+        assert p - b == cls(a - b) and b - p == cls(b - a)
+        assert p * b == b * p == cls(a * b)

@@ -309,10 +309,12 @@ def test_class_filter_agrees_with_filtered_ungraded():
 
 
 def test_bad_class_filter():
-    cens = census(TREFOIL)
+    cens, sweep = census(TREFOIL), fronts.sweep_front(TREFOIL)
     for bad in ("graded", "bogus", "ungraded_only"):
         for read in (
             lambda: enumerate_rulings(UNKNOT, bad),
+            lambda: enumerate_rulings(front("L1 X2 R1"), bad),  # the filter is checked before the sweep
+            lambda: rulings._listing(sweep, bad),
             lambda: ruling_polynomial(UNKNOT, bad),
             lambda: cens.count(bad),
             lambda: cens.counts_by_theta(bad),
@@ -346,11 +348,9 @@ def test_sweep_census_matches_the_listed_rulings_on_random_fronts():
         for cls in GRADING_FILTERS:
             listed = enumerate_rulings(f, cls, rev)
             assert cens.polynomials[cls] == ZPoly(Counter(1 - r.theta for r in listed)), (str(f), rev, cls)
-            by_class = cens.by_class[cls]
-            assert list(by_class) == listed
-            assert cens.count(cls) == len(by_class)
-            assert cens.counts_by_theta(cls) == Counter(r.theta for r in by_class)
-            genera = [r.genus for r in by_class if r.genus is not None]
+            assert cens.count(cls) == len(listed)
+            assert cens.counts_by_theta(cls) == Counter(r.theta for r in listed)
+            genera = [r.genus for r in listed if r.genus is not None]
             assert cens.max_genus(cls) == (max(genera) if genera else None)
 
 
@@ -362,7 +362,7 @@ def test_sweep_counts_trefoil_power_without_listing(monkeypatch):
     def no_listing(*args):
         raise AssertionError("the census listed rulings")
 
-    monkeypatch.setattr(rulings, "_enumerate", no_listing)
+    monkeypatch.setattr(rulings, "_listing", no_listing)
     cens = census(power)
     assert cens.polynomials["two_graded"] == ZPoly({2: 1, 0: 2}) ** 8
     assert cens.count("ungraded") == 6561
@@ -372,7 +372,7 @@ def test_sweep_counts_trefoil_power_without_listing(monkeypatch):
 def _counter_polynomials(f, rev=()):
     """The class polynomials from a sweep whose values are switch-count Counters."""
     bump = lambda sw, cid: Counter({s + 1: c for s, c in sw.items()})
-    ends = rulings._sweep(f, fronts.sweep_front(f, rev), 2, Counter({0: 1}), bump)
+    ends = rulings._sweep(fronts.sweep_front(f, rev), 2, Counter({0: 1}), bump)
     out = {}
     for limit, cls in zip((2, 1, 0), GRADING_FILTERS):
         total = Counter()
@@ -473,12 +473,11 @@ def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
 def test_rulings_keep_int_tuple_switches():
     # ids on both sides of 9 | 10; the listing's switch sets are strings inside
     f = front("L1 L3 " + "X2 " * 13 + "R1 R1")
-    by_class = census(f).by_class
     for cls in GRADING_FILTERS:
-        for listed in (enumerate_rulings(f, cls), by_class[cls]):
-            assert listed and all(type(r.switches) is tuple for r in listed)
-            assert all(type(c) is int for r in listed for c in r.switches)
-    assert max(max(r.switches) for r in by_class["ungraded"]) == 13
+        listed = enumerate_rulings(f, cls)
+        assert listed and all(type(r.switches) is tuple for r in listed)
+        assert all(type(c) is int for r in listed for c in r.switches)
+    assert max(max(r.switches) for r in enumerate_rulings(f)) == 13
 
 
 # -- Legendrian moves ---------------------------------------------------------
@@ -519,12 +518,11 @@ def _far_commuted(f, i):
     return replace(f, events=f.events[:i] + swapped + f.events[i + 2:]), arcs
 
 
-def _class_data(f, sweep):
+def _class_data(sweep):
     """tb, then each class polynomial with its listed count, under the sweep record."""
-    cens = rulings._census(f, sweep)
+    cens = rulings._census(sweep)
     return [sweep.invariants.tb] + [
-        (cens.polynomials[cls], len(rulings._enumerate(f, sweep, rulings._limit(cls))))
-        for cls in GRADING_FILTERS
+        (cens.polynomials[cls], len(rulings._listing(sweep, cls))) for cls in GRADING_FILTERS
     ]
 
 
@@ -538,7 +536,7 @@ def test_far_commutation_keeps_link_gradings_under_the_induced_arc_map():
     assert census(g).polynomials["two_graded"] == ZPoly({-4: 1})
     assert (classical_invariants(f).tb, classical_invariants(g).tb) == (-1, -9)
     sf = fronts.sweep_front(f)
-    assert _class_data(g, fronts._sweep_front(g, (), (sf, arcs))) == _class_data(f, sf)
+    assert _class_data(fronts._sweep_front(g, (), (sf, arcs))) == _class_data(sf)
 
 
 def test_legendrian_moves_on_random_fronts():
@@ -556,13 +554,13 @@ def test_legendrian_moves_on_random_fronts():
         assert all(census(stab).count(cls) == 0 and enumerate_rulings(stab, cls) == [] for cls in GRADING_FILTERS)
 
         sf = fronts.sweep_front(f)
-        before = _class_data(f, sf)
+        before = _class_data(sf)
         for i in range(len(f.events) - 1):
             moved = _far_commuted(f, i)
             if moved is None:
                 continue
             g, arcs = moved
             assert fronts.validate(g).ok, (str(f), i)
-            assert _class_data(g, fronts._sweep_front(g, (), (sf, arcs))) == before, (str(f), i)
+            assert _class_data(fronts._sweep_front(g, (), (sf, arcs))) == before, (str(f), i)
             commuted += 1
     assert commuted > 200

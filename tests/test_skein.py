@@ -128,7 +128,7 @@ def test_one_pass_resolver_matches_the_connector_graph():
         n = components(f).num_components
         for rev in [()] + [(c,) for c in range(n)] * (n > 1):
             sweep = sweep_front(f, rev)
-            d = _resolved(f, sweep)
+            d = _resolved(sweep)
             reference = _connector_resolved(f, sweep)
             assert (d.crossings, d.adj, d.loops) == reference, (str(f), rev)
             assert d.memo_key() == LinkDiagram(*reference).memo_key(), (str(f), rev)
