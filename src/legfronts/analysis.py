@@ -324,6 +324,9 @@ def connsum_check(
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Every check on one front; its dict fields make it unhashable."""
+
+    __hash__ = None
     front_name: str
     is_knot: bool
     tb: int

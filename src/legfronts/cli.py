@@ -166,7 +166,8 @@ def _cmd_validate(args) -> int:
 def _cmd_invariants(args) -> int:
     diagram = _load_front(args.front)
     sweep = fronts.sweep_front(diagram, args.reverse_component)
-    inv, cmap, maslov, indices = sweep.invariants, sweep.components, sweep.maslov, sweep.indices
+    inv, cmap, maslov = sweep.invariants, sweep.components, sweep.maslov
+    indices = dict(enumerate(sweep.indices, start=1))
     payload = {
         "front": diagram.name,
         "events": str(diagram),
@@ -178,7 +179,7 @@ def _cmd_invariants(args) -> int:
         "r": inv.r,
         "maslov_modulus": maslov.modulus,
         "crossing_signs": list(inv.crossing_signs),
-        "crossing_indices": {str(k): v for k, v in sorted(indices.items())},
+        "crossing_indices": {str(k): v for k, v in indices.items()},
     }
     _emit(payload, args.format, [
         f"front        {diagram.name}: {diagram}",
@@ -187,7 +188,7 @@ def _cmd_invariants(args) -> int:
         f"rotations    {list(inv.rot_per_component)}   r = {inv.r}",
         f"maslov mod   {maslov.modulus}",
         f"signs        {list(inv.crossing_signs)}",
-        f"indices      {dict(sorted(indices.items()))}",
+        f"indices      {indices}",
     ])
     return EXIT_OK
 
@@ -238,14 +239,14 @@ def _cmd_rulings(args) -> int:
         "front": diagram.name,
         "class": args.grading,
         "count": count,
-        "rotation_gcd": cens.rotation_gcd,
+        "rotation_gcd": sweep.invariants.r,
         "polynomial": poly.to_terms(),
         "polynomial_text": str(poly),
         "polynomials_by_class": {
             cls: cens.polynomials[cls].to_terms() for cls in rulings.GRADING_FILTERS
         },
     }
-    if cens.rotation_gcd != 0:
+    if sweep.invariants.r != 0:
         payload["note"] = "r != 0: graded classes use residues mod 2r"
     # "rulings" sorts after every other key, so its array closes the object;
     # the indenting encoder is pure Python, so the array is written by hand
@@ -387,6 +388,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if getattr(args, "max_crossings", 0) < 0:
+        _parser().error(f"argument --max-crossings: must be non-negative, got {args.max_crossings}")
     try:
         return args.run(args)
     except fronts.FrontFormatError as exc:

@@ -19,8 +19,10 @@ arcs that meet at each cusp.
 and derives everything else from that one geometry: the component map
 and orientations, tb and the rotation numbers, the Maslov potential and
 the crossing indices, held in one ``FrontSweep`` record beside the front
-itself.  ``components``, ``classical_invariants``, ``maslov_potential``
-and ``crossing_indices`` each return one field of a fresh record.
+itself.  Per-crossing data are tuples by position: crossing id c, the
+c-th crossing in x-order, is entry c - 1.  ``components``,
+``classical_invariants`` and ``maslov_potential`` each return one field
+of a fresh record, and ``crossing_indices`` its indices keyed by id.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -61,7 +63,7 @@ class InvalidFrontError(ValueError):
 
 
 class NormalFormError(ValueError):
-    """Raised when a connected-sum operand is not in splice normal form."""
+    """Raised when a connected-sum operand is the empty front, with no cusp to splice."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class FrontEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if not isinstance(self.height, int) or self.height < 1:
+        if type(self.height) is not int or self.height < 1:
             raise ValueError(f"event height must be a positive integer, got {self.height!r}")
 
     def __str__(self) -> str:
@@ -107,7 +109,7 @@ def front(tokens: str, name: str = "front") -> FrontDiagram:
     events = []
     for tok in tokens.split():
         kind, num = tok[0], tok[1:]
-        if kind not in EVENT_KINDS or not num.isdigit() or int(num) < 1:
+        if kind not in EVENT_KINDS or not num.isdecimal() or int(num) < 1:
             raise ValueError(f"bad event token {tok!r}")
         events.append(FrontEvent(kind, int(num)))
     return FrontDiagram(tuple(events), name=name)
@@ -184,22 +186,20 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
 
 
 class Cusp(NamedTuple):
-    event_index: int  # 0-based into diagram.events
     kind: str  # "L" or "R"
     upper_arc: int
     lower_arc: int
 
 
 class CrossingSite(NamedTuple):
-    crossing_id: int  # 1-based in x-order
-    event_index: int
     over_arc: int  # enters at height k, the strand in front
     under_arc: int  # enters at height k + 1
 
 
 @dataclass(frozen=True)
 class FrontGeometry:
-    """Arcs 2j and 2j + 1 are the upper and lower arcs of left cusp j, from 0."""
+    """Arcs 2j and 2j + 1 are the upper and lower arcs of left cusp j, from 0;
+    cusps and crossings are in x-order, crossing id c at position c - 1."""
 
     num_arcs: int
     cusps: tuple[Cusp, ...]
@@ -218,23 +218,23 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
     n_arcs = 0
     cusps: list[Cusp] = []
     crossings: list[CrossingSite] = []
-    for i, ev in enumerate(diagram.events):
+    for ev in diagram.events:
         k = ev.height  # >= 1, as FrontEvent checks
         if ev.kind == "L":
             if k > len(stack) + 1:
                 _invalid(diagram)
             stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
-            cusps.append(Cusp(i, "L", n_arcs, n_arcs + 1))
+            cusps.append(Cusp("L", n_arcs, n_arcs + 1))
             n_arcs += 2
         elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
         elif ev.kind == "R":
             upper, lower = stack[k - 1], stack[k]
             del stack[k - 1:k + 1]
-            cusps.append(Cusp(i, "R", upper, lower))
+            cusps.append(Cusp("R", upper, lower))
         else:
             over, under = stack[k - 1], stack[k]
-            crossings.append(CrossingSite(len(crossings) + 1, i, over, under))
+            crossings.append(CrossingSite(over, under))
             stack[k - 1], stack[k] = under, over
     if stack:
         _invalid(diagram)
@@ -251,10 +251,11 @@ def _invalid(diagram: FrontDiagram):
 
 @dataclass(frozen=True)
 class ComponentMap:
+    """Per arc, its component and whether it runs rightward."""
+
     num_components: int
     arc_component: tuple[int, ...]
     arc_rightward: tuple[bool, ...]
-    cusp_down: tuple[bool, ...]  # aligned with FrontGeometry.cusps
 
 
 @dataclass(frozen=True)
@@ -276,14 +277,15 @@ class MaslovAssignment:
 @dataclass(frozen=True)
 class FrontSweep:
     """Everything read off one oriented front, from one validated sweep,
-    beside the front itself, so that no reader pairs it with another."""
+    beside the front itself, so that no reader pairs it with another.
+    Every field is immutable, so equal records hash equal."""
 
     diagram: FrontDiagram
     geometry: FrontGeometry
     components: ComponentMap
     invariants: ClassicalInvariants
     maslov: MaslovAssignment
-    indices: dict[int, int]  # crossing id -> Maslov index
+    indices: tuple[int, ...]  # Maslov index, aligned with crossing ids 1..c
 
 
 def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
@@ -357,22 +359,18 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     unknown = reverse - set(range(n_comp))
     if unknown:
         raise ValueError(f"no such component(s): {sorted(unknown)}")
-    # a cusp is a down cusp when the traversal passes downward through it,
-    # i.e. when its upper arc is directed toward the cusp point
-    cusp_down = tuple(
-        (not rightward[c.upper_arc]) if c.kind == "L" else rightward[c.upper_arc]
-        for c in geom.cusps
-    )
-    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward), cusp_down)
+    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward))
 
     signs = tuple(
         crossing_sign(rightward[x.over_arc], rightward[x.under_arc]) for x in geom.crossings
     )
     writhe = sum(signs)
     num_right = sum(1 for c in geom.cusps if c.kind == "R")
+    # a cusp is a down cusp when the traversal passes downward through it,
+    # i.e. when its upper arc is directed toward the cusp point
     down_up = [0] * n_comp
-    for cusp, down in zip(geom.cusps, cusp_down):
-        down_up[comp[cusp.upper_arc]] += 1 if down else -1
+    for cusp in geom.cusps:
+        down_up[comp[cusp.upper_arc]] += 1 if rightward[cusp.upper_arc] != (cusp.kind == "L") else -1
     rotations = tuple(du // 2 for du in down_up)
     r = 0
     for rot in rotations:
@@ -398,10 +396,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     for a in range(n_arcs):
         if rightward[a] and potential[a] % 2 != 0:
             raise RuntimeError("rightward arc received an odd Maslov potential")
-    indices = {
-        x.crossing_id: reduce(potential[x.over_arc] - potential[x.under_arc])
-        for x in geom.crossings
-    }
+    indices = tuple(reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings)
     return FrontSweep(diagram, geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
 
 
@@ -421,8 +416,8 @@ def maslov_potential(diagram: FrontDiagram, reverse=()) -> MaslovAssignment:
 
 def crossing_indices(diagram: FrontDiagram, reverse=()) -> dict[int, int]:
     """Maslov index of every crossing: potential of the upper-left strand
-    minus the lower-left one, mod 2r."""
-    return sweep_front(diagram, reverse).indices
+    minus the lower-left one, mod 2r, keyed by crossing id."""
+    return dict(enumerate(sweep_front(diagram, reverse).indices, start=1))
 
 
 def crossing_index(diagram: FrontDiagram, crossing_id: int, reverse=()) -> int:
@@ -437,8 +432,8 @@ def crossing_index(diagram: FrontDiagram, crossing_id: int, reverse=()) -> int:
 
 
 def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
-    """Splice two fronts in normal form: f1 must end with the right cusp
-    closing its last two strands, and f2 must open with a left cusp.
+    """Splice two valid non-empty fronts.  Every such front opens with the
+    left cusp L1 and closes with a right cusp over its last two strands.
 
     The closing cusp of f1 and the opening cusp of f2 are removed and the
     two freed strands of f1 continue into f2's events unchanged.
@@ -446,10 +441,8 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
     for f in (f1, f2):
         if not validate(f).ok:
             _invalid(f)
-    if not f1.events or f1.events[-1].kind != "R":
-        raise NormalFormError(f"{f1.name!r} does not end with a right cusp")
-    if not f2.events or f2.events[0] != FrontEvent("L", 1):
-        raise NormalFormError(f"{f2.name!r} does not start with a height-1 left cusp")
+    if not (f1.events and f2.events):
+        raise NormalFormError(f"{(f2 if f1.events else f1).name!r} is the empty front")
     return FrontDiagram(
         f1.events[:-1] + f2.events[1:],
         name=f"{f1.name}#{f2.name}",

@@ -24,7 +24,8 @@ when it gives no natural number, for the listing and the census alike.
 
 Censuses and listings each come from one left-to-right pass over a
 front's sweep record, ``fronts.FrontSweep``, which carries the front and
-its crossing indices and signs; the pass merges equal states.  A state
+its crossing indices and signs, both tuples by position, crossing id c at
+c - 1; the pass merges equal states.  A state
 is the pairing with the grading tag of its switches so far; it carries a
 value that the caller picks.  No state tracks the signs of its switches:
 an even index means equal potential parity at the crossing, so equal
@@ -34,7 +35,8 @@ rulings per number of switches packed in one int, the count with s
 switches in the w-bit slot s, w = c + 1 for c crossings: a slot counts
 distinct s-subsets of the crossings, at most C(c, s) < 2^w, so adding
 values never carries across slots, and one pass yields all three class
-polynomials, which are all a ``RulingCensus`` holds.  Only
+polynomials, which a ``RulingCensus`` holds beside whether the front is
+a knot.  Only
 ``enumerate_rulings`` lists rulings: its pass carries the switch sets
 themselves, each a string with one code point per crossing id, chr(cid)
 in increasing order.  Strings compare by code point, so their order is
@@ -184,17 +186,17 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
     counts for the census, lists of switch-set strings for the listing,
     where a switch appends chr(cid) to each string.
     """
-    indices, signs = sweep.indices, sweep.invariants.crossing_signs
-    for cid, sign in enumerate(signs, start=1):
-        if _tag(indices[cid]) < 2 and sign != 1:
+    tags = tuple(map(_tag, sweep.indices))
+    for tag, sign in zip(tags, sweep.invariants.crossing_signs):
+        if tag < 2 and sign != 1:
             # even index forces a positive crossing under the even-right convention
             raise RuntimeError("2-graded switch at a negative crossing")
     states = {((), 0): start}
     cid = 0
     for ev in sweep.diagram.events:
         if ev.kind == "X":
+            tag_here = tags[cid]
             cid += 1
-            tag_here = _tag(indices[cid])
         merged: dict = {}
         for (p, tag), value in states.items():
             for q, switched in _moves(ev.kind, ev.height - 1, p):
@@ -257,9 +259,10 @@ def ruling_polynomial(
 
 @dataclass(frozen=True)
 class RulingCensus:
-    front_name: str
+    """The three class polynomials of one front; a mapping, so not hashable."""
+
+    __hash__ = None
     is_knot: bool
-    rotation_gcd: int
     polynomials: dict[str, ZPoly]
 
     def count(self, class_filter: str) -> int:
@@ -285,9 +288,4 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 
 
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
-    return RulingCensus(
-        front_name=sweep.diagram.name,
-        is_knot=sweep.components.num_components == 1,
-        rotation_gcd=sweep.invariants.r,
-        polynomials=_swept_polynomials(sweep),
-    )
+    return RulingCensus(sweep.components.num_components == 1, _swept_polynomials(sweep))

@@ -181,6 +181,8 @@ def kauffman_dubrovnik(
 
 def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
     """Multiply the pieces' sums by delta^(k + l - 1); the ceiling counts the input."""
+    if max_crossings < 0:
+        raise ValueError(f"the crossing ceiling must be non-negative, got {max_crossings}")
     if d.num_crossings > max_crossings:
         raise ResourceLimitError(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import asdict
 
 import pytest
@@ -389,3 +390,17 @@ def test_analyze_agrees_with_standalone_checks_on_random_fronts():
                 "seifert_genus": gt.seifert_genus,
                 "chain_ok": gt.chain_ok,
             }
+
+
+def test_records_state_their_hash_contract():
+    # the sweep record holds only tuples, so equal records hash equal; the
+    # census and the report hold dicts and say plainly that they do not hash
+    for f in [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=44, count=20):
+        for rev in [()] + [(c,) for c in range(components(f).num_components)]:
+            a, b = fronts.sweep_front(f, rev), fronts.sweep_front(f, rev)
+            assert a == b and a is not b and hash(a) == hash(b)
+    assert len({fronts.sweep_front(HOPF), fronts.sweep_front(HOPF), fronts.sweep_front(HOPF, (1,))}) == 2
+    for record in (rulings.census(HOPF), analyze(HOPF)):
+        assert not isinstance(record, Hashable)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)

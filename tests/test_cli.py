@@ -113,6 +113,16 @@ def test_max_crossings_exceeded_gives_exit_2(capsys):
     assert "resource limit" in err
 
 
+def test_negative_crossing_ceiling_is_a_usage_error(capsys):
+    for command in ("homfly", "kauffman", "conway", "rutherford", "rho", "tests"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "unknot", "--max-crossings=-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: argument --max-crossings: must be non-negative, got -1\n")
+    assert run(capsys, "homfly", "unknot", "--max-crossings=0") == (0, "homfly(unknot) = 1\n", "")
+
+
 def test_internal_consistency_error_gives_exit_1(capsys, monkeypatch):
     # a wrong circle count trips the parity check inside seifert_diagram_genus
     monkeypatch.setattr(skein, "seifert_circle_count", lambda d: 1)
@@ -173,13 +183,13 @@ def test_invariants_reports_a_parse_error_without_a_traceback(tmp_path, capsys):
 
 def _indented_rulings_json(diagram, grading, rev):
     """The rulings payload built whole and written by the indenting encoder."""
-    cens = rulings.census(diagram, rev)
+    cens, r = rulings.census(diagram, rev), fronts.classical_invariants(diagram, rev).r
     poly = cens.polynomials[grading]
     payload = {
         "front": diagram.name,
         "class": grading,
         "count": cens.count(grading),
-        "rotation_gcd": cens.rotation_gcd,
+        "rotation_gcd": r,
         "rulings": [
             {
                 "switches": list(r.switches),
@@ -195,7 +205,7 @@ def _indented_rulings_json(diagram, grading, rev):
         "polynomial_text": str(poly),
         "polynomials_by_class": {cls: cens.polynomials[cls].to_terms() for cls in rulings.GRADING_FILTERS},
     }
-    if cens.rotation_gcd != 0:
+    if r != 0:
         payload["note"] = "r != 0: graded classes use residues mod 2r"
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

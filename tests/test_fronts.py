@@ -118,13 +118,15 @@ def test_parse_rejects_junk():
 
 
 def test_tokens_and_events_reject_junk():
-    for tokens in ("Q1", "L0", "X"):
+    # a superscript digit passes str.isdigit but not int()
+    for tokens in ("Q1", "L0", "X", "L\u00b2", "L1 R\u00b9"):
         with pytest.raises(ValueError, match="bad event token"):
             front(tokens)
     with pytest.raises(ValueError, match="unknown event kind"):
         FrontEvent("Q", 1)
-    with pytest.raises(ValueError, match="positive integer"):
-        FrontEvent("L", 0)
+    for height in (0, True, False, 1.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            FrontEvent("L", height)
 
 
 def test_parse_comments_and_blanks():
@@ -265,7 +267,7 @@ def test_sweep_record_matches_the_single_quantity_functions():
             assert sweep.components == components(f, rev)
             assert sweep.invariants == classical_invariants(f, rev)
             assert sweep.maslov == maslov_potential(f, rev)
-            assert sweep.indices == crossing_indices(f, rev)
+            assert dict(enumerate(sweep.indices, start=1)) == crossing_indices(f, rev)
 
 
 def test_an_anchor_on_the_fronts_own_record_keeps_each_reversal():
@@ -312,7 +314,7 @@ def _two_walk_maslov(f, rev=()):
                     todo.append(b)
     reduce = lambda x: x % modulus if modulus else x
     potential = tuple(reduce(mu) for mu in potential)
-    indices = {x.crossing_id: reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings}
+    indices = tuple(reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings)
     return potential, indices
 
 

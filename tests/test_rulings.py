@@ -425,7 +425,7 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
     def flipped(diagram, reverse=()):
         sweep = real(diagram, reverse)
         signs = list(sweep.invariants.crossing_signs)
-        c = min(c for c, ix in sweep.indices.items() if ix == 0)
+        c = min(c for c, ix in enumerate(sweep.indices, start=1) if ix == 0)
         signs[c - 1] = -signs[c - 1]
         return replace(sweep, invariants=replace(sweep.invariants, crossing_signs=tuple(signs)))
 

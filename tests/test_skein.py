@@ -113,8 +113,8 @@ def _connector_resolved(f, sweep):
         loops += 1
     rightward = sweep.components.arc_rightward
     crossings = {
-        x.crossing_id: Crossing(True, (0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3))
-        for x in sweep.geometry.crossings
+        c: Crossing(True, (0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3))
+        for c, x in enumerate(sweep.geometry.crossings, start=1)
     }
     return crossings, adj, loops
 
@@ -215,6 +215,15 @@ def test_homfly_resource_limit():
     d = front_to_diagram(TREFOIL)
     with pytest.raises(ResourceLimitError):
         homfly(d, max_crossings=2)
+
+
+def test_negative_ceiling_is_a_value_error():
+    d = front_to_diagram(front("L1 R1", name="unknot"))
+    for poly in (homfly, kauffman_dubrovnik):
+        assert poly(d, max_crossings=0) == 1
+        with pytest.raises(ValueError, match="ceiling must be non-negative, got -1") as exc:
+            poly(d, max_crossings=-1)
+        assert not isinstance(exc.value, ResourceLimitError)
 
 
 def test_empty_front_has_no_skein_polynomial():
