@@ -129,10 +129,10 @@ def parse_front(text: str, name: str = "front") -> FrontDiagram:
         kind, height = parts
         if kind not in EVENT_KINDS:
             raise FrontFormatError(lineno, f"unknown event kind {kind!r}")
-        try:
-            k = int(height)
-        except ValueError:
-            raise FrontFormatError(lineno, f"height {height!r} is not an integer") from None
+        # decimal digits as in front(), with a sign only to name a height below 1
+        if not height.removeprefix("-").isdecimal():
+            raise FrontFormatError(lineno, f"height {height!r} is not an integer")
+        k = int(height)
         if k < 1:
             raise FrontFormatError(lineno, f"height must be >= 1, got {k}")
         events.append(FrontEvent(kind, k))
@@ -422,7 +422,8 @@ def crossing_indices(diagram: FrontDiagram, reverse=()) -> dict[int, int]:
 
 def crossing_index(diagram: FrontDiagram, crossing_id: int, reverse=()) -> int:
     indices = crossing_indices(diagram, reverse)
-    if crossing_id not in indices:
+    # a bool or 1.0 hashes like the int id it equals
+    if type(crossing_id) is not int or crossing_id not in indices:
         raise ValueError(f"front {diagram.name!r} has no crossing {crossing_id}")
     return indices[crossing_id]
 

@@ -46,12 +46,22 @@ listed ruling but its switches depends only on its shape, the pair (end
 tag, switch count): the end tag gives the grading and orientability, the
 switch count theta and the genus.  The listing computes and checks those
 fields once per shape.
+
+The moves of a state at an event depend only on the event's kind and
+height and on the pairing, so ``_moves`` is the move table: one bounded
+``lru_cache`` of immutable tuples that every sweep in the process reads,
+census, listing and command line alike, so a move is computed once for
+as long as the table holds it.  At 2^14 entries of about 320 B it holds
+at most about 5 MB.  The benchmark workloads fill few entries (about 150
+on verify-small, 13 on census-sum, 7 on rulings-list), and a
+40-crossing, 12-strand ruled random front about 8,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import itemgetter
 
 from . import fronts
@@ -103,27 +113,33 @@ def _genus(exponent: int) -> int:
     return exponent // 2
 
 
-def _moves(kind: str, k: int, p: tuple[int, ...]):
+@lru_cache(maxsize=1 << 14)
+def _moves(kind: str, k: int, p: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """The pairings that can follow p at an event at height k + 1, each
     with whether it switches the crossing there.
 
-    p[h] is the partner of strand h + 1: heights count from 0 here.
+    p[h] is the partner of strand h + 1: heights count from 0 here.  The
+    result depends on the arguments alone and is immutable, so the move
+    table caches it for every caller in the process.
     """
     if kind == "L":  # shift heights >= k up by two and pair (k, k + 1)
         q = tuple(h + 2 if h >= k else h for h in p)
-        yield q[:k] + (k + 1, k) + q[k:], False
-    elif kind == "R":  # the cusp must close an eye
-        if p[k] == k + 1:
-            yield tuple(h - 2 if h > k else h for h in p[:k] + p[k + 2:]), False
-    elif p[k] != k + 1:  # the two arcs of one eye may not cross
-        q = [k + 1 if h == k else k if h == k + 1 else h for h in p]
-        q[k], q[k + 1] = q[k + 1], q[k]
-        yield tuple(q), False  # no switch: the strands trade eye membership
-        # a switch is normal when the two eyes span disjoint or nested intervals
-        lo_a, hi_a = sorted((k, p[k]))
-        lo_b, hi_b = sorted((k + 1, p[k + 1]))
-        if hi_a < lo_b or hi_b < lo_a or lo_a < lo_b < hi_b < hi_a or lo_b < lo_a < hi_a < hi_b:
-            yield p, True
+        return ((q[:k] + (k + 1, k) + q[k:], False),)
+    if kind == "R":  # the cusp must close an eye
+        if p[k] != k + 1:
+            return ()
+        return ((tuple(h - 2 if h > k else h for h in p[:k] + p[k + 2:]), False),)
+    if p[k] == k + 1:  # the two arcs of one eye may not cross
+        return ()
+    q = [k + 1 if h == k else k if h == k + 1 else h for h in p]
+    q[k], q[k + 1] = q[k + 1], q[k]
+    trade = (tuple(q), False)  # no switch: the strands trade eye membership
+    # a switch is normal when the two eyes span disjoint or nested intervals
+    lo_a, hi_a = sorted((k, p[k]))
+    lo_b, hi_b = sorted((k + 1, p[k + 1]))
+    if hi_a < lo_b or hi_b < lo_a or lo_a < lo_b < hi_b < hi_a or lo_b < lo_a < hi_a < hi_b:
+        return trade, (p, True)
+    return (trade,)
 
 
 def enumerate_rulings(

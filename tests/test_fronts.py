@@ -117,6 +117,18 @@ def test_parse_rejects_junk():
         parse_front("L 0\n")
 
 
+def test_parse_takes_a_height_only_as_decimal_digits():
+    # int() would also take a sign and digit-group underscores: 'R 1_2' read as 12
+    for height in ("+1", "0_1", "1_2", "-", "--1", "\u00b9"):
+        with pytest.raises(FrontFormatError, match="is not an integer") as err:
+            parse_front(f"L 1\nR {height}\n")
+        assert err.value.line == 2
+    for height, k in (("0", 0), ("-1", -1)):
+        with pytest.raises(FrontFormatError, match=f"height must be >= 1, got {k}$"):
+            parse_front(f"L {height}\n")
+    assert parse_front("L 01\nR 1\n").events == front("L01 R1").events
+
+
 def test_tokens_and_events_reject_junk():
     # a superscript digit passes str.isdigit but not int()
     for tokens in ("Q1", "L0", "X", "L\u00b2", "L1 R\u00b9"):
@@ -223,6 +235,10 @@ def test_stabilized_unknot_modulus():
 def test_crossing_index_unknown_id():
     with pytest.raises(ValueError):
         crossing_index(UNKNOT, 1)
+    # True and 1.0 hash like crossing id 1 but are not ids
+    for crossing_id in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="has no crossing"):
+            crossing_index(TREFOIL, crossing_id)
 
 
 def test_even_index_iff_positive_crossing():

@@ -470,6 +470,37 @@ def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
     assert [r.switches for r in listed] == sorted(r.switches for r in listed)
 
 
+def _width(f):
+    return max(itertools.accumulate({"L": 2, "R": -2, "X": 0}[ev.kind] for ev in f.events))
+
+
+def test_move_table_is_the_same_cold_and_warm():
+    """``_moves`` is one bounded table for the whole process: what a sweep
+    reads from it may not depend on which fronts filled it, or in which order."""
+    rng = random.Random(61)
+    cases = [(corpus.load(name), ()) for name in corpus.corpus_names()]
+    for f in random_fronts(seed=62, count=100):
+        cases += [(f, ())] + [(f, (0,))] * (components(f).num_components > 1)
+    wide = [f for f in (ruled_random_front(rng, 40, 12) for _ in range(100)) if _width(f) == 12]
+    assert len(wide) >= 2
+    cases += [(f, ()) for f in wide[:2]]
+
+    def results(f, rev):
+        return census(f, rev).polynomials, [enumerate_rulings(f, cls, rev) for cls in GRADING_FILTERS]
+
+    cold = []
+    for f, rev in cases:
+        rulings._moves.cache_clear()
+        cold.append(results(f, rev))
+    rulings._moves.cache_clear()
+    warm = [results(f, rev) for f, rev in reversed(cases)][::-1]
+    assert warm == cold
+    assert rulings._moves.cache_info().maxsize is not None
+    # every caller gets the one cached result, so it must be immutable
+    for move in ("L", 1, (1, 0)), ("R", 0, (1, 0)), ("X", 1, (1, 0, 3, 2)):
+        hash(rulings._moves(*move))
+
+
 def test_rulings_keep_int_tuple_switches():
     # ids on both sides of 9 | 10; the listing's switch sets are strings inside
     f = front("L1 L3 " + "X2 " * 13 + "R1 R1")
