@@ -18,8 +18,10 @@ tuples; removing a crossing drops its entries and moves every port above
 it down by four, so ranks stay positions in id order.  Every diagram
 built, by the constructor or a move, has its matching checked for
 symmetry.  The constructor takes dicts keyed by ids and by (id, port)
-pairs, checks that they match every crossing port and nothing else, and
-``crossings`` and ``adj`` give them back.
+pairs, checks that every id is an ``int`` and that they match every
+crossing port and nothing else, and ``crossings`` and ``adj`` give them
+back.  A method that takes a crossing id raises ``ValueError`` for any
+value that is not one of the diagram's ids.
 
 ``reduced`` strips Reidemeister-I curls and Reidemeister-II bigons whose
 one strand is over at both crossings.  ``_pieces`` cuts a diagram into
@@ -62,6 +64,9 @@ class LinkDiagram:
     __slots__ = ("_ids", "_over", "_ins", "_adj", "loops", "_cut")
 
     def __init__(self, crossings: dict[int, Crossing], adj: dict[Port, Port], loops: int = 0):
+        for c in crossings:
+            if type(c) is not int:
+                raise ValueError(f"crossing id {c!r} is not an int")
         if any(adj.get(q) != p for p, q in adj.items()):
             raise ValueError("arc matching is not symmetric")
         for port in [(c, p) for c in crossings for p in range(4)]:
@@ -100,12 +105,18 @@ class LinkDiagram:
     def is_oriented(self) -> bool:
         return None not in self._ins
 
+    def _rank(self, cid: int) -> int:
+        # a bool or 1.0 equals an id in a tuple search but is no crossing id
+        if type(cid) is not int or cid not in self._ids:
+            raise ValueError(f"link diagram has no crossing {cid}")
+        return self._ids.index(cid)
+
     def over02(self, cid: int) -> bool:
         """Whether the strand through ports (0, 2) of a crossing is over."""
-        return self._over[self._ids.index(cid)]
+        return self._over[self._rank(cid)]
 
     def sign(self, cid: int) -> int:
-        i = self._ids.index(cid)
+        i = self._rank(cid)
         if self._ins[i] is None:
             raise ValueError("crossing sign needs an oriented diagram")
         return _sign_from(self._over[i], self._ins[i])
@@ -183,13 +194,13 @@ class LinkDiagram:
 
     def switched(self, cid: int) -> "LinkDiagram":
         """Swap over and under strands at one crossing."""
-        i, over = self._ids.index(cid), self._over
+        i, over = self._rank(cid), self._over
         over = over[:i] + (not over[i],) + over[i + 1:]
         return _diagram(self._ids, over, self._ins, self._adj, self.loops)
 
     def smoothed_oriented(self, cid: int) -> "LinkDiagram":
         """Reconnect along orientation (the Seifert smoothing)."""
-        i = self._ids.index(cid)
+        i = self._rank(cid)
         if self._ins[i] is None:
             raise ValueError("oriented smoothing needs an oriented diagram")
         i1, i2 = self._ins[i]
@@ -198,7 +209,7 @@ class LinkDiagram:
     def smoothings_unoriented(self, cid: int) -> tuple["LinkDiagram", "LinkDiagram"]:
         """The two planar reconnections: port pairing {(1,2),(0,3)} first,
         then {(0,1),(2,3)}."""
-        i = self._ids.index(cid)
+        i = self._rank(cid)
         return self._fused(i, ((1, 2), (0, 3))), self._fused(i, ((0, 1), (2, 3)))
 
     def reduced(self) -> tuple["LinkDiagram", int]:

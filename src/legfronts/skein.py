@@ -1,10 +1,11 @@
 """Skein-recursion polynomial invariants of link diagrams from fronts.
 
-Fronts convert to ``LinkDiagram``s (see ``diagram``) in one pass over
-the events, smoothing cusps and reading the over strand from slopes,
-that writes the diagram's flat fields directly; ports are numbered NW,
-SW, SE, NE, so a front-born crossing always carries its over strand on
-(0, 2).
+Fronts convert to ``LinkDiagram``s (see ``diagram``) from the arcs of
+their sweep record, not from the events: an arc's crossings are joined
+in turn, cusps are smoothed across any crossing-free arcs, and the over
+strand is read from slopes, straight into the diagram's flat fields;
+ports are numbered NW, SW, SE, NE, so a front-born crossing always
+carries its over strand on (0, 2).
 
 Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
@@ -90,51 +91,37 @@ def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
 
 
 def _resolved(sweep: fronts.FrontSweep) -> LinkDiagram:
-    # One pass, straight into the flat fields of a ``LinkDiagram``: crossing id c
-    # has rank c - 1, so its port p is 4 * (c - 1) + p.  A live strand is
-    # labelled by its left end: a crossing port, or a left-cusp side (a
-    # negative int).  far[side] is the other end of the path through that
-    # cusp side: a port, or the side labelling another live strand.  When a
-    # strand reaches a crossing port or a right cusp, the two path ends
-    # there are joined: two ports become an arc, and a path that closes on
-    # itself is a free loop.
-    sites = sweep.geometry.crossings
-    far: dict[int, int] = {}
+    # Read off the record's arcs, straight into the flat fields of a
+    # ``LinkDiagram``: crossing id c has rank c - 1, so its port p is
+    # 4 * (c - 1) + p, and the over arc enters at port 0 and leaves at 2, the
+    # under arc at 1 and 3.  Consecutive crossings of an arc are joined port
+    # to port.  End 2a of arc a is its left end, 2a + 1 its right end, and
+    # ports[e] the port there (None on a crossing-free arc); across[e] is the
+    # end that meets e at its cusp.
+    sites, cmap = sweep.geometry.crossings, sweep.components
     adj = [0] * (4 * len(sites))
-    stack: list[int] = []
-    loops = base = 0
-
-    def end(h):  # the far end of the path along the strand at height h + 1
-        return far.pop(stack[h], stack[h])
-
-    def join(x, y):  # a side still labels a live strand, so it is in far
-        if x < 0:
-            far[x] = y
-        if y < 0:
-            far[y] = x
-        if x >= 0 and y >= 0:
-            adj[x], adj[y] = y, x
-
-    for i, ev in enumerate(sweep.diagram.events):
-        k = ev.height
-        if ev.kind == "L":
-            stack[k - 1:k - 1] = [~(2 * i), ~(2 * i + 1)]
-            far[~(2 * i)], far[~(2 * i + 1)] = ~(2 * i + 1), ~(2 * i)
-        elif ev.kind == "R":
-            a, b = end(k - 1), end(k)
-            if a == stack[k]:
-                loops += 1
+    ports = [None] * (2 * sweep.geometry.num_arcs)
+    for i, x in enumerate(sites):
+        for p, a in ((4 * i, x.over_arc), (4 * i + 1, x.under_arc)):
+            if ports[2 * a] is None:
+                ports[2 * a] = p
             else:
-                join(a, b)
-            del stack[k - 1:k + 1]
-        else:
-            join(end(k - 1), base)  # NW: upper-left strand
-            join(end(k), base + 1)  # SW: lower-left strand
-            stack[k - 1] = base + 3  # NE continues at height k
-            stack[k] = base + 2  # SE continues at height k + 1
-            base += 4
-
-    rightward = sweep.components.arc_rightward
+                adj[p], adj[ports[2 * a + 1]] = ports[2 * a + 1], p
+            ports[2 * a + 1] = p + 2
+    across = [0] * len(ports)
+    for cusp in sweep.geometry.cusps:
+        r = cusp.kind == "R"
+        u, l = 2 * cusp.upper_arc + r, 2 * cusp.lower_arc + r
+        across[u], across[l] = l, u
+    for e, p in enumerate(ports):  # an arc's end port, through crossing-free arcs to the next
+        if p is not None:
+            f = across[e]
+            while ports[f] is None:
+                f = across[f ^ 1]
+            adj[p] = ports[f]
+    # the free loops: components with no crossing on any of their arcs
+    loops = cmap.num_components - len({cmap.arc_component[a] for x in sites for a in x})
+    rightward = cmap.arc_rightward
     ins = tuple((0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3) for x in sites)
     return _diagram(tuple(range(1, len(sites) + 1)), (True,) * len(sites), ins, tuple(adj), loops)
 

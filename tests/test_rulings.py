@@ -456,6 +456,16 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
     _assert_rulings_cli_fails(capsys, "unlink2", "2-graded knot ruling with non-integral genus")
 
 
+@pytest.mark.parametrize("exponent, genus", [(0, 0), (4, 2), (1, None), (3, None), (-2, None)])
+def test_genus_is_half_an_even_non_negative_exponent(exponent, genus):
+    # odd and positive, or even and negative: either alone is no genus
+    if genus is None:
+        with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
+            rulings._genus(exponent)
+    else:
+        assert rulings._genus(exponent) == genus
+
+
 def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
     real, calls = rulings._moves, []
 

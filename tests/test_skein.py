@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -123,15 +124,24 @@ def test_one_pass_resolver_matches_the_connector_graph():
     rng = random.Random(36)
     cases = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=37, count=150)
     cases += [ruled_random_front(rng) for _ in range(150)]
-    seen = {"loops": 0, "reversed": 0}
+    seen = {"loops": 0, "reversed": 0, "free arcs": 0}
     for f in cases:
-        n = components(f).num_components
+        plain = sweep_front(f)
+        comp = plain.components.arc_component
+        crossed = {a for x in plain.geometry.crossings for a in x}
+        linked = {comp[a] for a in crossed}
+        # a component with crossings that also has a crossing-free arc
+        seen["free arcs"] += any(c in linked for a, c in enumerate(comp) if a not in crossed)
+        n = plain.components.num_components
         for rev in [()] + [(c,) for c in range(n)] * (n > 1):
             sweep = sweep_front(f, rev)
             d = _resolved(sweep)
             reference = _connector_resolved(f, sweep)
             assert (d.crossings, d.adj, d.loops) == reference, (str(f), rev)
             assert d.memo_key() == LinkDiagram(*reference).memo_key(), (str(f), rev)
+            # the resolver reads the record's arcs, not the front's events
+            blind = _resolved(replace(sweep, diagram=front("")))
+            assert (blind.crossings, blind.adj, blind.loops) == reference, (str(f), rev)
             seen["loops"] += d.loops > 0 and d.num_crossings > 0
             seen["reversed"] += bool(rev)
     assert min(seen.values()) >= 20, seen
@@ -656,6 +666,20 @@ def test_diagram_round_trips_through_the_flat_format():
     # the check runs on the flat fields of every diagram a move builds
     with pytest.raises(ValueError, match="arc matching is not symmetric"):
         diagram._diagram((1,), (True,), ((0, 1),), (1, 0, 3, 3), 0)
+
+
+@pytest.mark.parametrize("cid", [99, True, 1.0], ids=repr)
+def test_crossing_lookups_name_an_unknown_id(cid):
+    # True and 1.0 equal crossing 1 in a tuple search, but are no crossing id
+    d = front_to_diagram(TREFOIL)
+    lookups = (d.over02, d.sign, d.switched, d.smoothed_oriented, d.smoothings_unoriented)
+    for lookup in lookups:
+        with pytest.raises(ValueError, match=f"link diagram has no crossing {cid}$"):
+            lookup(cid)
+    if type(cid) is not int:
+        with pytest.raises(ValueError, match=f"crossing id {cid!r} is not an int"):
+            LinkDiagram({cid: Crossing(True, (0, 1))}, {(cid, 0): (cid, 1), (cid, 1): (cid, 0),
+                                                        (cid, 2): (cid, 3), (cid, 3): (cid, 2)})
 
 
 def test_walks_leaves_and_exports_match_tuple_reference():
