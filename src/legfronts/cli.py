@@ -223,7 +223,7 @@ def _cmd_rulings(args) -> int:
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
     # a switch set is a string of code points chr(cid): one translate writes
     # each id with a separator after it, and the last separator is cut
-    ids = {cid: f"{cid}{sep}" for cid in range(1, diagram.num_crossings + 1)}
+    ids = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.geometry.crossings) + 1)}
     cut = -len(sep)
     ends = {}  # shape -> the rendered text around its rulings' switch ids
     entries = []

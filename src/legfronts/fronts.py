@@ -13,11 +13,14 @@ the legal events are:
 The total event order realizes genericity: no two events share an
 x-coordinate.  A strand arc runs from a left cusp to a right cusp,
 passing through crossings; components are obtained by joining the two
-arcs that meet at each cusp.
+arcs that meet at each cusp.  Every arc meets exactly two cusps, its
+left cusp and one right cusp, so each component is a cycle of arcs
+through alternate left and right cusps.
 
 ``sweep_front`` sweeps a front once, checking its heights as it goes,
-and derives everything else from that one geometry: the component map
-and orientations, tb and the rotation numbers, the Maslov potential and
+and derives everything else from that one geometry: one walk around each
+component's cusp cycle gives the component map and orientations, the
+Maslov potential and the rotation numbers, and from those come tb, r and
 the crossing indices, held in one ``FrontSweep`` record beside the front
 itself.  Per-crossing data are tuples by position: crossing id c, the
 c-th crossing in x-order, is entry c - 1.  ``components``,
@@ -301,14 +304,18 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     """Sweep the front once and derive its oriented data from the geometry.
 
     Arcs joined at a cusp form a component and get opposite x-directions.
-    One walk per component orients it and propagates the Maslov cusp jumps
-    from its seed, the component's least arc id: the upper arc of its
-    earliest left cusp, whose lower arc is the reference arc (earliest
-    born, then bottommost).  The seed starts leftward at potential 1, so
-    the reference arc comes out rightward at 0; a reversed component's seed
-    starts flipped and one higher.  The potential is verified consistent
-    mod 2r and even on rightward arcs, so a failure indicates a traversal
-    bug, not bad input.
+    Arc a meets its left cusp with arc a ^ 1 and its right cusp with one
+    other arc, so a component is a cycle of arcs through alternate left
+    and right cusps.  One walk around each cycle orients it and propagates
+    the Maslov cusp jumps from its seed, the component's least arc id,
+    which is even: the upper arc of its earliest left cusp, whose lower arc
+    is the reference arc (earliest born, then bottommost).  The seed starts
+    leftward at potential 1, so the reference arc comes out rightward at 0;
+    a reversed component's seed starts flipped and one higher.  Back at the
+    seed, the jumps taken along the orientation sum to -2 rot, which gives
+    the component's rotation number.  The cycle is verified to close at its
+    seed and the potential consistent mod 2r at every cusp and even on
+    rightward arcs, so a failure indicates a traversal bug, not bad input.
     """
     return _sweep_front(diagram, reverse, None)
 
@@ -325,78 +332,70 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     n_arcs = geom.num_arcs
     reverse = frozenset(reverse)
     record, arcs = anchor or (None, None)
-    # per arc, the arcs it meets at a cusp with the Maslov jump towards them
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_arcs)]
-    for cusp in geom.cusps:
-        edges[cusp.lower_arc].append((cusp.upper_arc, +1))
-        edges[cusp.upper_arc].append((cusp.lower_arc, -1))
+    # per arc, its partner across its right cusp and the Maslov jump towards it
+    other = [0] * n_arcs
+    jump = [0] * n_arcs
+    for kind, upper, lower in geom.cusps:
+        if kind == "R":
+            other[upper], other[lower] = lower, upper
+            jump[upper], jump[lower] = -1, 1
 
-    # one walk per component from its seed orients it and propagates the potential
+    # one walk around each component's cusp cycle, from its seed
     comp = [-1] * n_arcs
-    rightward = [True] * n_arcs
+    rightward = [False] * n_arcs
     potential = [0] * n_arcs
-    n_comp = 0
-    for seed in range(n_arcs):
+    rotations = []
+    for seed in range(0, n_arcs, 2):
         if comp[seed] >= 0:
             continue
-        comp[seed] = n_comp
-        flip = n_comp in reverse  # the seed rule: flipped and one higher when reversed
-        rightward[seed], potential[seed] = (flip, 1 + flip) if record is None else (
+        c = len(rotations)
+        flip = c in reverse  # the seed rule: flipped and one higher when reversed
+        right, mu = (flip, 1 + flip) if record is None else (
             record.components.arc_rightward[arcs[seed]] != flip, record.maslov.potential[arcs[seed]] + flip)
-        todo = [seed]
-        while todo:
-            a = todo.pop()
-            for b, jump in edges[a]:
-                if comp[b] < 0:
-                    comp[b] = n_comp
-                    rightward[b] = not rightward[a]
-                    potential[b] = potential[a] + jump
-                    todo.append(b)
-                elif rightward[b] == rightward[a]:
-                    raise RuntimeError("inconsistent orientation around a component")
-        n_comp += 1
+        a = seed
+        while comp[a] < 0:  # a runs as the seed does, its left-cusp partner a ^ 1 the other way
+            comp[a], rightward[a], potential[a] = c, right, mu
+            mu += 1 if a & 1 else -1
+            a ^= 1
+            comp[a], rightward[a], potential[a] = c, not right, mu
+            mu += jump[a]
+            a = other[a]
+        if a != seed:  # a cycle closing elsewhere would give an arc two directions
+            raise RuntimeError("inconsistent orientation around a component")
+        # a leftward seed starts the walk along the orientation
+        rot = (mu - potential[seed]) // 2
+        rotations.append(rot if right else -rot)
+    n_comp = len(rotations)
 
-    unknown = reverse - set(range(n_comp))
+    unknown = reverse.difference(range(n_comp))
     if unknown:
         raise ValueError(f"no such component(s): {sorted(unknown)}")
     cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward))
 
-    signs = tuple(
-        crossing_sign(rightward[x.over_arc], rightward[x.under_arc]) for x in geom.crossings
-    )
+    signs = tuple([crossing_sign(rightward[over], rightward[under]) for over, under in geom.crossings])
     writhe = sum(signs)
-    num_right = sum(1 for c in geom.cusps if c.kind == "R")
-    # a cusp is a down cusp when the traversal passes downward through it,
-    # i.e. when its upper arc is directed toward the cusp point
-    down_up = [0] * n_comp
-    for cusp in geom.cusps:
-        down_up[comp[cusp.upper_arc]] += 1 if rightward[cusp.upper_arc] != (cusp.kind == "L") else -1
-    rotations = tuple(du // 2 for du in down_up)
-    r = 0
-    for rot in rotations:
-        r = math.gcd(r, abs(rot))
+    r = math.gcd(*rotations)
     inv = ClassicalInvariants(
-        tb=writhe - num_right,
-        rot_per_component=rotations,
+        tb=writhe - n_arcs // 2,
+        rot_per_component=tuple(rotations),
         r=r,
         writhe=writhe,
-        num_right_cusps=num_right,
+        num_right_cusps=n_arcs // 2,
         crossing_signs=signs,
     )
 
     modulus = 2 * r
-
-    def reduce(x: int) -> int:
-        return x % modulus if modulus else x
-
-    potential = [reduce(mu) for mu in potential]
-    for cusp in geom.cusps:
-        if reduce(potential[cusp.upper_arc] - potential[cusp.lower_arc] - 1) != 0:
+    if modulus:
+        potential = [mu % modulus for mu in potential]
+        indices = tuple([(potential[over] - potential[under]) % modulus for over, under in geom.crossings])
+    else:
+        indices = tuple([potential[over] - potential[under] for over, under in geom.crossings])
+    for _, upper, lower in geom.cusps:
+        # reduced, upper - lower - 1 is 0 mod 2r when it is 0 or -2r
+        if potential[upper] - potential[lower] - 1 not in (0, -modulus):
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")
-    for a in range(n_arcs):
-        if rightward[a] and potential[a] % 2 != 0:
-            raise RuntimeError("rightward arc received an odd Maslov potential")
-    indices = tuple(reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings)
+    if any(right and mu % 2 for right, mu in zip(rightward, potential)):
+        raise RuntimeError("rightward arc received an odd Maslov potential")
     return FrontSweep(diagram, geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
 
 

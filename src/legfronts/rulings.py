@@ -62,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 from . import fronts
@@ -170,7 +171,7 @@ def _listing(sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
     """
     limit = _limit(class_filter)
     is_knot = sweep.components.num_components == 1
-    eyes = sweep.diagram.num_left_cusps
+    eyes = sweep.geometry.num_arcs // 2
     ends = _sweep(sweep, limit, [""], _add_switch)
     out = []
     for tag, found in ends.items():
@@ -225,27 +226,6 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
         states = merged
     # a valid front ends on the empty pairing
     return {tag: value for (_, tag), value in states.items()}
-
-
-def _swept_polynomials(sweep: fronts.FrontSweep) -> dict[str, ZPoly]:
-    """The three class polynomials from one sweep whose values are packed counts.
-
-    A value holds the number of partial rulings with s switches in bits
-    [w * s, w * (s + 1)), w = c + 1: start is 1 and a switch shifts by w.
-    A class sums the end tags it admits; the end tags partition the switch
-    sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
-    """
-    w = sweep.diagram.num_crossings + 1
-    ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
-    eyes = sweep.diagram.num_left_cusps
-    polys = {
-        cls: ZPoly(_unpack(sum(v for tag, v in ends.items() if tag <= limit), w, 1 - eyes))
-        for cls, limit in _LIMITS.items()
-    }
-    if sweep.components.num_components == 1:
-        for e in polys["two_graded"].terms:
-            _genus(e)
-    return polys
 
 
 def _unpack(packed: int, w: int, offset: int) -> dict[int, int]:
@@ -304,4 +284,20 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 
 
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
-    return RulingCensus(sweep.components.num_components == 1, _swept_polynomials(sweep))
+    """The class polynomials from one sweep whose values are packed counts.
+
+    A value holds the number of partial rulings with s switches in bits
+    [w * s, w * (s + 1)), w = c + 1: start is 1 and a switch shifts by w.
+    A class sums the end tags up to its limit, so one running sum over the
+    tags 0, 1, 2 gives the three classes; the end tags partition the switch
+    sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
+    """
+    w = len(sweep.geometry.crossings) + 1
+    ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
+    eyes = sweep.geometry.num_arcs // 2
+    by_limit = [ZPoly(_unpack(v, w, 1 - eyes)) for v in accumulate(ends.get(tag, 0) for tag in range(3))]
+    is_knot = sweep.components.num_components == 1
+    if is_knot:
+        for e in by_limit[_LIMITS["two_graded"]].terms:
+            _genus(e)
+    return RulingCensus(is_knot, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})

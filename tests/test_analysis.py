@@ -294,6 +294,37 @@ def test_connsum_check_passes_on_seeded_chains():
     assert reversed_ > 20
 
 
+def test_summand_records_agree_with_the_composite_when_r_is_nonzero():
+    # each summand is swept under the direction and potential the composite
+    # induces; its potential is the composite's reduced mod the summand's own
+    # 2r, which is exact only when the composite's modulus is 0 or a multiple
+    # of the summand's nonzero one
+    pool = random_fronts(seed=5, count=300, max_crossings=8)
+    n_comp = {id(f): components(f).num_components for f in pool}
+    rng = random.Random(3)
+    seen = Counter()
+    for i in range(3000):
+        f1, f2 = rng.choice(pool), rng.choice(pool)
+        # the splice joins one component of each summand
+        rev = (rng.randrange(n_comp[id(f1)] + n_comp[id(f2)] - 1),) if i % 2 else ()
+        assert connsum_check(f1, f2, rev).passed, (str(f1), str(f2), rev)
+        s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, rev)
+        closing = s1.geometry.cusps[-1]
+        arcs2 = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, s12.geometry.num_arcs))
+        m12 = s12.maslov.modulus
+        seen["r != 0"] += m12 > 0
+        for s, arcs in ((s1, range(s1.geometry.num_arcs)), (s2, arcs2)):
+            assert s.components.arc_rightward == tuple(s12.components.arc_rightward[a] for a in arcs)
+            m = s.maslov.modulus
+            if m12 == 0 or (m and m12 % m == 0):
+                composite = (s12.maslov.potential[a] for a in arcs)
+                assert s.maslov.potential == tuple(mu % m if m else mu for mu in composite)
+                seen["exact, r != 0" if m12 else "exact, r = 0"] += 1
+            else:
+                seen["inexact"] += 1
+    assert seen["r != 0"] >= 2000 and min(seen.values()) >= 100, seen
+
+
 # -- full report ---------------------------------------------------------------------------
 
 

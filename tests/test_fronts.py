@@ -305,50 +305,67 @@ def _arc_births(f):
     return [(i, ev.height + lower) for i, ev in enumerate(f.events) if ev.kind == "L" for lower in (0, 1)]
 
 
-def _two_walk_maslov(f, rev=()):
-    """Potential and indices by a second walk from each reference arc,
-    anchored at 0 (1 when the arc runs leftward), reduced mod 2r."""
-    sweep = sweep_front(f, rev)
-    geom, cmap = sweep.geometry, sweep.components
+def _reference_sweep(f, rev=()):
+    """Components, directions, rotations, potential and indices by a second
+    walk over the cusps, from the geometry alone: components numbered by
+    least arc id, each anchored at its reference arc, rightward at 0 (leftward
+    at 1 when reversed), the arcs at a cusp opposite in direction with the
+    upper one higher, rotations counted from down and up cusps, potential
+    and indices reduced mod 2r."""
+    geom = sweep_geometry(f)
     edges = [[] for _ in range(geom.num_arcs)]
     for cusp in geom.cusps:
         edges[cusp.lower_arc].append((cusp.upper_arc, +1))
         edges[cusp.upper_arc].append((cusp.lower_arc, -1))
-    modulus = 2 * sweep.invariants.r
+    comp = [None] * geom.num_arcs
+    n = 0
+    for seed in range(geom.num_arcs):
+        if comp[seed] is None:
+            comp[seed], todo = n, [seed]
+            while todo:
+                for b, _ in edges[todo.pop()]:
+                    if comp[b] is None:
+                        comp[b] = n
+                        todo.append(b)
+            n += 1
     births = _arc_births(f)
-    potential = [None] * geom.num_arcs
-    for c in range(cmap.num_components):
-        members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
+    rightward, potential = [None] * geom.num_arcs, [None] * geom.num_arcs
+    for c in range(n):
+        members = [a for a in range(geom.num_arcs) if comp[a] == c]
         rep = min(members, key=lambda a: (births[a][0], -births[a][1]))
-        potential[rep] = 0 if cmap.arc_rightward[rep] else 1
+        rightward[rep], potential[rep] = (False, 1) if c in rev else (True, 0)
         todo = [rep]
         while todo:
             a = todo.pop()
             for b, jump in edges[a]:
                 if potential[b] is None:
-                    potential[b] = potential[a] + jump
+                    rightward[b], potential[b] = not rightward[a], potential[a] + jump
                     todo.append(b)
+    # a cusp is down when its upper arc runs into the cusp point
+    down_up = [0] * n
+    for cusp in geom.cusps:
+        down_up[comp[cusp.upper_arc]] += 1 if rightward[cusp.upper_arc] == (cusp.kind == "R") else -1
+    assert all(du % 2 == 0 for du in down_up)
+    rotations = tuple(du // 2 for du in down_up)
+    modulus = 2 * math.gcd(*rotations)
     reduce = lambda x: x % modulus if modulus else x
     potential = tuple(reduce(mu) for mu in potential)
     indices = tuple(reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings)
-    return potential, indices
+    return tuple(comp), tuple(rightward), rotations, potential, indices
 
 
 def test_one_walk_potential_matches_two_walks():
+    # the reference arc of each component runs rightward at potential 0, or
+    # leftward at 1 when the component is reversed, in both walks
     seen = {"r != 0": 0, "reversed": 0, "r != 0, reversed": 0}
     for f in random_fronts(seed=43, count=300, max_crossings=12):
         n = components(f).num_components
         for rev in [()] + [(0,), (n - 1,)] * (n > 1):
             sweep = sweep_front(f, rev)
-            assert (sweep.maslov.potential, sweep.indices) == _two_walk_maslov(f, rev), (str(f), rev)
-            # each component's earliest-born bottommost arc runs rightward at
-            # potential 0, or leftward at 1 when the component is reversed
-            cmap, births = sweep.components, _arc_births(f)
-            for c in range(n):
-                members = [a for a, ca in enumerate(cmap.arc_component) if ca == c]
-                ref = min(members, key=lambda a: (births[a][0], -births[a][1]))
-                anchor = (False, 1) if c in rev else (True, 0)
-                assert (cmap.arc_rightward[ref], sweep.maslov.potential[ref]) == anchor, (str(f), rev, c)
+            cmap = sweep.components
+            got = (cmap.arc_component, cmap.arc_rightward, sweep.invariants.rot_per_component,
+                   sweep.maslov.potential, sweep.indices)
+            assert got == _reference_sweep(f, rev), (str(f), rev)
             seen["r != 0"] += sweep.maslov.modulus > 0
             seen["reversed"] += bool(rev)
             seen["r != 0, reversed"] += sweep.maslov.modulus > 0 and bool(rev)
