@@ -4,7 +4,7 @@ A front is a left-to-right event list: L k opens a cusp at height k,
 R k closes one, X k crosses the strands at heights k and k+1.
 """
 
-from legfronts import classical_invariants, components, corpus, crossing_indices, front, maslov_potential, validate
+from legfronts import corpus, crossing_indices, front, sweep_front, validate
 
 unknot = front("L1 R1", name="unknot")
 trefoil = corpus.load("trefoil")
@@ -18,15 +18,14 @@ for violation in validate(bad).violations:
 
 print()
 for f in (unknot, corpus.load("stabilized_unknot"), trefoil, corpus.load("unlink2")):
-    inv = classical_invariants(f)
-    cmap = components(f)
-    print(f"{f.name:18s} components={cmap.num_components} tb={inv.tb:3d} "
-          f"writhe={inv.writhe:3d} rotations={list(inv.rot_per_component)} r={inv.r}")
+    s = sweep_front(f)
+    print(f"{f.name:18s} components={s.num_components} tb={s.tb:3d} "
+          f"writhe={s.writhe:3d} rotations={list(s.rot_per_component)} r={s.r}")
 
 print()
 print("Maslov data of the trefoil front (all crossings have index 0,")
 print("which is why every one of its rulings is Z-graded):")
-maslov = maslov_potential(trefoil)
-print("   modulus 2r =", maslov.modulus)
-print("   potential per arc:", list(maslov.potential))
+s = sweep_front(trefoil)
+print("   modulus 2r =", s.modulus)
+print("   potential per arc:", list(s.potential))
 print("   crossing indices:", crossing_indices(trefoil))

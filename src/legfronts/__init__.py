@@ -1,14 +1,11 @@
 """Legendrian front diagrams, normal rulings, and skein polynomial invariants."""
 
 from .fronts import (
-    ClassicalInvariants,
-    ComponentMap,
     FrontDiagram,
     FrontEvent,
     FrontFormatError,
     FrontSweep,
     InvalidFrontError,
-    MaslovAssignment,
     NormalFormError,
     ValidationReport,
     classical_invariants,
@@ -17,7 +14,6 @@ from .fronts import (
     crossing_index,
     crossing_indices,
     front,
-    maslov_potential,
     parse_front,
     render_front,
     sweep_front,

@@ -114,7 +114,7 @@ def rutherford_check(
 
 
 def _rutherford(ctx: _Context) -> RutherfordResult:
-    tb = ctx.sweep.invariants.tb
+    tb = ctx.sweep.tb
     p, f, cens = ctx.homfly, ctx.kauffman, ctx.census
     return RutherfordResult(
         tb=tb,
@@ -147,7 +147,7 @@ def max_tb_certificate(
 
 
 def _max_tb(ctx: _Context) -> MaxTbResult:
-    tb = ctx.sweep.invariants.tb
+    tb = ctx.sweep.tb
     e = ctx.homfly.min_v_degree()
     return MaxTbResult(tb, e, tb + 1 == e, ctx.census.count("two_graded") > 0)
 
@@ -176,7 +176,7 @@ def rho_report(
 
 
 def _rho(ctx: _Context) -> RhoResult:
-    if ctx.sweep.components.num_components != 1:
+    if ctx.sweep.num_components != 1:
         return RhoResult("unknown", None, "ruling genus is defined for knot fronts")
     prof, cens = ctx.homfly_profile, ctx.census
     if cens.count("two_graded"):
@@ -270,7 +270,7 @@ def _genus(ctx: _Context) -> GenusTests:
     p, prof = ctx.homfly, ctx.homfly_profile
     deg = conway_of(p).degree()
     max_genus = ctx.census.max_genus("two_graded")
-    knot = ctx.sweep.components.num_components == 1
+    knot = ctx.sweep.num_components == 1
     seifert = skein.seifert_diagram_genus(ctx.link) if knot else None
     return GenusTests(
         bennequin_ok=prof.M <= prof.e,
@@ -368,9 +368,9 @@ def analyze(
     slices = ruth.to_json()
     return AnalysisReport(
         front_name=diagram.name,
-        is_knot=ctx.sweep.components.num_components == 1,
+        is_knot=ctx.sweep.num_components == 1,
         tb=ruth.tb,
-        r=ctx.sweep.invariants.r,
+        r=ctx.sweep.r,
         rutherford_two_graded=slices["two_graded"],
         rutherford_ungraded=slices["ungraded"],
         max_tb_certificate={

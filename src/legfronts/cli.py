@@ -166,28 +166,27 @@ def _cmd_validate(args) -> int:
 def _cmd_invariants(args) -> int:
     diagram = _load_front(args.front)
     sweep = fronts.sweep_front(diagram, args.reverse_component)
-    inv, cmap, maslov = sweep.invariants, sweep.components, sweep.maslov
     indices = dict(enumerate(sweep.indices, start=1))
     payload = {
         "front": diagram.name,
         "events": str(diagram),
-        "components": cmap.num_components,
-        "tb": inv.tb,
-        "writhe": inv.writhe,
-        "right_cusps": inv.num_right_cusps,
-        "rotation_per_component": list(inv.rot_per_component),
-        "r": inv.r,
-        "maslov_modulus": maslov.modulus,
-        "crossing_signs": list(inv.crossing_signs),
+        "components": sweep.num_components,
+        "tb": sweep.tb,
+        "writhe": sweep.writhe,
+        "right_cusps": sweep.num_right_cusps,
+        "rotation_per_component": list(sweep.rot_per_component),
+        "r": sweep.r,
+        "maslov_modulus": sweep.modulus,
+        "crossing_signs": list(sweep.crossing_signs),
         "crossing_indices": {str(k): v for k, v in indices.items()},
     }
     _emit(payload, args.format, [
         f"front        {diagram.name}: {diagram}",
-        f"components   {cmap.num_components}",
-        f"tb           {inv.tb}   (writhe {inv.writhe} - {inv.num_right_cusps} right cusps)",
-        f"rotations    {list(inv.rot_per_component)}   r = {inv.r}",
-        f"maslov mod   {maslov.modulus}",
-        f"signs        {list(inv.crossing_signs)}",
+        f"components   {sweep.num_components}",
+        f"tb           {sweep.tb}   (writhe {sweep.writhe} - {sweep.num_right_cusps} right cusps)",
+        f"rotations    {list(sweep.rot_per_component)}   r = {sweep.r}",
+        f"maslov mod   {sweep.modulus}",
+        f"signs        {list(sweep.crossing_signs)}",
         f"indices      {indices}",
     ])
     return EXIT_OK
@@ -223,7 +222,7 @@ def _cmd_rulings(args) -> int:
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
     # a switch set is a string of code points chr(cid): one translate writes
     # each id with a separator after it, and the last separator is cut
-    ids = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.geometry.crossings) + 1)}
+    ids = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.crossings) + 1)}
     cut = -len(sep)
     ends = {}  # shape -> the rendered text around its rulings' switch ids
     entries = []
@@ -239,14 +238,14 @@ def _cmd_rulings(args) -> int:
         "front": diagram.name,
         "class": args.grading,
         "count": count,
-        "rotation_gcd": sweep.invariants.r,
+        "rotation_gcd": sweep.r,
         "polynomial": poly.to_terms(),
         "polynomial_text": str(poly),
         "polynomials_by_class": {
             cls: cens.polynomials[cls].to_terms() for cls in rulings.GRADING_FILTERS
         },
     }
-    if sweep.invariants.r != 0:
+    if sweep.r != 0:
         payload["note"] = "r != 0: graded classes use residues mod 2r"
     # "rulings" sorts after every other key, so its array closes the object;
     # the indenting encoder is pure Python, so the array is written by hand

@@ -21,11 +21,13 @@ through alternate left and right cusps.
 and derives everything else from that one geometry: one walk around each
 component's cusp cycle gives the component map and orientations, the
 Maslov potential and the rotation numbers, and from those come tb, r and
-the crossing indices, held in one ``FrontSweep`` record beside the front
-itself.  Per-crossing data are tuples by position: crossing id c, the
-c-th crossing in x-order, is entry c - 1.  ``components``,
-``classical_invariants`` and ``maslov_potential`` each return one field
-of a fresh record, and ``crossing_indices`` its indices keyed by id.
+the crossing indices, held in the flat fields of one ``FrontSweep``
+record beside the front itself.  This module alone defines the record:
+its fields are numbers and tuples, cusps and crossings plain tuples of
+arc ids, and per-crossing data are by position: crossing id c, the c-th
+crossing in x-order, is entry c - 1.  ``components`` and
+``classical_invariants`` return the same fresh record as ``sweep_front``,
+and ``crossing_indices`` its indices keyed by id.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 EVENT_KINDS = ("L", "R", "X")
 
@@ -185,33 +186,43 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Sweep geometry: arcs, cusps and crossing sites
-
-
-class Cusp(NamedTuple):
-    kind: str  # "L" or "R"
-    upper_arc: int
-    lower_arc: int
-
-
-class CrossingSite(NamedTuple):
-    over_arc: int  # enters at height k, the strand in front
-    under_arc: int  # enters at height k + 1
+# The sweep record: geometry, components, classical invariants and Maslov data
 
 
 @dataclass(frozen=True)
-class FrontGeometry:
-    """Arcs 2j and 2j + 1 are the upper and lower arcs of left cusp j, from 0;
-    cusps and crossings are in x-order, crossing id c at position c - 1."""
+class FrontSweep:
+    """Everything read off one oriented front, from one validated sweep,
+    beside the front itself, so that no reader pairs it with another.
 
+    Arcs 2j and 2j + 1 are the upper and lower arcs of left cusp j, from 0.
+    A cusp is a tuple (kind, upper arc, lower arc) with kind "L" or "R", and
+    a crossing a tuple (over arc, under arc), the over arc the one entering
+    at height k, in front.  Cusps and crossings are in x-order, and crossing
+    id c, with its sign and index, is at position c - 1.  Every field is
+    immutable, so equal records hash equal.
+    """
+
+    diagram: FrontDiagram
     num_arcs: int
-    cusps: tuple[Cusp, ...]
-    crossings: tuple[CrossingSite, ...]
+    cusps: tuple[tuple[str, int, int], ...]
+    crossings: tuple[tuple[int, int], ...]
+    num_components: int
+    arc_component: tuple[int, ...]
+    arc_rightward: tuple[bool, ...]
+    tb: int
+    rot_per_component: tuple[int, ...]
+    r: int  # gcd of |rotations|; 0 when all rotations vanish
+    writhe: int
+    num_right_cusps: int
+    crossing_signs: tuple[int, ...]
+    modulus: int  # 2r; 0 means integer-valued
+    potential: tuple[int, ...]  # per arc, reduced mod modulus when nonzero
+    indices: tuple[int, ...]  # Maslov index per crossing
 
 
-def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
-    """Arcs, cusps and crossing sites, read in one pass that also checks
-    each height against the live strand count.
+def sweep_geometry(diagram: FrontDiagram) -> tuple[int, tuple, tuple]:
+    """(num_arcs, cusps, crossings) as ``FrontSweep`` holds them, read in one
+    pass that also checks each height against the live strand count.
 
     The first failed check raises ``InvalidFrontError`` with the message of
     the first violation ``validate`` reports; a valid front is never
@@ -219,76 +230,32 @@ def sweep_geometry(diagram: FrontDiagram) -> FrontGeometry:
     """
     stack: list[int] = []  # arc id per current height, top first
     n_arcs = 0
-    cusps: list[Cusp] = []
-    crossings: list[CrossingSite] = []
+    cusps = []
+    crossings = []
     for ev in diagram.events:
         k = ev.height  # >= 1, as FrontEvent checks
         if ev.kind == "L":
             if k > len(stack) + 1:
                 _invalid(diagram)
             stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
-            cusps.append(Cusp("L", n_arcs, n_arcs + 1))
+            cusps.append(("L", n_arcs, n_arcs + 1))
             n_arcs += 2
         elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
         elif ev.kind == "R":
-            upper, lower = stack[k - 1], stack[k]
+            cusps.append(("R", stack[k - 1], stack[k]))
             del stack[k - 1:k + 1]
-            cusps.append(Cusp("R", upper, lower))
         else:
             over, under = stack[k - 1], stack[k]
-            crossings.append(CrossingSite(over, under))
+            crossings.append((over, under))
             stack[k - 1], stack[k] = under, over
     if stack:
         _invalid(diagram)
-    return FrontGeometry(n_arcs, tuple(cusps), tuple(crossings))
+    return n_arcs, tuple(cusps), tuple(crossings)
 
 
 def _invalid(diagram: FrontDiagram):
     raise InvalidFrontError(f"invalid front {diagram.name!r}: {validate(diagram).violations[0].message}")
-
-
-# ---------------------------------------------------------------------------
-# Components, orientations, classical invariants and Maslov data: one sweep
-
-
-@dataclass(frozen=True)
-class ComponentMap:
-    """Per arc, its component and whether it runs rightward."""
-
-    num_components: int
-    arc_component: tuple[int, ...]
-    arc_rightward: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class ClassicalInvariants:
-    tb: int
-    rot_per_component: tuple[int, ...]
-    r: int  # gcd of |rotations|; 0 when all rotations vanish
-    writhe: int
-    num_right_cusps: int
-    crossing_signs: tuple[int, ...]  # aligned with crossing ids 1..c
-
-
-@dataclass(frozen=True)
-class MaslovAssignment:
-    modulus: int  # 2r; 0 means integer-valued
-    potential: tuple[int, ...]  # per arc, reduced mod modulus when nonzero
-
-
-@dataclass(frozen=True)
-class FrontSweep:
-    """Everything read off one oriented front, from one validated sweep,
-    beside the front itself, so that no reader pairs it with another.
-    Every field is immutable, so equal records hash equal."""
-
-    diagram: FrontDiagram
-    geometry: FrontGeometry
-    components: ComponentMap
-    invariants: ClassicalInvariants
-    maslov: MaslovAssignment
-    indices: tuple[int, ...]  # Maslov index, aligned with crossing ids 1..c
 
 
 def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
@@ -316,6 +283,7 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     the component's rotation number.  The cycle is verified to close at its
     seed and the potential consistent mod 2r at every cusp and even on
     rightward arcs, so a failure indicates a traversal bug, not bad input.
+    Components are reversed by int id; any other id is no component.
     """
     return _sweep_front(diagram, reverse, None)
 
@@ -328,14 +296,13 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     direction and potential, not leftward at 1, before the reduction mod
     this front's own 2r; ``reverse`` still flips and raises a component.
     """
-    geom = sweep_geometry(diagram)
-    n_arcs = geom.num_arcs
-    reverse = frozenset(reverse)
+    n_arcs, cusps, crossings = sweep_geometry(diagram)
+    reverse = tuple(reverse)
     record, arcs = anchor or (None, None)
     # per arc, its partner across its right cusp and the Maslov jump towards it
     other = [0] * n_arcs
     jump = [0] * n_arcs
-    for kind, upper, lower in geom.cusps:
+    for kind, upper, lower in cusps:
         if kind == "R":
             other[upper], other[lower] = lower, upper
             jump[upper], jump[lower] = -1, 1
@@ -351,7 +318,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
         c = len(rotations)
         flip = c in reverse  # the seed rule: flipped and one higher when reversed
         right, mu = (flip, 1 + flip) if record is None else (
-            record.components.arc_rightward[arcs[seed]] != flip, record.maslov.potential[arcs[seed]] + flip)
+            record.arc_rightward[arcs[seed]] != flip, record.potential[arcs[seed]] + flip)
         a = seed
         while comp[a] < 0:  # a runs as the seed does, its left-cusp partner a ^ 1 the other way
             comp[a], rightward[a], potential[a] = c, right, mu
@@ -367,50 +334,41 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
         rotations.append(rot if right else -rot)
     n_comp = len(rotations)
 
-    unknown = reverse.difference(range(n_comp))
+    # True and 1.0 equal component 1 but are not ids; listed in the caller's order
+    unknown = [c for c in reverse if type(c) is not int or not 0 <= c < n_comp]
     if unknown:
-        raise ValueError(f"no such component(s): {sorted(unknown)}")
-    cmap = ComponentMap(n_comp, tuple(comp), tuple(rightward))
+        raise ValueError(f"no such component(s): {unknown}")
 
-    signs = tuple([crossing_sign(rightward[over], rightward[under]) for over, under in geom.crossings])
+    signs = tuple([crossing_sign(rightward[over], rightward[under]) for over, under in crossings])
     writhe = sum(signs)
     r = math.gcd(*rotations)
-    inv = ClassicalInvariants(
-        tb=writhe - n_arcs // 2,
-        rot_per_component=tuple(rotations),
-        r=r,
-        writhe=writhe,
-        num_right_cusps=n_arcs // 2,
-        crossing_signs=signs,
-    )
-
     modulus = 2 * r
     if modulus:
         potential = [mu % modulus for mu in potential]
-        indices = tuple([(potential[over] - potential[under]) % modulus for over, under in geom.crossings])
+        indices = tuple([(potential[over] - potential[under]) % modulus for over, under in crossings])
     else:
-        indices = tuple([potential[over] - potential[under] for over, under in geom.crossings])
-    for _, upper, lower in geom.cusps:
+        indices = tuple([potential[over] - potential[under] for over, under in crossings])
+    for _, upper, lower in cusps:
         # reduced, upper - lower - 1 is 0 mod 2r when it is 0 or -2r
         if potential[upper] - potential[lower] - 1 not in (0, -modulus):
             raise RuntimeError("Maslov potential propagation is inconsistent at a cusp")
     if any(right and mu % 2 for right, mu in zip(rightward, potential)):
         raise RuntimeError("rightward arc received an odd Maslov potential")
-    return FrontSweep(diagram, geom, cmap, inv, MaslovAssignment(modulus, tuple(potential)), indices)
+    return FrontSweep(
+        diagram, n_arcs, cusps, crossings, n_comp, tuple(comp), tuple(rightward),
+        writhe - n_arcs // 2, tuple(rotations), r, writhe, n_arcs // 2, signs,
+        modulus, tuple(potential), indices,
+    )
 
 
-def components(diagram: FrontDiagram, reverse=()) -> ComponentMap:
-    """Partition arcs into components and orient them (see ``sweep_front``)."""
-    return sweep_front(diagram, reverse).components
+def components(diagram: FrontDiagram, reverse=()) -> FrontSweep:
+    """The sweep record, read for its components and orientations (see ``sweep_front``)."""
+    return sweep_front(diagram, reverse)
 
 
-def classical_invariants(diagram: FrontDiagram, reverse=()) -> ClassicalInvariants:
-    return sweep_front(diagram, reverse).invariants
-
-
-def maslov_potential(diagram: FrontDiagram, reverse=()) -> MaslovAssignment:
-    """Maslov potential of every arc (see ``sweep_front``)."""
-    return sweep_front(diagram, reverse).maslov
+def classical_invariants(diagram: FrontDiagram, reverse=()) -> FrontSweep:
+    """The sweep record, read for tb, r, the writhe and the crossing signs."""
+    return sweep_front(diagram, reverse)
 
 
 def crossing_indices(diagram: FrontDiagram, reverse=()) -> dict[int, int]:
@@ -457,7 +415,7 @@ def _connected_sum_sweeps(f1: FrontDiagram, f2: FrontDiagram, reverse):
     a >= 2 is arc A1 + a - 2 for f1's A1.
     """
     s12 = sweep_front(connected_sum(f1, f2), reverse)
-    s1 = _sweep_front(f1, (), (s12, range(s12.geometry.num_arcs)))
-    closing = s1.geometry.cusps[-1]
-    arcs = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, s12.geometry.num_arcs))
+    s1 = _sweep_front(f1, (), (s12, range(s12.num_arcs)))
+    _, upper, lower = s1.cusps[-1]
+    arcs = (upper, lower, *range(s1.num_arcs, s12.num_arcs))
     return s1, _sweep_front(f2, (), (s12, arcs)), s12

@@ -23,9 +23,10 @@ with one boundary circle, so its genus is half its z-exponent 1 - theta,
 when it gives no natural number, for the listing and the census alike.
 
 Censuses and listings each come from one left-to-right pass over a
-front's sweep record, ``fronts.FrontSweep``, which carries the front and
-its crossing indices and signs, both tuples by position, crossing id c at
-c - 1; the pass merges equal states.  A state
+front's sweep record, ``fronts.FrontSweep``, which carries the front,
+``num_arcs``, ``num_components`` and the crossing ``indices`` and
+``crossing_signs``, both tuples by position, crossing id c at c - 1; the
+pass merges equal states.  A state
 is the pairing with the grading tag of its switches so far; it carries a
 value that the caller picks.  No state tracks the signs of its switches:
 an even index means equal potential parity at the crossing, so equal
@@ -170,8 +171,8 @@ def _listing(sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
     rulings, so the genus integrality check runs once per shape.
     """
     limit = _limit(class_filter)
-    is_knot = sweep.components.num_components == 1
-    eyes = sweep.geometry.num_arcs // 2
+    is_knot = sweep.num_components == 1
+    eyes = sweep.num_arcs // 2
     ends = _sweep(sweep, limit, [""], _add_switch)
     out = []
     for tag, found in ends.items():
@@ -204,7 +205,7 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
     where a switch appends chr(cid) to each string.
     """
     tags = tuple(map(_tag, sweep.indices))
-    for tag, sign in zip(tags, sweep.invariants.crossing_signs):
+    for tag, sign in zip(tags, sweep.crossing_signs):
         if tag < 2 and sign != 1:
             # even index forces a positive crossing under the even-right convention
             raise RuntimeError("2-graded switch at a negative crossing")
@@ -292,11 +293,11 @@ def _census(sweep: fronts.FrontSweep) -> RulingCensus:
     tags 0, 1, 2 gives the three classes; the end tags partition the switch
     sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
     """
-    w = len(sweep.geometry.crossings) + 1
+    w = len(sweep.crossings) + 1
     ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
-    eyes = sweep.geometry.num_arcs // 2
+    eyes = sweep.num_arcs // 2
     by_limit = [ZPoly(_unpack(v, w, 1 - eyes)) for v in accumulate(ends.get(tag, 0) for tag in range(3))]
-    is_knot = sweep.components.num_components == 1
+    is_knot = sweep.num_components == 1
     if is_knot:
         for e in by_limit[_LIMITS["two_graded"]].terms:
             _genus(e)

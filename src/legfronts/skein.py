@@ -1,11 +1,11 @@
 """Skein-recursion polynomial invariants of link diagrams from fronts.
 
-Fronts convert to ``LinkDiagram``s (see ``diagram``) from the arcs of
-their sweep record, not from the events: an arc's crossings are joined
-in turn, cusps are smoothed across any crossing-free arcs, and the over
-strand is read from slopes, straight into the diagram's flat fields;
-ports are numbered NW, SW, SE, NE, so a front-born crossing always
-carries its over strand on (0, 2).
+Fronts convert to ``LinkDiagram``s (see ``diagram``) from the ``cusps``
+and ``crossings`` of their sweep record, tuples of arc ids, not from the
+events: an arc's crossings are joined in turn, cusps are smoothed across
+any crossing-free arcs, and the over strand is read from slopes,
+straight into the diagram's flat fields; ports are numbered NW, SW, SE,
+NE, so a front-born crossing always carries its over strand on (0, 2).
 
 Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
@@ -86,7 +86,7 @@ class ResourceLimitError(RuntimeError):
 
 def front_to_diagram(diagram: fronts.FrontDiagram, reverse=()) -> LinkDiagram:
     """Resolve a front: cusps become smooth turns, the lesser-slope strand
-    crosses in front, orientations come from the component map."""
+    crosses in front, orientations come from the record's ``arc_rightward``."""
     return _resolved(fronts.sweep_front(diagram, reverse))
 
 
@@ -98,20 +98,20 @@ def _resolved(sweep: fronts.FrontSweep) -> LinkDiagram:
     # to port.  End 2a of arc a is its left end, 2a + 1 its right end, and
     # ports[e] the port there (None on a crossing-free arc); across[e] is the
     # end that meets e at its cusp.
-    sites, cmap = sweep.geometry.crossings, sweep.components
+    sites = sweep.crossings
     adj = [0] * (4 * len(sites))
-    ports = [None] * (2 * sweep.geometry.num_arcs)
-    for i, x in enumerate(sites):
-        for p, a in ((4 * i, x.over_arc), (4 * i + 1, x.under_arc)):
+    ports = [None] * (2 * sweep.num_arcs)
+    for i, (over, under) in enumerate(sites):
+        for p, a in ((4 * i, over), (4 * i + 1, under)):
             if ports[2 * a] is None:
                 ports[2 * a] = p
             else:
                 adj[p], adj[ports[2 * a + 1]] = ports[2 * a + 1], p
             ports[2 * a + 1] = p + 2
     across = [0] * len(ports)
-    for cusp in sweep.geometry.cusps:
-        r = cusp.kind == "R"
-        u, l = 2 * cusp.upper_arc + r, 2 * cusp.lower_arc + r
+    for kind, upper, lower in sweep.cusps:
+        r = kind == "R"
+        u, l = 2 * upper + r, 2 * lower + r
         across[u], across[l] = l, u
     for e, p in enumerate(ports):  # an arc's end port, through crossing-free arcs to the next
         if p is not None:
@@ -120,9 +120,9 @@ def _resolved(sweep: fronts.FrontSweep) -> LinkDiagram:
                 f = across[f ^ 1]
             adj[p] = ports[f]
     # the free loops: components with no crossing on any of their arcs
-    loops = cmap.num_components - len({cmap.arc_component[a] for x in sites for a in x})
-    rightward = cmap.arc_rightward
-    ins = tuple((0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3) for x in sites)
+    loops = sweep.num_components - len({sweep.arc_component[a] for x in sites for a in x})
+    rightward = sweep.arc_rightward
+    ins = tuple((0 if rightward[over] else 2, 1 if rightward[under] else 3) for over, under in sites)
     return _diagram(tuple(range(1, len(sites) + 1)), (True,) * len(sites), ins, tuple(adj), loops)
 
 

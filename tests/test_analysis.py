@@ -309,16 +309,16 @@ def test_summand_records_agree_with_the_composite_when_r_is_nonzero():
         rev = (rng.randrange(n_comp[id(f1)] + n_comp[id(f2)] - 1),) if i % 2 else ()
         assert connsum_check(f1, f2, rev).passed, (str(f1), str(f2), rev)
         s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, rev)
-        closing = s1.geometry.cusps[-1]
-        arcs2 = (closing.upper_arc, closing.lower_arc, *range(s1.geometry.num_arcs, s12.geometry.num_arcs))
-        m12 = s12.maslov.modulus
+        _, upper, lower = s1.cusps[-1]
+        arcs2 = (upper, lower, *range(s1.num_arcs, s12.num_arcs))
+        m12 = s12.modulus
         seen["r != 0"] += m12 > 0
-        for s, arcs in ((s1, range(s1.geometry.num_arcs)), (s2, arcs2)):
-            assert s.components.arc_rightward == tuple(s12.components.arc_rightward[a] for a in arcs)
-            m = s.maslov.modulus
+        for s, arcs in ((s1, range(s1.num_arcs)), (s2, arcs2)):
+            assert s.arc_rightward == tuple(s12.arc_rightward[a] for a in arcs)
+            m = s.modulus
             if m12 == 0 or (m and m12 % m == 0):
-                composite = (s12.maslov.potential[a] for a in arcs)
-                assert s.maslov.potential == tuple(mu % m if m else mu for mu in composite)
+                composite = (s12.potential[a] for a in arcs)
+                assert s.potential == tuple(mu % m if m else mu for mu in composite)
                 seen["exact, r != 0" if m12 else "exact, r = 0"] += 1
             else:
                 seen["inexact"] += 1

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -19,7 +20,6 @@ from legfronts.fronts import (
     crossing_index,
     crossing_indices,
     front,
-    maslov_potential,
     parse_front,
     render_front,
     sweep_front,
@@ -81,7 +81,7 @@ def test_sweep_raises_the_first_violation_validate_reports():
         f = FrontDiagram(tuple(events), name="bad")
         report = validate(f)
         if report.ok:
-            assert sweep_geometry(f).num_arcs == 2 * f.num_left_cusps
+            assert sweep_geometry(f)[0] == 2 * f.num_left_cusps
             continue
         first = report.violations[0]
         with pytest.raises(InvalidFrontError) as info:
@@ -160,6 +160,10 @@ def test_component_counts():
 def test_reverse_component_validation():
     with pytest.raises(ValueError):
         components(UNKNOT, reverse=(3,))
+    # True and 1.0 equal component 1 but are not ids; mixed bad ids are listed, not sorted
+    for reverse in ((True,), (1.0,), ("a", 5)):
+        with pytest.raises(ValueError, match=re.escape(f"no such component(s): {list(reverse)}")):
+            sweep_front(UNLINK2, reverse)
 
 
 # -- classical invariants ----------------------------------------------------
@@ -215,10 +219,10 @@ def test_knot_tb_plus_r_is_odd():
 
 
 def test_unknot_potential():
-    maslov = maslov_potential(UNKNOT)
-    assert maslov.modulus == 0
+    sweep = sweep_front(UNKNOT)
+    assert sweep.modulus == 0
     # arc 0 is the upper strand, arc 1 the lower (rightward, even) one
-    assert maslov.potential == (1, 0)
+    assert sweep.potential == (1, 0)
 
 
 def test_trefoil_indices_all_zero():
@@ -227,9 +231,9 @@ def test_trefoil_indices_all_zero():
 
 
 def test_stabilized_unknot_modulus():
-    maslov = maslov_potential(STAB)
-    assert maslov.modulus == 2
-    assert all(0 <= mu < 2 for mu in maslov.potential)
+    sweep = sweep_front(STAB)
+    assert sweep.modulus == 2
+    assert all(0 <= mu < 2 for mu in sweep.potential)
 
 
 def test_crossing_index_unknown_id():
@@ -250,24 +254,21 @@ def test_even_index_iff_positive_crossing():
 
 def test_cusp_jump_and_even_right_hold():
     for f in random_fronts(seed=15, count=30):
-        geom = sweep_geometry(f)
-        cmap = components(f)
-        maslov = maslov_potential(f)
-        m = maslov.modulus
-        for cusp in geom.cusps:
-            jump = maslov.potential[cusp.upper_arc] - maslov.potential[cusp.lower_arc]
+        sweep = sweep_front(f)
+        m = sweep.modulus
+        for _, upper, lower in sweep.cusps:
+            jump = sweep.potential[upper] - sweep.potential[lower]
             assert (jump - 1) % m == 0 if m else jump == 1
-        for arc, rightward in enumerate(cmap.arc_rightward):
+        for arc, rightward in enumerate(sweep.arc_rightward):
             if rightward:
-                assert maslov.potential[arc] % 2 == 0
+                assert sweep.potential[arc] % 2 == 0
 
 
 def test_rightward_pairs_have_even_index():
     for f in random_fronts(seed=16, count=30):
-        geom = sweep_geometry(f)
-        cmap = components(f)
-        for site, index in zip(geom.crossings, crossing_indices(f).values()):
-            if cmap.arc_rightward[site.over_arc] and cmap.arc_rightward[site.under_arc]:
+        sweep = sweep_front(f)
+        for (over, under), index in zip(sweep.crossings, crossing_indices(f).values()):
+            if sweep.arc_rightward[over] and sweep.arc_rightward[under]:
                 assert index % 2 == 0
 
 
@@ -277,12 +278,10 @@ def test_sweep_record_matches_the_single_quantity_functions():
         for rev in reversals:
             sweep = sweep_front(f, rev)
             assert sweep.diagram is f
-            assert sweep.geometry == sweep_geometry(f)
-            left = [(c.upper_arc, c.lower_arc) for c in sweep.geometry.cusps if c.kind == "L"]
-            assert left == [(a, a + 1) for a in range(0, sweep.geometry.num_arcs, 2)]
-            assert sweep.components == components(f, rev)
-            assert sweep.invariants == classical_invariants(f, rev)
-            assert sweep.maslov == maslov_potential(f, rev)
+            assert (sweep.num_arcs, sweep.cusps, sweep.crossings) == sweep_geometry(f)
+            left = [(upper, lower) for kind, upper, lower in sweep.cusps if kind == "L"]
+            assert left == [(a, a + 1) for a in range(0, sweep.num_arcs, 2)]
+            assert components(f, rev) == classical_invariants(f, rev) == sweep
             assert dict(enumerate(sweep.indices, start=1)) == crossing_indices(f, rev)
 
 
@@ -291,11 +290,11 @@ def test_an_anchor_on_the_fronts_own_record_keeps_each_reversal():
     seen = Counter()
     for f in random_fronts(seed=43, count=80, max_crossings=9):
         own = sweep_front(f)
-        n = own.components.num_components
+        n = own.num_components
         for rev in [()] + [(c,) for c in range(n)]:
-            assert _sweep_front(f, rev, (own, range(own.geometry.num_arcs))) == sweep_front(f, rev), (str(f), rev)
+            assert _sweep_front(f, rev, (own, range(own.num_arcs))) == sweep_front(f, rev), (str(f), rev)
             seen["reversed link"] += n > 1 and bool(rev)
-            seen["r != 0"] += own.maslov.modulus > 0
+            seen["r != 0"] += own.modulus > 0
     assert min(seen.values()) >= 20, seen
 
 
@@ -312,14 +311,14 @@ def _reference_sweep(f, rev=()):
     at 1 when reversed), the arcs at a cusp opposite in direction with the
     upper one higher, rotations counted from down and up cusps, potential
     and indices reduced mod 2r."""
-    geom = sweep_geometry(f)
-    edges = [[] for _ in range(geom.num_arcs)]
-    for cusp in geom.cusps:
-        edges[cusp.lower_arc].append((cusp.upper_arc, +1))
-        edges[cusp.upper_arc].append((cusp.lower_arc, -1))
-    comp = [None] * geom.num_arcs
+    num_arcs, cusps, crossings = sweep_geometry(f)
+    edges = [[] for _ in range(num_arcs)]
+    for _, upper, lower in cusps:
+        edges[lower].append((upper, +1))
+        edges[upper].append((lower, -1))
+    comp = [None] * num_arcs
     n = 0
-    for seed in range(geom.num_arcs):
+    for seed in range(num_arcs):
         if comp[seed] is None:
             comp[seed], todo = n, [seed]
             while todo:
@@ -329,9 +328,9 @@ def _reference_sweep(f, rev=()):
                         todo.append(b)
             n += 1
     births = _arc_births(f)
-    rightward, potential = [None] * geom.num_arcs, [None] * geom.num_arcs
+    rightward, potential = [None] * num_arcs, [None] * num_arcs
     for c in range(n):
-        members = [a for a in range(geom.num_arcs) if comp[a] == c]
+        members = [a for a in range(num_arcs) if comp[a] == c]
         rep = min(members, key=lambda a: (births[a][0], -births[a][1]))
         rightward[rep], potential[rep] = (False, 1) if c in rev else (True, 0)
         todo = [rep]
@@ -343,14 +342,14 @@ def _reference_sweep(f, rev=()):
                     todo.append(b)
     # a cusp is down when its upper arc runs into the cusp point
     down_up = [0] * n
-    for cusp in geom.cusps:
-        down_up[comp[cusp.upper_arc]] += 1 if rightward[cusp.upper_arc] == (cusp.kind == "R") else -1
+    for kind, upper, _ in cusps:
+        down_up[comp[upper]] += 1 if rightward[upper] == (kind == "R") else -1
     assert all(du % 2 == 0 for du in down_up)
     rotations = tuple(du // 2 for du in down_up)
     modulus = 2 * math.gcd(*rotations)
     reduce = lambda x: x % modulus if modulus else x
     potential = tuple(reduce(mu) for mu in potential)
-    indices = tuple(reduce(potential[x.over_arc] - potential[x.under_arc]) for x in geom.crossings)
+    indices = tuple(reduce(potential[over] - potential[under]) for over, under in crossings)
     return tuple(comp), tuple(rightward), rotations, potential, indices
 
 
@@ -362,13 +361,12 @@ def test_one_walk_potential_matches_two_walks():
         n = components(f).num_components
         for rev in [()] + [(0,), (n - 1,)] * (n > 1):
             sweep = sweep_front(f, rev)
-            cmap = sweep.components
-            got = (cmap.arc_component, cmap.arc_rightward, sweep.invariants.rot_per_component,
-                   sweep.maslov.potential, sweep.indices)
+            got = (sweep.arc_component, sweep.arc_rightward, sweep.rot_per_component,
+                   sweep.potential, sweep.indices)
             assert got == _reference_sweep(f, rev), (str(f), rev)
-            seen["r != 0"] += sweep.maslov.modulus > 0
+            seen["r != 0"] += sweep.modulus > 0
             seen["reversed"] += bool(rev)
-            seen["r != 0, reversed"] += sweep.maslov.modulus > 0 and bool(rev)
+            seen["r != 0, reversed"] += sweep.modulus > 0 and bool(rev)
     assert min(seen.values()) >= 20, seen
 
 

@@ -424,10 +424,10 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
 
     def flipped(diagram, reverse=()):
         sweep = real(diagram, reverse)
-        signs = list(sweep.invariants.crossing_signs)
+        signs = list(sweep.crossing_signs)
         c = min(c for c, ix in enumerate(sweep.indices, start=1) if ix == 0)
         signs[c - 1] = -signs[c - 1]
-        return replace(sweep, invariants=replace(sweep.invariants, crossing_signs=tuple(signs)))
+        return replace(sweep, crossing_signs=tuple(signs))
 
     # crossing 4, of index 0, is the only even-index crossing here, and no
     # ruling switches it: the front has no rulings at all
@@ -446,7 +446,7 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
 
     def one_component(diagram, reverse=()):
         sweep = real(diagram, reverse)
-        return replace(sweep, components=replace(sweep.components, num_components=1))
+        return replace(sweep, num_components=1)
 
     monkeypatch.setattr(fronts, "sweep_front", one_component)
     # the unlink's one ruling has no switches and two eyes: z-exponent -1
@@ -562,7 +562,7 @@ def _far_commuted(f, i):
 def _class_data(sweep):
     """tb, then each class polynomial with its listed count, under the sweep record."""
     cens = rulings._census(sweep)
-    return [sweep.invariants.tb] + [
+    return [sweep.tb] + [
         (cens.polynomials[cls], len(rulings._listing(sweep, cls))) for cls in GRADING_FILTERS
     ]
 

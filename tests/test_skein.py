@@ -112,10 +112,10 @@ def _connector_resolved(f, sweep):
             visited |= {cur, sibling(cur)}
             cur = link[sibling(cur)]
         loops += 1
-    rightward = sweep.components.arc_rightward
+    rightward = sweep.arc_rightward
     crossings = {
-        c: Crossing(True, (0 if rightward[x.over_arc] else 2, 1 if rightward[x.under_arc] else 3))
-        for c, x in enumerate(sweep.geometry.crossings, start=1)
+        c: Crossing(True, (0 if rightward[over] else 2, 1 if rightward[under] else 3))
+        for c, (over, under) in enumerate(sweep.crossings, start=1)
     }
     return crossings, adj, loops
 
@@ -127,12 +127,12 @@ def test_one_pass_resolver_matches_the_connector_graph():
     seen = {"loops": 0, "reversed": 0, "free arcs": 0}
     for f in cases:
         plain = sweep_front(f)
-        comp = plain.components.arc_component
-        crossed = {a for x in plain.geometry.crossings for a in x}
+        comp = plain.arc_component
+        crossed = {a for x in plain.crossings for a in x}
         linked = {comp[a] for a in crossed}
         # a component with crossings that also has a crossing-free arc
         seen["free arcs"] += any(c in linked for a, c in enumerate(comp) if a not in crossed)
-        n = plain.components.num_components
+        n = plain.num_components
         for rev in [()] + [(c,) for c in range(n)] * (n > 1):
             sweep = sweep_front(f, rev)
             d = _resolved(sweep)
