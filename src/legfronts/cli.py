@@ -217,20 +217,19 @@ def _cmd_rulings(args) -> int:
     diagram = _load_front(args.front)
     sweep = fronts.sweep_front(diagram, args.reverse_component)
     cens = rulings._census(sweep)
-    listed = rulings._listing(sweep, args.grading)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
-    # a switch set is a string of code points chr(cid): one translate writes
+    # the listing sweep renders each ruling's ids beside its code string,
     # each id with a separator after it, and the last separator is cut
-    ids = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.crossings) + 1)}
+    names = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.crossings) + 1)}
     cut = -len(sep)
-    ends = {}  # shape -> the rendered text around its rulings' switch ids
-    entries = []
-    for switches, shape, fields in listed:
-        if shape not in ends:
-            ends[shape] = render(fields, shape[1])
-        head, tail = ends[shape]
-        entries.append(f"{head}{switches.translate(ids)[:cut]}{tail}")
+    found = {}  # code string -> finished entry
+    for fields, codes, shown in rulings._listing(sweep, args.grading, names, ""):
+        ends = {n: render(f, n) for n, f in fields.items()}
+        for code, ids in zip(codes, shown):
+            head, tail = ends[len(code)]
+            found[code] = f"{head}{ids[:cut]}{tail}"
+    entries = [found[code] for code in sorted(found)]
     if args.format == "text":
         print("\n".join([f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}", *entries]))
         return EXIT_OK

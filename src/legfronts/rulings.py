@@ -37,16 +37,19 @@ switches in the w-bit slot s, w = c + 1 for c crossings: a slot counts
 distinct s-subsets of the crossings, at most C(c, s) < 2^w, so adding
 values never carries across slots, and one pass yields all three class
 polynomials, which a ``RulingCensus`` holds beside whether the front is
-a knot.  Only
-``enumerate_rulings`` lists rulings: its pass carries the switch sets
-themselves, each a string with one code point per crossing id, chr(cid)
-in increasing order.  Strings compare by code point, so their order is
-the order of the id tuples, and the listing sorts them at C speed;
-``Ruling`` converts a set back to its tuple of ids.  Every field of a
-listed ruling but its switches depends only on its shape, the pair (end
-tag, switch count): the end tag gives the grading and orientability, the
-switch count theta and the genus.  The listing computes and checks those
-fields once per shape.
+a knot.  The listing pass carries the switch sets themselves, each a
+string with one code point per crossing id, chr(cid) in increasing
+order, and beside each string the caller's rendering of the same set:
+a switch appends chr(cid) to the string and names[cid] to the
+rendering.  Strings compare by code point, so their order is the order
+of the id tuples; a caller keys each ruling by its string and reads
+them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
+so its rendering is the tuple of ids, and the command line as the
+decimal id and a separator, so its rendering is finished text.  Every
+field of a listed ruling but its switches depends only on its shape,
+the pair (end tag, switch count): the end tag gives the grading and
+orientability, the switch count theta and the genus.  The listing
+computes and checks those fields once per shape.
 
 The moves of a state at an event depend only on the event's kind and
 height and on the pairing, so ``_moves`` is the move table: one bounded
@@ -64,7 +67,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 
 from . import fronts
 from .laurent import ZPoly
@@ -156,41 +158,58 @@ def enumerate_rulings(
     ruling is the tag of the end state that holds it.
     """
     _limit(class_filter)  # a bad filter is reported before the front is swept
-    listed = _listing(fronts.sweep_front(diagram, reverse), class_filter)
-    return [Ruling(tuple(map(ord, switches)), *fields) for switches, _, fields in listed]
+    sweep = fronts.sweep_front(diagram, reverse)
+    names = {cid: (cid,) for cid in range(1, len(sweep.crossings) + 1)}
+    found = {}
+    for fields, codes, shown in _listing(sweep, class_filter, names, ()):
+        for code, switches in zip(codes, shown):
+            found[code] = Ruling(switches, *fields[len(switches)])
+    return [found[code] for code in sorted(found)]
 
 
-def _listing(sweep: fronts.FrontSweep, class_filter: str) -> list[tuple]:
-    """(switches, shape, fields) for each ruling of the class, sorted by switches.
+class _Listed:
+    """Partial rulings' switch sets as code strings and, in parallel, rendered."""
 
-    A switch set is a string, one code point chr(cid) per switched
+    __slots__ = ("codes", "shown")
+
+    def __init__(self, codes: list[str], shown: list):
+        self.codes, self.shown = codes, shown
+
+    def __add__(self, other: _Listed) -> _Listed:
+        return _Listed(self.codes + other.codes, self.shown + other.shown)
+
+
+def _listing(sweep: fronts.FrontSweep, class_filter: str, names, start) -> list[tuple]:
+    """(fields by switch count, codes, shown) for each end tag of the class.
+
+    A switch set's code is a string, one code point chr(cid) per switched
     crossing id in increasing order, so the string order is the order of
-    the id tuples and ``len`` is the switch count.  The shape is the pair
-    (end tag, switch count) and the fields are the shape's (eyes, theta,
-    grading, genus, orientable), one tuple per shape shared by its
-    rulings, so the genus integrality check runs once per shape.
+    the id tuples and ``len`` is the switch count.  Its rendering, in the
+    parallel list ``shown``, is ``start`` followed by ``names[cid]`` for
+    each switch, again in increasing order.  Neither list is sorted.  The
+    fields are a shape's (eyes, theta, grading, genus, orientable), one
+    tuple per switch count shared by the tag's rulings, so the genus
+    integrality check runs once per shape.
     """
     limit = _limit(class_filter)
     is_knot = sweep.num_components == 1
     eyes = sweep.num_arcs // 2
-    ends = _sweep(sweep, limit, [""], _add_switch)
+
+    def bump(value: _Listed, cid: int) -> _Listed:
+        c, name = chr(cid), names[cid]
+        return _Listed([s + c for s in value.codes], [t + name for t in value.shown])
+
     out = []
-    for tag, found in ends.items():
+    for tag, found in _sweep(sweep, limit, _Listed([""], [start]), bump).items():
         # 2-graded rulings bound orientable surfaces; for a knot the converse
         # holds too, while an ungraded-only link ruling is left undetermined
         orientable = True if tag < 2 else (False if is_knot else None)
-        shapes = {}  # switch count -> (shape, fields)
-        for n in set(map(len, found)):
+        fields = {}
+        for n in set(map(len, found.codes)):
             g = _genus(n - eyes + 1) if is_knot and tag < 2 else None
-            shapes[n] = (tag, n), (eyes, eyes - n, _GRADINGS[tag], g, orientable)
-        out += [(switches, *shapes[len(switches)]) for switches in found]
-    out.sort(key=itemgetter(0))
+            fields[n] = (eyes, eyes - n, _GRADINGS[tag], g, orientable)
+        out.append((fields, found.codes, found.shown))
     return out
-
-
-def _add_switch(sets: list[str], cid: int) -> list[str]:
-    c = chr(cid)
-    return [s + c for s in sets]
 
 
 def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
@@ -201,8 +220,9 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
     ``start`` for the empty pairing; a switch at crossing cid maps it
     through ``bump(value, cid)`` and is not taken when its tag exceeds
     ``limit``.  Values that reach one key are added with ``+``: packed
-    counts for the census, lists of switch-set strings for the listing,
-    where a switch appends chr(cid) to each string.
+    counts for the census, ``_Listed`` pairs of lists for the listing,
+    where a switch appends chr(cid) to each code and names[cid] to each
+    rendering.
     """
     tags = tuple(map(_tag, sweep.indices))
     for tag, sign in zip(tags, sweep.crossing_signs):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from legfronts import cli, corpus, fronts, rulings, skein
 from legfronts.fronts import connected_sum, front, parse_front, render_front
+
+from conftest import random_fronts, ruled_random_front
 
 
 def run(capsys, *argv):
@@ -250,30 +253,62 @@ def test_rulings_json_matches_the_indenting_encoder(tmp_path, capsys):
             assert out == _indented_rulings_json(diagram, grading, rev), (diagram.name, grading)
 
 
+def _enumerated_text(diagram, grading, rev):
+    """The text listing written line by line from the enumerated rulings."""
+    cens = rulings.census(diagram, rev)
+    expected = [
+        f"front {diagram.name}: {cens.count(grading)} {grading} ruling(s), "
+        f"polynomial {cens.polynomials[grading]}"
+    ] + [
+        f"  switches={list(r.switches)} theta={r.theta} "
+        f"genus={'-' if r.genus is None else r.genus} {r.grading.value}"
+        for r in rulings.enumerate_rulings(diagram, grading, rev)
+    ]
+    return "\n".join(expected) + "\n"
+
+
 def test_rulings_text_lists_the_enumerated_fields(tmp_path, capsys):
     seen = set()
     for path, diagram, rev in _listing_cases(tmp_path):
-        cens = rulings.census(diagram, rev)
         for grading in rulings.GRADING_FILTERS:
             listed = rulings.enumerate_rulings(diagram, grading, rev)
-            expected = [
-                f"front {diagram.name}: {cens.count(grading)} {grading} ruling(s), "
-                f"polynomial {cens.polynomials[grading]}"
-            ] + [
-                f"  switches={list(r.switches)} theta={r.theta} "
-                f"genus={'-' if r.genus is None else r.genus} {r.grading.value}"
-                for r in listed
-            ]
             argv = ["rulings", str(path), "--format", "text", f"--class={grading}"]
             argv += [f"--reverse-component={c}" for c in rev]
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert out.isascii(), (diagram.name, grading)
-            assert out == "\n".join(expected) + "\n", (diagram.name, grading)
+            assert out == _enumerated_text(diagram, grading, rev), (diagram.name, grading)
             seen.update((grading, r.genus is None, bool(rev)) for r in listed)
     assert {grading for grading, _, _ in seen} == set(rulings.GRADING_FILTERS)
     assert (True, True) in {(nogenus, rev) for _, nogenus, rev in seen}  # a reversed link: genus "-"
     assert (False, False) in {(nogenus, rev) for _, nogenus, rev in seen}
+
+
+def test_seeded_rulings_listings_match_the_enumerated_rulings(tmp_path, capsys):
+    """JSON and text listings of seeded fronts, each unreversed and with
+    every single component reversed, in all three classes."""
+    rng = random.Random(29)
+    fs = random_fronts(seed=29, count=30) + [ruled_random_front(rng, 22, 8) for _ in range(30)]
+    seen = set()
+    for i, f in enumerate(fs):
+        path = tmp_path / f"seeded{i}.front"
+        path.write_text(render_front(f))
+        diagram = parse_front(path.read_text(), name=path.stem)
+        k = fronts.components(diagram).num_components
+        for rev in [()] + [(c,) for c in range(k)] * (k > 1):
+            for grading in rulings.GRADING_FILTERS:
+                argv = ["rulings", str(path), f"--class={grading}", *[f"--reverse-component={c}" for c in rev]]
+                assert run(capsys, *argv, "--format=json") == (0, _indented_rulings_json(diagram, grading, rev), "")
+                assert run(capsys, *argv, "--format=text") == (0, _enumerated_text(diagram, grading, rev), "")
+            listed = rulings.enumerate_rulings(diagram, "ungraded", rev)
+            assert [r.switches for r in listed] == sorted(r.switches for r in listed)
+            if fronts.classical_invariants(diagram, rev).r != 0:
+                seen.add("r != 0")
+            if k > 1 and 0 < len({r.grading for r in listed}) < 3:
+                seen.add("a link with an absent end tag")
+            if any(min(r.switches) <= 9 < max(r.switches) for r in listed if r.switches):
+                seen.add("ids on both sides of 9 | 10")
+    assert seen == {"r != 0", "a link with an absent end tag", "ids on both sides of 9 | 10"}
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys):
@@ -292,7 +327,7 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
 
 
 def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monkeypatch):
-    builds, made, swept = [], [], []
+    builds, made, swept, passes = [], [], [], []
 
     def counted_parser():
         builds.append(1)
@@ -302,10 +337,16 @@ def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monke
         made.append(1)
         return Ruling(*args)
 
+    def counted_pass(*args):
+        passes.append(1)
+        return ruling_pass(*args)
+
     build_parser, Ruling, sweep_geometry = cli.build_parser, rulings.Ruling, fronts.sweep_geometry
+    ruling_pass = rulings._sweep
     monkeypatch.setattr(cli, "build_parser", counted_parser)
     monkeypatch.setattr(rulings, "Ruling", counted_ruling)
     monkeypatch.setattr(fronts, "sweep_geometry", lambda d: swept.append(d.name) or sweep_geometry(d))
+    monkeypatch.setattr(rulings, "_sweep", counted_pass)
     cli._parser.cache_clear()
     path = tmp_path / "T2-15.front"
     path.write_text(render_front(front("L1 L3 " + "X2 " * 15 + "R1 R1")))
@@ -313,6 +354,7 @@ def test_rulings_builds_one_parser_and_no_ruling_objects(tmp_path, capsys, monke
     assert len(builds) == 1
     assert made == []
     assert swept == ["T2-15"] * 3  # one front sweep per op
+    assert len(passes) == 2 * 3  # two ruling passes per op, the census and the listing: rendering adds none
     assert outs[0] == outs[1] == outs[2]
     assert outs[0][0] == 0 and len(json.loads(outs[0][1])["rulings"]) == 987
     cli._parser.cache_clear()

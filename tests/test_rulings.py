@@ -314,7 +314,7 @@ def test_bad_class_filter():
         for read in (
             lambda: enumerate_rulings(UNKNOT, bad),
             lambda: enumerate_rulings(front("L1 X2 R1"), bad),  # the filter is checked before the sweep
-            lambda: rulings._listing(sweep, bad),
+            lambda: rulings._listing(sweep, bad, None, None),  # no names: a sweep that switched would fail otherwise
             lambda: ruling_polynomial(UNKNOT, bad),
             lambda: cens.count(bad),
             lambda: cens.counts_by_theta(bad),
@@ -562,8 +562,10 @@ def _far_commuted(f, i):
 def _class_data(sweep):
     """tb, then each class polynomial with its listed count, under the sweep record."""
     cens = rulings._census(sweep)
+    names = {cid: (cid,) for cid in range(1, len(sweep.crossings) + 1)}
     return [sweep.tb] + [
-        (cens.polynomials[cls], len(rulings._listing(sweep, cls))) for cls in GRADING_FILTERS
+        (cens.polynomials[cls], sum(len(codes) for _, codes, _ in rulings._listing(sweep, cls, names, ())))
+        for cls in GRADING_FILTERS
     ]
 
 
