@@ -7,7 +7,8 @@ v^(tb+1) slice of the Dubrovnik-Kauffman polynomial counts ungraded
 rulings by Euler characteristic.  This module evaluates both sides on a
 given front, certifies maximality of tb, reports the ruling genus bound
 read off the Homfly polynomial, and runs the no-ruling and genus tests
-that the polynomial data supports.
+that the polynomial data supports.  ``connsum_check`` compares packed
+census counts under the front splice, one int product per class.
 
 Every check reads its inputs from one context per (front, reverse): the
 sweep record, the link diagram, Homfly and its degree profile, Kauffman,
@@ -302,24 +303,39 @@ def connsum_check(
 
     The composite is swept once, with ``reverse``, and each summand's
     census is taken under the orientation and Maslov potential that the
-    composite induces on its arcs.
+    composite induces on its arcs.  Every verdict is read off the three
+    census sweeps' packed counts; no polynomial is built.
     """
     s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, reverse)
-    c1, c2, c12 = map(rulings._census, (s1, s2, s12))
-    counts_ok = all(
-        c12.count(cls) == c1.count(cls) * c2.count(cls) for cls in rulings.GRADING_FILTERS
+    return ConnSumResult(s12.diagram, *_connsum_verdicts(s1, s2, s12))
+
+
+def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
+    """(counts_ok, polynomials_ok, genus_additive) from the three records'
+    packed class counts at one slot width w = c12 + 2.
+
+    The splice keeps every crossing and removes two cusps: c12 = c1 + c2
+    and the z-offsets 1 - eyes add.  Summand slot s is at most C(c_i, s),
+    so by Vandermonde a product's slot is at most C(c12, s) < 2^w, true
+    identity or not: no carry crosses a slot, and a * b == ab is the
+    polynomial identity.  A count, at most 2^c12 < 2^w - 1, is the packed
+    value mod 2^w - 1, and a top slot is read off bit_length.
+    """
+    records = (s1, s2, s12)
+    (c1, e1), (c2, e2), (c12, e12) = ((len(s.crossings), s.num_arcs // 2) for s in records)
+    if c12 != c1 + c2 or e12 != e1 + e2 - 1:
+        raise RuntimeError("the splice must keep every crossing and remove two cusps")
+    w = c12 + 2
+    m = (1 << w) - 1
+    p1, p2, p12 = (rulings._class_counts(s, w) for s in records)
+    counts_ok = all((a % m) * (b % m) == ab % m for a, b, ab in zip(p1, p2, p12))
+    polynomials_ok = all(a * b == ab for a, b, ab in zip(p1, p2, p12))
+    two = rulings._LIMITS["two_graded"]
+    g1, g2, g12 = (
+        rulings._genus((p[two].bit_length() - 1) // w + 1 - e) if s.num_components == 1 and p[two] else None
+        for s, p, e in zip(records, (p1, p2, p12), (e1, e2, e12))
     )
-    polynomials_ok = all(
-        c12.polynomials[cls] == c1.polynomials[cls] * c2.polynomials[cls]
-        for cls in rulings.GRADING_FILTERS
-    )
-    g1 = c1.max_genus("two_graded")
-    g2 = c2.max_genus("two_graded")
-    g12 = c12.max_genus("two_graded")
-    genus_additive = None
-    if g1 is not None and g2 is not None:
-        genus_additive = g12 == g1 + g2
-    return ConnSumResult(s12.diagram, counts_ok, polynomials_ok, genus_additive)
+    return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,18 @@ an even index means equal potential parity at the crossing, so equal
 x-directions, so a positive crossing, and the pass checks that at every
 crossing before it starts.  The census carries the counts of partial
 rulings per number of switches packed in one int, the count with s
-switches in the w-bit slot s, w = c + 1 for c crossings: a slot counts
-distinct s-subsets of the crossings, at most C(c, s) < 2^w, so adding
-values never carries across slots, and one pass yields all three class
-polynomials, which a ``RulingCensus`` holds beside whether the front is
-a knot.  The listing pass carries the switch sets themselves, each a
-string with one code point per crossing id, chr(cid) in increasing
-order, and beside each string the caller's rendering of the same set:
-a switch appends chr(cid) to the string and names[cid] to the
-rendering.  Strings compare by code point, so their order is the order
+switches in the w-bit slot s, w >= c + 1 for c crossings: a slot
+counts distinct s-subsets of the crossings, at most C(c, s) < 2^w, so
+adding values never carries across slots, and one pass yields all three
+classes.  It has two readers: ``census`` unpacks them at w = c + 1 into
+the polynomials of a ``RulingCensus``, beside whether the front is a
+knot, and ``analysis.connsum_check`` multiplies the packed ints of a
+splice's summands, swept at a width set by the composite, and compares
+them with the composite's.  The listing pass carries the switch sets
+themselves, each a string with one code point per crossing id, chr(cid)
+in increasing order, and beside each string the caller's rendering of
+the same set: a switch appends chr(cid) to the string and names[cid] to
+the rendering.  Strings compare by code point, so their order is the order
 of the id tuples; a caller keys each ruling by its string and reads
 them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
 so its rendering is the tuple of ids, and the command line as the
@@ -305,20 +308,25 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 
 
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
-    """The class polynomials from one sweep whose values are packed counts.
+    """The class polynomials, read off the packed counts at w = c + 1."""
+    w, offset = len(sweep.crossings) + 1, 1 - sweep.num_arcs // 2
+    by_limit = [ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)]
+    return RulingCensus(sweep.num_components == 1, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})
+
+
+def _class_counts(sweep: fronts.FrontSweep, w: int) -> list[int]:
+    """The packed class counts by limit 0, 1, 2 from one sweep, at w >= c + 1.
 
     A value holds the number of partial rulings with s switches in bits
-    [w * s, w * (s + 1)), w = c + 1: start is 1 and a switch shifts by w.
-    A class sums the end tags up to its limit, so one running sum over the
-    tags 0, 1, 2 gives the three classes; the end tags partition the switch
-    sets, so the sums stay within the slot bound C(c, s) < 2^w as well.
+    [w * s, w * (s + 1)): start is 1 and a switch shifts by w.  A class
+    sums the end tags up to its limit, so one running sum over the tags
+    0, 1, 2 gives the three classes; the end tags partition the switch
+    sets, so the sums stay within the slot bound C(c, s) < 2^w.  For a
+    knot every nonzero 2-graded slot must give a genus.
     """
-    w = len(sweep.crossings) + 1
     ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
-    eyes = sweep.num_arcs // 2
-    by_limit = [ZPoly(_unpack(v, w, 1 - eyes)) for v in accumulate(ends.get(tag, 0) for tag in range(3))]
-    is_knot = sweep.num_components == 1
-    if is_knot:
-        for e in by_limit[_LIMITS["two_graded"]].terms:
+    by_limit = list(accumulate(ends.get(tag, 0) for tag in range(3)))
+    if sweep.num_components == 1:
+        for e in _unpack(by_limit[_LIMITS["two_graded"]], w, 1 - sweep.num_arcs // 2):
             _genus(e)
-    return RulingCensus(is_knot, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})
+    return by_limit

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import random_fronts
+from conftest import random_fronts, ruled_random_front
 from legfronts import analysis, corpus, fronts, rulings, skein
 from legfronts.analysis import (
     FIRED,
@@ -323,6 +324,81 @@ def test_summand_records_agree_with_the_composite_when_r_is_nonzero():
             else:
                 seen["inexact"] += 1
     assert seen["r != 0"] >= 2000 and min(seen.values()) >= 100, seen
+
+
+def _census_verdicts(s1, s2, s12):
+    """The connected-sum verdicts from the three records' census polynomials."""
+    c1, c2, c12 = map(rulings._census, (s1, s2, s12))
+    counts_ok = all(c12.count(cls) == c1.count(cls) * c2.count(cls) for cls in rulings.GRADING_FILTERS)
+    polynomials_ok = all(
+        c12.polynomials[cls] == c1.polynomials[cls] * c2.polynomials[cls] for cls in rulings.GRADING_FILTERS
+    )
+    g1, g2, g12 = (c.max_genus("two_graded") for c in (c1, c2, c12))
+    return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2
+
+
+def test_connsum_verdicts_equal_the_census_polynomials_verdicts():
+    # induced triples from seeded pairs, a component reversed in every other
+    # one, and from census-sum chains; each is also fed with f2's own default
+    # record in place of the induced one.  Fixed triples take another
+    # composite of the same crossings and cusps: f1 # K' in place of f1 # K,
+    # where the knot K' has another top 2-graded genus than K, and two
+    # composites with the same class counts but other polynomials
+    rng = random.Random(5)
+    pool = random_fronts(seed=5, count=60, max_crossings=8)
+    pool += [ruled_random_front(rng, max_events=14) for _ in range(150)]
+    torus = lambda n: front("L1 L3 " + "X2 " * n + "R1 R1", name=f"T(2,{n})")
+    unknot, trefoil = front("L1 R1", name="unknot"), corpus.load("trefoil")
+    factors = [trefoil, torus(5), HOPF, unknot]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
+    pairs += [(_chain(rng.sample(factors, 2)), _chain(rng.sample(factors, 2))) for _ in range(60)]
+    triples = []
+    for i, (f1, f2) in enumerate(pairs):
+        rev = (rng.randrange(components(fronts.connected_sum(f1, f2)).num_components),) if i % 2 else ()
+        s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, rev)
+        triples += [(s1, s2, s12), (s1, fronts.sweep_front(f2), s12)]
+    # genus 1 and 0 on 3 crossings, 2 and 0 on 5, all with two left cusps
+    same_shape = [(trefoil, front("L1 L1 X2 X1 X1 R2 R1")), (torus(5), front("L1 L1 X2 X1 X1 X1 X2 R1 R1"))]
+    sweep = fronts.sweep_front
+    for f1, (k, k2) in itertools.product((unknot, trefoil), same_shape + [p[::-1] for p in same_shape]):
+        triples.append((sweep(f1), sweep(k), sweep(fronts.connected_sum(f1, k2))))
+    # one ruling in each class either way, but z^-2 for x # y and 1 for a # a
+    x, y, a = front("L1 L1 R1 R1"), front("L1 L1 X2 X1 R2 R1"), front("L1 L1 X2 R1 R1")
+    triples += [(sweep(x), sweep(y), sweep(fronts.connected_sum(a, a))),
+                (sweep(a), sweep(a), sweep(fronts.connected_sum(x, y)))]
+    seen = Counter()
+    for triple in triples:
+        verdicts = analysis._connsum_verdicts(*triple)
+        assert verdicts == _census_verdicts(*triple), tuple(str(s.diagram) for s in triple)
+        seen.update(zip(("counts_ok", "polynomials_ok", "genus_additive"), verdicts))
+        seen["r != 0"] += triple[2].r != 0
+        seen["counts only"] += verdicts[0] and not verdicts[1]
+    assert seen["counts only"] >= 2, seen
+    for name in ("counts_ok", "polynomials_ok", "genus_additive"):
+        assert seen[name, False] >= 8 and seen[name, True] >= 20, seen
+    assert seen["r != 0"] >= 100, seen
+
+
+def test_connsum_verdicts_reject_records_that_are_no_splice():
+    # the packed product is exact only at c12 = c1 + c2, and its z-offset
+    # only at eyes12 = eyes1 + eyes2 - 1
+    trefoil, unknot = (fronts.sweep_front(corpus.load(n)) for n in ("trefoil", "unknot"))
+    for triple in ((trefoil, trefoil, trefoil), (unknot, unknot, fronts.sweep_front(front("L1 L2 R2 R1")))):
+        with pytest.raises(RuntimeError, match="the splice must keep every crossing and remove two cusps"):
+            analysis._connsum_verdicts(*triple)
+
+
+def test_connsum_check_builds_no_census_and_no_polynomial(monkeypatch):
+    calls = Counter()
+    real_census, real_init = rulings._census, ZPoly.__init__
+    monkeypatch.setattr(rulings, "_census", lambda s: calls.update(["census"]) or real_census(s))
+    monkeypatch.setattr(ZPoly, "__init__", lambda self, *a: calls.update(["ZPoly"]) or real_init(self, *a))
+    trefoil = corpus.load("trefoil")
+    for f1, f2, rev in ((trefoil, trefoil, ()), (trefoil, HOPF, (1,)), (HOPF, trefoil, (0,))):
+        assert connsum_check(f1, f2, rev).passed
+    assert calls == Counter()
+    rulings.census(trefoil)  # the wrappers count
+    assert calls["ZPoly"] == 3
 
 
 # -- full report ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_fronts, ruled_random_front
-from legfronts import cli, corpus, fronts, rulings
+from legfronts import analysis, cli, corpus, fronts, rulings
 from legfronts.fronts import (
     FrontEvent,
     classical_invariants,
@@ -419,6 +421,61 @@ def _assert_rulings_cli_fails(capsys, name, message):
             assert capsys.readouterr() == ("", f"internal consistency check failed: {message}\n")
 
 
+def _assert_connsum_fails(capsys, f1, f2, message):
+    # the composite is the one record swept through fronts.sweep_front, so
+    # the check fires in its census sweep
+    with pytest.raises(RuntimeError, match=message):
+        analysis.connsum_check(f1, f2)
+    for fmt in ("json", "text"):
+        assert cli.main(["connsum", f1.name, f2.name, f"--format={fmt}"]) == 1
+        assert capsys.readouterr() == ("", f"internal consistency check failed: {message}\n")
+
+
+def _pack(slots, w):
+    return sum(c << (w * s) for s, c in enumerate(slots))
+
+
+def _assert_packed_product_is_exact(a, b, o1, o2):
+    # slot s of a summand with c_i crossings holds at most C(c_i, s): from the
+    # composite's width c1 + c2 + 1 on, the int product is the polynomial
+    # product, and from c1 + c2 + 2 on a slot sum is the packed value mod 2^w - 1
+    c12 = len(a) + len(b) - 2
+    for w in (c12 + 1, c12 + 2):
+        pa, pb = _pack(a, w), _pack(b, w)
+        product = ZPoly(rulings._unpack(pa, w, o1)) * ZPoly(rulings._unpack(pb, w, o2))
+        assert rulings._unpack(pa * pb, w, o1 + o2) == product.terms
+    m = (1 << w) - 1  # w = c12 + 2, the width connsum_check reads counts at
+    assert (pa % m, pb % m, pa * pb % m) == (sum(a), sum(b), sum(a) * sum(b))
+
+
+@st.composite
+def _census_slots(draw):
+    c = draw(st.integers(min_value=0, max_value=12))
+    return [draw(st.integers(min_value=0, max_value=math.comb(c, s))) for s in range(c + 1)]
+
+
+@given(_census_slots(), _census_slots(), st.integers(-12, 12), st.integers(-12, 12))
+def test_packed_product_is_the_polynomial_product(a, b, o1, o2):
+    _assert_packed_product_is_exact(a, b, o1, o2)
+
+
+def test_packed_product_is_exact_at_the_census_bound():
+    full = lambda c: [math.comb(c, s) for s in range(c + 1)]
+    for c1, c2 in itertools.product(range(13), repeat=2):
+        _assert_packed_product_is_exact(full(c1), full(c2), 1 - c1, -c2)
+
+
+def test_packed_product_carries_at_a_summand_width():
+    # two full 3-crossing censuses: the middle product slot is C(6, 3) = 20,
+    # which a summand's 4-bit slot cannot hold, but the composite's 7 bits can
+    full = [1, 3, 3, 1]
+    true_product = {s: math.comb(6, s) for s in range(7)}
+    for w, exact in ((4, False), (7, True)):
+        assert (rulings._unpack(_pack(full, w) ** 2, w, 0) == true_product) is exact
+    # with no crossing, the width c12 + 1 = 1 reads every count mod 1 as 0
+    assert [_pack([1], w) % ((1 << w) - 1) for w in (1, 2)] == [0, 1]
+
+
 def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
     real = fronts.sweep_front
 
@@ -439,6 +496,7 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
             with pytest.raises(RuntimeError, match="2-graded switch at a negative crossing"):
                 compute(f)
     _assert_rulings_cli_fails(capsys, "trefoil", "2-graded switch at a negative crossing")
+    _assert_connsum_fails(capsys, TREFOIL, UNKNOT, "2-graded switch at a negative crossing")
 
 
 def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
@@ -454,6 +512,8 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
         with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
             compute(UNLINK2)
     _assert_rulings_cli_fails(capsys, "unlink2", "2-graded knot ruling with non-integral genus")
+    # unlink2 # unknot is unlink2 again
+    _assert_connsum_fails(capsys, UNLINK2, UNKNOT, "2-graded knot ruling with non-integral genus")
 
 
 @pytest.mark.parametrize("exponent, genus", [(0, 0), (4, 2), (1, None), (3, None), (-2, None)])
