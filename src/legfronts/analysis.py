@@ -21,8 +21,8 @@ once per report; a standalone check builds a context of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from . import fronts, rulings, skein
 from .laurent import HomflyProfile, VZPoly, ZPoly, conway as conway_of, profile
@@ -69,8 +69,7 @@ class _Context:
         return rulings._census(self.sweep)
 
 
-@dataclass(frozen=True)
-class RutherfordResult:
+class RutherfordResult(NamedTuple):
     tb: int
     homfly_slice: ZPoly
     two_graded_poly: ZPoly
@@ -126,8 +125,7 @@ def _rutherford(ctx: _Context) -> RutherfordResult:
     )
 
 
-@dataclass(frozen=True)
-class MaxTbResult:
+class MaxTbResult(NamedTuple):
     tb: int
     e: int  # minimum v-degree of the Homfly polynomial
     is_maximal: bool  # tb + 1 == e
@@ -153,8 +151,7 @@ def _max_tb(ctx: _Context) -> MaxTbResult:
     return MaxTbResult(tb, e, tb + 1 == e, ctx.census.count("two_graded") > 0)
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(NamedTuple):
     kind: str  # "value", "minus_infinity" or "unknown"
     value: int | None  # M/2 when kind == "value"
     reason: str
@@ -233,8 +230,7 @@ def _no_ruling(prof: HomflyProfile, kauffman_poly: VZPoly, khovanov_bound: int |
     return out
 
 
-@dataclass(frozen=True)
-class GenusTests:
+class GenusTests(NamedTuple):
     bennequin_ok: bool  # M <= e
     conway_ok: bool  # deg of the Conway polynomial >= M
     max_two_graded_genus: int | None
@@ -282,8 +278,7 @@ def _genus(ctx: _Context) -> GenusTests:
     )
 
 
-@dataclass(frozen=True)
-class ConnSumResult:
+class ConnSumResult(NamedTuple):
     composite: fronts.FrontDiagram
     counts_ok: bool
     polynomials_ok: bool
@@ -338,8 +333,7 @@ def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
     return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Every check on one front; its dict fields make it unhashable."""
 
     __hash__ = None
@@ -356,11 +350,11 @@ class AnalysisReport:
     conway_test: bool
     theorem1_check: dict
     khovanov_bound_input: int | None
-    ok: bool = field(default=True)
+    ok: bool = True
 
     def to_json(self) -> dict:
         # every field under its own name, except front_name
-        return {"front": self.front_name, **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+        return {"front": self.front_name, **dict(zip(self._fields[1:], self[1:]))}
 
 
 def analyze(

@@ -44,12 +44,11 @@ smoothing, carry other ids in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     over02: bool  # strand through ports (0, 2) is the over strand
     in_ports: tuple[int, int] | None  # inflow port per strand; None = unoriented
 

@@ -48,7 +48,7 @@ Conventions fixed here and relied on by the rest of the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 EVENT_KINDS = ("L", "R", "X")
 
@@ -70,27 +70,44 @@ class NormalFormError(ValueError):
     """Raised when a connected-sum operand is the empty front, with no cusp to splice."""
 
 
-@dataclass(frozen=True)
-class FrontEvent:
+class _Event(NamedTuple):  # FrontEvent's fields: a NamedTuple body cannot define __new__
     kind: str  # "L", "R" or "X"
     height: int  # 1-based from the top strand
 
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if type(self.height) is not int or self.height < 1:
-            raise ValueError(f"event height must be a positive integer, got {self.height!r}")
+
+class FrontEvent(_Event):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, height: int):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if type(height) is not int or height < 1:
+            raise ValueError(f"event height must be a positive integer, got {height!r}")
+        return tuple.__new__(cls, (kind, height))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.height}"
 
 
-@dataclass(frozen=True)
-class FrontDiagram:
+class FrontDiagram(NamedTuple):
     events: tuple[FrontEvent, ...]
-    name: str = field(default="front", compare=False)
+    name: str = "front"
     # source line per event when parsed from text; informational only
-    lines: tuple[int, ...] | None = field(default=None, compare=False)
+    lines: tuple[int, ...] | None = None
+
+    # equal, and hashed, by events alone: name and lines are informational
+    def __eq__(self, other):
+        return isinstance(other, FrontDiagram) and self.events == other.events
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.events)
 
     @property
     def num_crossings(self) -> int:
@@ -146,17 +163,15 @@ def parse_front(text: str, name: str = "front") -> FrontDiagram:
 
 def render_front(diagram: FrontDiagram) -> str:
     """Inverse of parse_front up to comments and whitespace."""
-    return "".join(f"{ev.kind} {ev.height}\n" for ev in diagram.events)
+    return "".join(f"{kind} {k}\n" for kind, k in diagram.events)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     event_index: int | None  # 1-based; None for end-of-diagram violations
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -165,21 +180,21 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
     """Check event heights against live strand counts; never raises."""
     violations = []
     n = 0
-    for i, ev in enumerate(diagram.events, start=1):
-        if ev.kind == "L":
-            if not 1 <= ev.height <= n + 1:
-                violations.append(Violation(i, f"left cusp height {ev.height} out of range 1..{n + 1}"))
+    for i, (kind, k) in enumerate(diagram.events, start=1):
+        if kind == "L":
+            if not 1 <= k <= n + 1:
+                violations.append(Violation(i, f"left cusp height {k} out of range 1..{n + 1}"))
             n += 2
-        elif ev.kind == "R":
-            if not 1 <= ev.height <= n - 1:
-                violations.append(Violation(i, f"right cusp height {ev.height} out of range 1..{n - 1}"))
+        elif kind == "R":
+            if not 1 <= k <= n - 1:
+                violations.append(Violation(i, f"right cusp height {k} out of range 1..{n - 1}"))
             n -= 2
             if n < 0:
                 violations.append(Violation(i, "strand count went negative"))
                 n = 0
         else:
-            if not 1 <= ev.height <= n - 1:
-                violations.append(Violation(i, f"crossing height {ev.height} out of range 1..{n - 1}"))
+            if not 1 <= k <= n - 1:
+                violations.append(Violation(i, f"crossing height {k} out of range 1..{n - 1}"))
     if n != 0:
         violations.append(Violation(None, f"{n} strands left open at the end of the diagram"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -189,8 +204,7 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
 # The sweep record: geometry, components, classical invariants and Maslov data
 
 
-@dataclass(frozen=True)
-class FrontSweep:
+class FrontSweep(NamedTuple):
     """Everything read off one oriented front, from one validated sweep,
     beside the front itself, so that no reader pairs it with another.
 
@@ -232,9 +246,8 @@ def sweep_geometry(diagram: FrontDiagram) -> tuple[int, tuple, tuple]:
     n_arcs = 0
     cusps = []
     crossings = []
-    for ev in diagram.events:
-        k = ev.height  # >= 1, as FrontEvent checks
-        if ev.kind == "L":
+    for kind, k in diagram.events:  # k >= 1, as FrontEvent checks
+        if kind == "L":
             if k > len(stack) + 1:
                 _invalid(diagram)
             stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
@@ -242,7 +255,7 @@ def sweep_geometry(diagram: FrontDiagram) -> tuple[int, tuple, tuple]:
             n_arcs += 2
         elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
-        elif ev.kind == "R":
+        elif kind == "R":
             cusps.append(("R", stack[k - 1], stack[k]))
             del stack[k - 1:k + 1]
         else:

@@ -18,7 +18,7 @@ Degree conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _as_int(x):
@@ -226,8 +226,7 @@ class VZPoly:
         return f"VZPoly({self.terms!r})"
 
 
-@dataclass(frozen=True)
-class HomflyProfile:
+class HomflyProfile(NamedTuple):
     """The degree data the v^e slice of a two-variable polynomial carries.
 
     e is the minimum v-degree, M the maximum z-degree among v^e monomials,

@@ -66,10 +66,10 @@ on verify-small, 13 on census-sum, 7 on rulings-list), and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import fronts
 from .laurent import ZPoly
@@ -88,8 +88,7 @@ class GradingClass(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Ruling:
+class Ruling(NamedTuple):
     switches: tuple[int, ...]  # crossing ids, sorted
     eyes: int  # = number of left cusps
     theta: int  # eyes - switches, the Euler characteristic
@@ -234,13 +233,13 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
             raise RuntimeError("2-graded switch at a negative crossing")
     states = {((), 0): start}
     cid = 0
-    for ev in sweep.diagram.events:
-        if ev.kind == "X":
+    for kind, k in sweep.diagram.events:
+        if kind == "X":
             tag_here = tags[cid]
             cid += 1
         merged: dict = {}
         for (p, tag), value in states.items():
-            for q, switched in _moves(ev.kind, ev.height - 1, p):
+            for q, switched in _moves(kind, k - 1, p):
                 key, add = (q, tag), value
                 if switched:
                     if tag_here > limit:
@@ -277,8 +276,7 @@ def ruling_polynomial(
     return census(diagram, reverse).polynomials[class_filter]
 
 
-@dataclass(frozen=True)
-class RulingCensus:
+class RulingCensus(NamedTuple):
     """The three class polynomials of one front; a mapping, so not hashable."""
 
     __hash__ = None

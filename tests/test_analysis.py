@@ -3,7 +3,6 @@ import math
 import random
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import asdict
 
 import pytest
 
@@ -463,7 +462,7 @@ def test_analyze_passes_the_khovanov_bound_to_flags_and_rho():
         for bound in (None, -2, 0, 5):
             report = analyze(f, khovanov_bound=bound)
             assert report.noruling_flags == no_ruling_tests(skein.homfly(d), skein.kauffman_dubrovnik(d), bound)
-            assert report.rho == asdict(rho_report(f, bound))
+            assert report.rho == rho_report(f, bound)._asdict()
     # no ruling on this front, and e = 0 >= 2 + (-2) fires the Khovanov condition
     assert analyze(corpus.load("stabilized_unknot"), khovanov_bound=-2).rho["kind"] == "minus_infinity"
 
@@ -488,7 +487,7 @@ def test_analyze_agrees_with_standalone_checks_on_random_fronts():
                 "has_two_graded_ruling": cert.has_two_graded_ruling,
                 "consistent": cert.consistent,
             }
-            assert report.rho == asdict(rho_report(f, reverse=rev))
+            assert report.rho == rho_report(f, reverse=rev)._asdict()
             gt = genus_tests(f, reverse=rev)
             assert (report.bennequin_test, report.conway_test) == (gt.bennequin_ok, gt.conway_ok)
             assert report.theorem1_check == {
@@ -511,3 +510,43 @@ def test_records_state_their_hash_contract():
         assert not isinstance(record, Hashable)
         with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
             hash(record)
+
+
+def test_records_are_immutable_and_fronts_compare_by_events():
+    a, b = front("L1 R1", name="a"), fronts.parse_front("L 1\nR 1\n", name="b")
+    assert (a.name, a.lines, b.name, b.lines) == ("a", None, "b", (1, 2))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != front("L1 L1 R1 R1", name="a")
+    assert a != tuple(a) and not tuple(a) == a  # a plain tuple hashes by every field
+    records = (fronts.sweep_front(HOPF), rulings.enumerate_rulings(HOPF)[0], analyze(HOPF))
+    for record, field in zip(records, ("tb", "switches", "ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+# -- Chekanov-type pairs ----------------------------------------------------------
+
+# two pairs of knot fronts, each pair equal in tb, r, Homfly and Kauffman
+# (one smooth knot type is not certified); only the Z-graded class tells
+# the fronts of a pair apart
+CHEKANOV_TYPE_PAIRS = [
+    ("L1 L3 L5 X2 X2 X4 X3 X1 X2 X2 X2 R1 R1 R1",
+     "L1 L3 L5 X4 X2 X2 X5 X5 X5 X1 X3 X3 X4 X1 X2 R1 R1 R1",
+     ZPoly(1), ZPoly({0: 1, 2: 1})),
+    ("L1 L3 L5 X4 X4 X5 X3 X4 X4 X4 X2 X4 X4 R1 R1 R1",
+     "L1 L3 L5 X2 X4 X3 X3 X2 X5 X2 X2 X4 X2 R1 R1 R1",
+     ZPoly(1), ZPoly({0: 1, 2: 3, 4: 1})),
+]
+
+
+@pytest.mark.parametrize("first, second, z_first, z_second", CHEKANOV_TYPE_PAIRS, ids=["tb=1", "tb=3"])
+def test_chekanov_type_pairs_differ_only_in_the_z_graded_class(first, second, z_first, z_second):
+    data = []
+    for tokens in (first, second):
+        f = front(tokens)
+        sweep, link, cens = fronts.sweep_front(f), skein.front_to_diagram(f), rulings.census(f)
+        assert sweep.num_components == 1 and analyze(f).ok
+        data.append((sweep.tb, abs(sweep.r), skein.homfly(link), skein.kauffman_dubrovnik(link),
+                     cens.polynomials["two_graded"], cens.polynomials["ungraded"], cens.polynomials["z_graded"]))
+    assert data[0][:-1] == data[1][:-1]
+    assert (data[0][-1], data[1][-1]) == (z_first, z_second)

@@ -139,6 +139,8 @@ def test_tokens_and_events_reject_junk():
     for height in (0, True, False, 1.0):
         with pytest.raises(ValueError, match="positive integer"):
             FrontEvent("L", height)
+        with pytest.raises(ValueError, match="positive integer"):
+            FrontEvent("L", 1)._replace(height=height)
 
 
 def test_parse_comments_and_blanks():

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -484,7 +483,7 @@ def test_sweep_keeps_the_negative_switch_check(monkeypatch, capsys):
         signs = list(sweep.crossing_signs)
         c = min(c for c, ix in enumerate(sweep.indices, start=1) if ix == 0)
         signs[c - 1] = -signs[c - 1]
-        return replace(sweep, crossing_signs=tuple(signs))
+        return sweep._replace(crossing_signs=tuple(signs))
 
     # crossing 4, of index 0, is the only even-index crossing here, and no
     # ruling switches it: the front has no rulings at all
@@ -504,7 +503,7 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
 
     def one_component(diagram, reverse=()):
         sweep = real(diagram, reverse)
-        return replace(sweep, num_components=1)
+        return sweep._replace(num_components=1)
 
     monkeypatch.setattr(fronts, "sweep_front", one_component)
     # the unlink's one ruling has no switches and two eyes: z-exponent -1
@@ -594,7 +593,7 @@ def _stabilized(f, rng):
     h = rng.randint(1, counts[i])
     zigzag = (FrontEvent("L", h + 1), FrontEvent("R", h)) if rng.random() < 0.5 else (
         FrontEvent("L", h), FrontEvent("R", h + 1))
-    return replace(f, events=f.events[:i] + zigzag + f.events[i:])
+    return f._replace(events=f.events[:i] + zigzag + f.events[i:])
 
 
 def _far_commuted(f, i):
@@ -616,7 +615,7 @@ def _far_commuted(f, i):
     if a.kind == b.kind == "L":
         j = 2 * sum(ev.kind == "L" for ev in f.events[:i])
         arcs[j:j + 4] = arcs[j + 2:j + 4] + arcs[j:j + 2]
-    return replace(f, events=f.events[:i] + swapped + f.events[i + 2:]), arcs
+    return f._replace(events=f.events[:i] + swapped + f.events[i + 2:]), arcs
 
 
 def _class_data(sweep):

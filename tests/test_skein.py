@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -140,7 +139,7 @@ def test_one_pass_resolver_matches_the_connector_graph():
             assert (d.crossings, d.adj, d.loops) == reference, (str(f), rev)
             assert d.memo_key() == LinkDiagram(*reference).memo_key(), (str(f), rev)
             # the resolver reads the record's arcs, not the front's events
-            blind = _resolved(replace(sweep, diagram=front("")))
+            blind = _resolved(sweep._replace(diagram=front("")))
             assert (blind.crossings, blind.adj, blind.loops) == reference, (str(f), rev)
             seen["loops"] += d.loops > 0 and d.num_crossings > 0
             seen["reversed"] += bool(rev)
