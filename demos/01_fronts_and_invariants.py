@@ -4,7 +4,7 @@ A front is a left-to-right event list: L k opens a cusp at height k,
 R k closes one, X k crosses the strands at heights k and k+1.
 """
 
-from legfronts import corpus, crossing_indices, front, sweep_front, validate
+from legfronts import corpus, front, sweep_front, validate
 
 unknot = front("L1 R1", name="unknot")
 trefoil = corpus.load("trefoil")
@@ -28,4 +28,4 @@ print("which is why every one of its rulings is Z-graded):")
 s = sweep_front(trefoil)
 print("   modulus 2r =", s.modulus)
 print("   potential per arc:", list(s.potential))
-print("   crossing indices:", crossing_indices(trefoil))
+print("   crossing indices:", dict(enumerate(s.indices, start=1)))

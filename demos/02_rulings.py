@@ -5,13 +5,13 @@ theta = eyes - switches is the Euler characteristic of the associated
 surface, and for 2-graded rulings of knots the genus is (1 - theta)/2.
 """
 
-from legfronts import census, corpus, enumerate_rulings, front, ruling_polynomial
+from legfronts import census, corpus, enumerate_rulings, front
 
 trefoil = corpus.load("trefoil")
 print("rulings of the maximal-tb trefoil front:")
 for r in enumerate_rulings(trefoil):
     print(f"   switches={list(r.switches)!s:12s} theta={r.theta:2d} genus={r.genus} {r.grading}")
-print("ruling polynomial (2-graded):", ruling_polynomial(trefoil, "two_graded"))
+print("ruling polynomial (2-graded):", census(trefoil).polynomials["two_graded"])
 
 print()
 stab = corpus.load("stabilized_unknot")

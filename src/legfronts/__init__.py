@@ -11,8 +11,6 @@ from .fronts import (
     classical_invariants,
     components,
     connected_sum,
-    crossing_index,
-    crossing_indices,
     front,
     parse_front,
     render_front,
@@ -26,7 +24,6 @@ from .rulings import (
     RulingCensus,
     census,
     enumerate_rulings,
-    ruling_polynomial,
 )
 from .skein import (
     LinkDiagram,
@@ -34,7 +31,6 @@ from .skein import (
     front_to_diagram,
     homfly,
     kauffman_dubrovnik,
-    seifert_circle_count,
     seifert_diagram_genus,
 )
 from .analysis import (

@@ -19,8 +19,6 @@ lifetime.
 once per report; a standalone check builds a context of its own.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from typing import NamedTuple
 

@@ -7,8 +7,6 @@ failed, the input was invalid or an internal consistency check failed,
 2 the skein crossing ceiling was hit or, from argparse, a usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

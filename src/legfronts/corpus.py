@@ -5,8 +5,6 @@ The files live in the ``data`` directory of the installed package; the
 alternative directory of ``*.front`` files instead.
 """
 
-from __future__ import annotations
-
 import os
 from importlib import resources
 from pathlib import Path

@@ -42,8 +42,6 @@ a skein tree meets again after a switch and a bigon strip, or after a
 smoothing, carry other ids in the same order.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -179,6 +177,8 @@ class LinkDiagram:
 
     def seifert_circles(self) -> int:
         """Circles of the oriented smoothing of every crossing, free loops included."""
+        if not self.is_oriented:
+            raise ValueError("Seifert smoothing needs an oriented diagram")
         adj, ins, seen, circles = self._adj, self._ins, set(), self.loops
         for p in range(len(adj)):
             if p & 3 in ins[p >> 2] and p not in seen:  # an inflow port on a new circle

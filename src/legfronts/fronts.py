@@ -26,8 +26,7 @@ record beside the front itself.  This module alone defines the record:
 its fields are numbers and tuples, cusps and crossings plain tuples of
 arc ids, and per-crossing data are by position: crossing id c, the c-th
 crossing in x-order, is entry c - 1.  ``components`` and
-``classical_invariants`` return the same fresh record as ``sweep_front``,
-and ``crossing_indices`` its indices keyed by id.
+``classical_invariants`` return the same fresh record as ``sweep_front``.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -44,8 +43,6 @@ Conventions fixed here and relied on by the rest of the package:
   jumps by one at each cusp with the upper strand higher, and is even on
   rightward strands.
 """
-
-from __future__ import annotations
 
 import math
 from typing import NamedTuple
@@ -382,20 +379,6 @@ def components(diagram: FrontDiagram, reverse=()) -> FrontSweep:
 def classical_invariants(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     """The sweep record, read for tb, r, the writhe and the crossing signs."""
     return sweep_front(diagram, reverse)
-
-
-def crossing_indices(diagram: FrontDiagram, reverse=()) -> dict[int, int]:
-    """Maslov index of every crossing: potential of the upper-left strand
-    minus the lower-left one, mod 2r, keyed by crossing id."""
-    return dict(enumerate(sweep_front(diagram, reverse).indices, start=1))
-
-
-def crossing_index(diagram: FrontDiagram, crossing_id: int, reverse=()) -> int:
-    indices = crossing_indices(diagram, reverse)
-    # a bool or 1.0 hashes like the int id it equals
-    if type(crossing_id) is not int or crossing_id not in indices:
-        raise ValueError(f"front {diagram.name!r} has no crossing {crossing_id}")
-    return indices[crossing_id]
 
 
 # ---------------------------------------------------------------------------

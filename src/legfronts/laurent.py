@@ -16,8 +16,6 @@ Degree conventions used throughout the package:
   applied to a Homfly polynomial this yields the Conway polynomial.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -64,8 +64,6 @@ on verify-small, 13 on census-sum, 7 on rulings-list), and a
 40-crossing, 12-strand ruled random front about 8,000.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -177,7 +175,7 @@ class _Listed:
     def __init__(self, codes: list[str], shown: list):
         self.codes, self.shown = codes, shown
 
-    def __add__(self, other: _Listed) -> _Listed:
+    def __add__(self, other: "_Listed") -> "_Listed":
         return _Listed(self.codes + other.codes, self.shown + other.shown)
 
 
@@ -262,20 +260,6 @@ def _unpack(packed: int, w: int, offset: int) -> dict[int, int]:
     return out
 
 
-def ruling_polynomial(
-    diagram: fronts.FrontDiagram,
-    class_filter: str = "two_graded",
-    reverse=(),
-) -> ZPoly:
-    """The census generating polynomial: sum of z^(1 - theta) over rulings.
-
-    For 2-graded rulings of a knot front the exponent 1 - theta equals
-    twice the ruling genus.
-    """
-    _limit(class_filter)
-    return census(diagram, reverse).polynomials[class_filter]
-
-
 class RulingCensus(NamedTuple):
     """The three class polynomials of one front; a mapping, so not hashable."""
 
@@ -286,10 +270,6 @@ class RulingCensus(NamedTuple):
     def count(self, class_filter: str) -> int:
         _limit(class_filter)
         return sum(self.polynomials[class_filter].terms.values())
-
-    def counts_by_theta(self, class_filter: str) -> dict[int, int]:
-        _limit(class_filter)
-        return {1 - e: c for e, c in self.polynomials[class_filter].terms.items()}
 
     def max_genus(self, class_filter: str = "two_graded") -> int | None:
         """Half the top z-degree of the class's 2-graded rulings, the ones with a genus; None for links."""

@@ -63,8 +63,6 @@ Conventions (pinned operationally by the test suite):
   (c - s + 1)/2.
 """
 
-from __future__ import annotations
-
 from . import fronts
 from .diagram import LinkDiagram, _diagram
 from .laurent import VZPoly
@@ -260,19 +258,12 @@ def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, 
 # Seifert circles
 
 
-def seifert_circle_count(d: LinkDiagram) -> int:
-    """Circles left after smoothing every crossing along orientation, free loops included."""
-    if not d.is_oriented:
-        raise ValueError("Seifert smoothing needs an oriented diagram")
-    return d.seifert_circles()
-
-
 def seifert_diagram_genus(d: LinkDiagram) -> int:
     """Genus of the Seifert-algorithm surface of a knot diagram."""
     if d.num_components() != 1:
         raise ValueError("Seifert diagram genus is defined here for knot diagrams only")
     c = d.num_crossings
-    s = seifert_circle_count(d)
+    s = d.seifert_circles()
     spread = c - s + 1
     if spread % 2 != 0:
         raise RuntimeError("Seifert circle count has impossible parity")

@@ -152,10 +152,11 @@ def test_criterion_8_structural_invariants():
                 if is_knot and r.theta == 1:
                     assert r.grading is GradingClass.Z_GRADED
                     assert inv.r == 0
-            for theta in set(cens.counts_by_theta("ungraded")):
-                c_u = cens.counts_by_theta("ungraded").get(theta, 0)
-                c_2 = cens.counts_by_theta("two_graded").get(theta, 0)
-                c_z = cens.counts_by_theta("z_graded").get(theta, 0)
+            by_theta = {cls: {1 - e: c for e, c in poly.terms.items()} for cls, poly in cens.polynomials.items()}
+            for theta in set(by_theta["ungraded"]):
+                c_u = by_theta["ungraded"].get(theta, 0)
+                c_2 = by_theta["two_graded"].get(theta, 0)
+                c_z = by_theta["z_graded"].get(theta, 0)
                 assert c_z <= c_2 <= c_u
 
 

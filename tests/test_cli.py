@@ -128,7 +128,7 @@ def test_negative_crossing_ceiling_is_a_usage_error(capsys):
 
 def test_internal_consistency_error_gives_exit_1(capsys, monkeypatch):
     # a wrong circle count trips the parity check inside seifert_diagram_genus
-    monkeypatch.setattr(skein, "seifert_circle_count", lambda d: 1)
+    monkeypatch.setattr(skein.LinkDiagram, "seifert_circles", lambda d: 1)
     code, out, err = run(capsys, "tests", "trefoil")
     assert code == 1
     assert out == ""

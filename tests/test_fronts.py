@@ -17,8 +17,6 @@ from legfronts.fronts import (
     classical_invariants,
     components,
     connected_sum,
-    crossing_index,
-    crossing_indices,
     front,
     parse_front,
     render_front,
@@ -228,8 +226,9 @@ def test_unknot_potential():
 
 
 def test_trefoil_indices_all_zero():
-    assert crossing_indices(TREFOIL) == {1: 0, 2: 0, 3: 0}
-    assert crossing_index(TREFOIL, 2) == 0
+    indices = sweep_front(TREFOIL).indices
+    assert dict(enumerate(indices, start=1)) == {1: 0, 2: 0, 3: 0}
+    assert indices[1] == 0  # crossing id 2
 
 
 def test_stabilized_unknot_modulus():
@@ -238,19 +237,10 @@ def test_stabilized_unknot_modulus():
     assert all(0 <= mu < 2 for mu in sweep.potential)
 
 
-def test_crossing_index_unknown_id():
-    with pytest.raises(ValueError):
-        crossing_index(UNKNOT, 1)
-    # True and 1.0 hash like crossing id 1 but are not ids
-    for crossing_id in (True, 1.0, "1"):
-        with pytest.raises(ValueError, match="has no crossing"):
-            crossing_index(TREFOIL, crossing_id)
-
-
 def test_even_index_iff_positive_crossing():
     for f in random_fronts(seed=14, count=40):
         inv = classical_invariants(f)
-        for cid, index in crossing_indices(f).items():
+        for cid, index in enumerate(inv.indices, start=1):
             assert (index % 2 == 0) == (inv.crossing_signs[cid - 1] == 1)
 
 
@@ -269,7 +259,7 @@ def test_cusp_jump_and_even_right_hold():
 def test_rightward_pairs_have_even_index():
     for f in random_fronts(seed=16, count=30):
         sweep = sweep_front(f)
-        for (over, under), index in zip(sweep.crossings, crossing_indices(f).values()):
+        for (over, under), index in zip(sweep.crossings, sweep.indices):
             if sweep.arc_rightward[over] and sweep.arc_rightward[under]:
                 assert index % 2 == 0
 
@@ -284,7 +274,7 @@ def test_sweep_record_matches_the_single_quantity_functions():
             left = [(upper, lower) for kind, upper, lower in sweep.cusps if kind == "L"]
             assert left == [(a, a + 1) for a in range(0, sweep.num_arcs, 2)]
             assert components(f, rev) == classical_invariants(f, rev) == sweep
-            assert dict(enumerate(sweep.indices, start=1)) == crossing_indices(f, rev)
+            assert dict(enumerate(sweep.indices, start=1)) == dict(enumerate(sweep_front(f, rev).indices, start=1))
 
 
 def test_an_anchor_on_the_fronts_own_record_keeps_each_reversal():

@@ -13,7 +13,6 @@ from legfronts.fronts import (
     classical_invariants,
     components,
     connected_sum,
-    crossing_indices,
     front,
 )
 from legfronts.laurent import ZPoly
@@ -22,7 +21,6 @@ from legfronts.rulings import (
     GradingClass,
     census,
     enumerate_rulings,
-    ruling_polynomial,
 )
 
 UNKNOT = front("L1 R1", name="unknot")
@@ -80,8 +78,8 @@ def _oracle_accepts(events, switches) -> bool:
 
 
 def oracle_switch_sets(diagram, class_filter="ungraded", reverse=()):
-    ids = sorted(crossing_indices(diagram, reverse))
-    indices = crossing_indices(diagram, reverse)
+    indices = dict(enumerate(fronts.sweep_front(diagram, reverse).indices, start=1))
+    ids = sorted(indices)
     out = set()
     for size in range(len(ids) + 1):
         for subset in itertools.combinations(ids, size):
@@ -158,9 +156,9 @@ def test_unlink2_ruling():
 
 
 def test_trefoil_polynomial():
-    assert ruling_polynomial(TREFOIL, "two_graded") == ZPoly({2: 1, 0: 2})
-    assert ruling_polynomial(STAB, "ungraded") == ZPoly(0)
-    assert ruling_polynomial(UNLINK2, "two_graded") == ZPoly({-1: 1})
+    assert census(TREFOIL).polynomials["two_graded"] == ZPoly({2: 1, 0: 2})
+    assert census(STAB).polynomials["ungraded"] == ZPoly(0)
+    assert census(UNLINK2).polynomials["two_graded"] == ZPoly({-1: 1})
 
 
 def test_hopf_orientation_splits_census():
@@ -208,7 +206,7 @@ def test_oracle_equivalence_on_random_fronts():
     seen = Counter()
     for f, rev in cases:
         is_knot = components(f).num_components == 1
-        indices = crossing_indices(f, rev)
+        indices = dict(enumerate(fronts.sweep_front(f, rev).indices, start=1))
         for cls in GRADING_FILTERS:
             listed = enumerate_rulings(f, cls, rev)
             assert {r.switches for r in listed} == oracle_switch_sets(f, cls, rev), (str(f), rev, cls)
@@ -241,13 +239,14 @@ def test_theta_equals_left_cusps_minus_switches():
 def test_graded_counts_nest_per_theta():
     for f in random_fronts(seed=23, count=20, max_crossings=8):
         cens = census(f)
+        by_theta = {cls: {1 - e: c for e, c in poly.terms.items()} for cls, poly in cens.polynomials.items()}
         thetas = set()
         for cls in ("ungraded", "two_graded", "z_graded"):
-            thetas |= set(cens.counts_by_theta(cls))
+            thetas |= set(by_theta[cls])
         for theta in thetas:
-            c_u = cens.counts_by_theta("ungraded").get(theta, 0)
-            c_2 = cens.counts_by_theta("two_graded").get(theta, 0)
-            c_z = cens.counts_by_theta("z_graded").get(theta, 0)
+            c_u = by_theta["ungraded"].get(theta, 0)
+            c_2 = by_theta["two_graded"].get(theta, 0)
+            c_z = by_theta["z_graded"].get(theta, 0)
             assert c_z <= c_2 <= c_u
 
 
@@ -316,13 +315,13 @@ def test_bad_class_filter():
             lambda: enumerate_rulings(UNKNOT, bad),
             lambda: enumerate_rulings(front("L1 X2 R1"), bad),  # the filter is checked before the sweep
             lambda: rulings._listing(sweep, bad, None, None),  # no names: a sweep that switched would fail otherwise
-            lambda: ruling_polynomial(UNKNOT, bad),
             lambda: cens.count(bad),
-            lambda: cens.counts_by_theta(bad),
             lambda: cens.max_genus(bad),
         ):
             with pytest.raises(ValueError, match="class_filter must be one of"):
                 read()
+    # the census holds a polynomial for each class filter and for nothing else
+    assert tuple(cens.polynomials) == GRADING_FILTERS
 
 
 # -- merged sweep against the listed rulings ----------------------------------
@@ -350,7 +349,7 @@ def test_sweep_census_matches_the_listed_rulings_on_random_fronts():
             listed = enumerate_rulings(f, cls, rev)
             assert cens.polynomials[cls] == ZPoly(Counter(1 - r.theta for r in listed)), (str(f), rev, cls)
             assert cens.count(cls) == len(listed)
-            assert cens.counts_by_theta(cls) == Counter(r.theta for r in listed)
+            assert {1 - e: c for e, c in cens.polynomials[cls].terms.items()} == Counter(r.theta for r in listed)
             genera = [r.genus for r in listed if r.genus is not None]
             assert cens.max_genus(cls) == (max(genera) if genera else None)
 

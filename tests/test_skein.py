@@ -26,7 +26,6 @@ from legfronts.skein import (
     front_to_diagram,
     homfly,
     kauffman_dubrovnik,
-    seifert_circle_count,
     seifert_diagram_genus,
 )
 
@@ -578,7 +577,12 @@ def test_seifert_genus_examples():
 
 
 def test_seifert_circles_trefoil():
-    assert seifert_circle_count(front_to_diagram(TREFOIL)) == 2
+    assert front_to_diagram(TREFOIL).seifert_circles() == 2
+
+
+def test_seifert_circles_need_an_oriented_diagram():
+    with pytest.raises(ValueError, match="Seifert smoothing needs an oriented diagram"):
+        front_to_diagram(TREFOIL).unoriented().seifert_circles()
 
 
 def test_seifert_genus_rejects_links():
@@ -707,5 +711,5 @@ def test_seifert_circles_in_one_pass_match_smoothing_every_crossing():
         links += n > 1
         for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
             d = front_to_diagram(f, reverse)
-            assert seifert_circle_count(d) == tuple_reference.seifert_circle_count(d), (str(f), reverse)
+            assert d.seifert_circles() == tuple_reference.seifert_circle_count(d), (str(f), reverse)
     assert links >= 50

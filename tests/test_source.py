@@ -7,10 +7,21 @@ the peak RSS of every process that imports the package.
 The package is pure standard library: every module imports only the
 standard library and the package itself.  No module imports
 ``dataclasses``: the records are named tuples, since decorating them as
-frozen dataclasses cost about 14 ms of every import of the package.
+frozen dataclasses cost about 14 ms of every import of the package.  No
+module imports ``__future__``: under ``annotations`` each named-tuple
+field's string annotation is compiled again as a ``ForwardRef`` at class
+creation.
+
+The benchmark under ``bench/`` drives the package through its public
+names, so every package attribute it reads must resolve here, where a
+removed or renamed name fails the tier-1 suite and not only a benchmark
+run.
 """
 
 import ast
+import contextlib
+import importlib.util
+import inspect
 import sys
 import tokenize
 from pathlib import Path
@@ -44,3 +55,60 @@ def test_module_imports_only_the_standard_library(path):
     tops = {name.partition(".")[0] for name in imported}
     assert tops <= sys.stdlib_module_names | {"legfronts"}, sorted(tops - sys.stdlib_module_names)
     assert "dataclasses" not in tops
+    assert "__future__" not in tops
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _package_chain(node) -> tuple[str, ...] | None:
+    """The attribute names read off the package in ``lf.a.b`` or
+    ``self.lf.a.b``, the names the benchmark gives the imported package;
+    None for any other expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    names = tuple(reversed(names))
+    if isinstance(node, ast.Name) and node.id == "lf":
+        return names
+    if isinstance(node, ast.Name) and node.id == "self" and names[:1] == ("lf",):
+        return names[1:]
+    return None
+
+
+def _resolve(chain) -> str | None:
+    """The first dotted name of ``chain`` that the package lacks, or None.
+    A name missing on a module is tried as a submodule, which the
+    benchmark imports itself (``legfronts.cli``)."""
+    owner = legfronts
+    for i, name in enumerate(chain):
+        if not hasattr(owner, name) and inspect.ismodule(owner):
+            with contextlib.suppress(ModuleNotFoundError):
+                importlib.import_module(f"{owner.__name__}.{name}")
+        if not hasattr(owner, name):
+            return ".".join(("legfronts",) + chain[:i + 1])
+        owner = getattr(owner, name)
+    return None
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        with tokenize.open(path) as fh:
+            tree = ast.parse(fh.read(), str(path))
+        chains.update(c for c in map(_package_chain, ast.walk(tree)) if c)
+    assert [name for name in map(_resolve, sorted(chains)) if name] == []
+    # the walk sees the names the workloads call, such as these
+    assert {("components",), ("classical_invariants",), ("census",), ("cli", "main")} <= chains
+
+
+def test_laurent_types_define_every_method_the_tracer_wraps():
+    # the tracer wraps each method through the class __dict__, so a
+    # method that is inherited or renamed fails the traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert "__init__" in tracer.LAURENT_METHODS
+    for cls in (legfronts.ZPoly, legfronts.VZPoly):
+        assert [m for m in tracer.LAURENT_METHODS if m not in cls.__dict__] == [], cls.__name__
