@@ -30,16 +30,18 @@ crossings, gives every other arc a bit, and labels each tree arc with the
 XOR of the bits over its subtree; two arcs cut the graph exactly when
 their labels are equal, and in a planar diagram they bound a disk, a
 connected sum.  ``_summands`` reduces a diagram and cuts it once, on
-first use, and keeps the result in a private slot.
+first use, and keeps the result in a private slot.  ``_twist_region``
+finds a chain of the alternating bigons ``reduced`` keeps, with the
+splices of its three skein children, each built by one ``_fused``.
 
 ``memo_key`` is the memo key of the skein expansion: the over flags, the
 inflow ports and the matching, all by rank, free loops left out.  Two
 diagrams with equal keys differ only by an order-preserving renaming of
 crossings and by their free loops, so a quantity that ignores names,
 like a skein polynomial, agrees on both up to the loops' factor.  Ranks
-rather than ids make the key catch repeats: the twist sub-diagrams that
-a skein tree meets again after a switch and a bigon strip, or after a
-smoothing, carry other ids in the same order.
+rather than ids make the key catch repeats: the sub-diagrams that a
+skein tree meets again, such as equal connected summands or one child
+reached along two branches, carry other ids in the same order.
 """
 
 from operator import itemgetter
@@ -64,6 +66,8 @@ class LinkDiagram:
         for c in crossings:
             if type(c) is not int:
                 raise ValueError(f"crossing id {c!r} is not an int")
+        if type(loops) is not int or loops < 0:
+            raise ValueError(f"free loop count {loops!r} is not a non-negative int")
         if any(adj.get(q) != p for p, q in adj.items()):
             raise ValueError("arc matching is not symmetric")
         for port in [(c, p) for c in crossings for p in range(4)]:
@@ -203,13 +207,51 @@ class LinkDiagram:
         if self._ins[i] is None:
             raise ValueError("oriented smoothing needs an oriented diagram")
         i1, i2 = self._ins[i]
-        return self._fused(i, ((i1, i2 ^ 2), (i2, i1 ^ 2)))
+        return self._fused((i, ((i1, i2 ^ 2), (i2, i1 ^ 2))))
 
     def smoothings_unoriented(self, cid: int) -> tuple["LinkDiagram", "LinkDiagram"]:
         """The two planar reconnections: port pairing {(1,2),(0,3)} first,
         then {(0,1),(2,3)}."""
         i = self._rank(cid)
-        return self._fused(i, ((1, 2), (0, 3))), self._fused(i, ((0, 1), (2, 3)))
+        return self._fused((i, _SMOOTHINGS[0])), self._fused((i, _SMOOTHINGS[1]))
+
+    def _twist_region(self, cid: int) -> tuple | None:
+        """The twist region through a crossing, or None when it is in none:
+        a maximal chain of k >= 2 crossings joined pairwise by alternating
+        bigons, cyclic for T(2, k).  Returns k; h, the first crossing's
+        ``si`` (1 when the (0, 2) strand is over), negated unless the
+        through smoothing, which keeps both strands running along the chain,
+        pairs {(1,2),(0,3)}; whether the strands run the same way (None
+        when unoriented); and the ``_fused`` splices of sigma (the first
+        crossing kept, the rest smoothed through), 1 (all smoothed through)
+        and e (the first turned back).  An alternating bigon keeps the over
+        flag XOR the axis parity, so every crossing has the same h.
+        """
+        i, adj, over, ins = self._rank(cid), self._adj, self._over, self._ins
+
+        def across(p):  # the far side of the bigon on ports p and p + 1 CCW, if one is alternating
+            b = adj[p]
+            if (b >> 2 != p >> 2 and adj[p & ~3 | p + 1 & 3] == b & ~3 | b - 1 & 3
+                    and ((p ^ b) & 1 == 0) != (over[p >> 2] == over[b >> 2])):
+                return b & ~3 | b + 1 & 3
+
+        p = next((p for p in range(4 * i, 4 * i + 4) if across(p) is not None), None)
+        if p is None:
+            return None
+        q = p ^ 2  # back along the chain to its first crossing, or round to i
+        while (b := across(q)) is not None and b >> 2 != i:
+            q = b
+        first = p if b is not None else q ^ 2
+        chain, q = [first], first
+        while (b := across(q)) is not None and b >> 2 != first >> 2:
+            chain.append(q := b)
+        # parallel when the oriented smoothing is the through one
+        parallel = {None if ins[q >> 2] is None else (sum(ins[q >> 2]) >> 1 ^ q) & 1 == 0 for q in chain}
+        if len(parallel) > 1:
+            raise RuntimeError("the crossings of a twist region disagree on its strands' directions")
+        through = [(q >> 2, _SMOOTHINGS[q & 1]) for q in chain]
+        rest, h = through[1:], 1 if over[first >> 2] != first & 1 else -1
+        return len(chain), h, parallel.pop(), (rest, through, [(first >> 2, _SMOOTHINGS[~first & 1])] + rest)
 
     def reduced(self) -> tuple["LinkDiagram", int]:
         """Strip Reidemeister-I curls and Reidemeister-II bigons until none
@@ -228,14 +270,14 @@ class LinkDiagram:
                 c, c2, q = p >> 2, b >> 2, p - (p & 3) + (p + 1 & 3)  # q: next port CCW
                 if b == q:
                     curls += _sign_from(over[c], (p + 2 & 3, q & 3))
-                    d = d._fused(c, ((p + 2 & 3, q + 2 & 3),))  # the curl's own arc goes with it
+                    d = d._fused((c, ((p + 2 & 3, q + 2 & 3),)))  # the curl's own arc goes with it
                     break
                 if (c2 != c and adj[q] == b - (b & 3) + (b - 1 & 3)
                         and ((p ^ b) & 1 == 0) == (over[c] == over[c2])
                         and all(adj[x] >> 2 not in (c, c2) for x in (p ^ 2, q ^ 2, b ^ 2, adj[q] ^ 2))):
                     # both strands run straight through both crossings and the
                     # bigon's arcs, so the outer ports join up along them
-                    d = d._fused(c, ((0, 2), (1, 3)))._fused(c2 - (c2 > c), ((0, 2), (1, 3)))
+                    d = d._fused((c, ((0, 2), (1, 3))), (c2, ((0, 2), (1, 3))))
                     break
             else:
                 return d, curls
@@ -257,23 +299,30 @@ class LinkDiagram:
     def unoriented(self) -> "LinkDiagram":
         return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self.loops)
 
-    def _fused(self, i: int, pairs) -> "LinkDiagram":
-        """Remove the crossing of rank i, wiring its ports together pairwise.
+    def _fused(self, *splices) -> "LinkDiagram":
+        """Remove crossings, each splice (rank, pairs) wiring the ports of
+        one crossing together pairwise, and build one diagram.
 
         Each pair splices the arcs at its two ports into one, reading the
         matching as earlier splices left it; a pair whose ports share an
         arc closes a loop.  Ports in no pair must be joined to each other.
         """
-        base, adj, loops = 4 * i, list(self._adj), self.loops
-        for a, b in pairs:
-            x, y = adj[base + a], adj[base + b]
-            if x == base + b:
-                loops += 1
-            else:
-                adj[x], adj[y] = y, x
-        del adj[base:base + 4]
-        adj = tuple([x - 4 if x > base else x for x in adj])
-        return _diagram(*(t[:i] + t[i + 1:] for t in (self._ids, self._over, self._ins)), adj, loops)
+        adj, loops = list(self._adj), self.loops
+        for i, pairs in splices:
+            base = 4 * i
+            for a, b in pairs:
+                x, y = adj[base + a], adj[base + b]
+                if x == base + b:
+                    loops += 1
+                else:
+                    adj[x], adj[y] = y, x
+        ids, over, ins = self._ids, self._over, self._ins
+        for i, _ in sorted(splices, reverse=True):  # from the top, so lower ranks stay put
+            base = 4 * i
+            del adj[base:base + 4]
+            adj = [x - 4 if x > base else x for x in adj]
+            ids, over, ins = ids[:i] + ids[i + 1:], over[:i] + over[i + 1:], ins[:i] + ins[i + 1:]
+        return _diagram(ids, over, ins, tuple(adj), loops)
 
     def _part(self, ranks) -> "LinkDiagram":
         """The crossings of some ranks, ascending, with the ports that led
@@ -301,6 +350,11 @@ class LinkDiagram:
         rows = [[label[4 * i + (ins[ins[0] % 2 != over] + s) % 4] for s in range(4)]
                 for i, (over, ins) in enumerate(zip(self._over, self._ins))]
         return {"crossings": rows, "free_loops": self.loops}
+
+
+# the planar smoothings; in a twist region where ports p, p + 1 face one
+# neighbour, _SMOOTHINGS[p & 1] is the through one
+_SMOOTHINGS = (((1, 2), (0, 3)), ((0, 1), (2, 3)))
 
 
 def _diagram(*fields) -> LinkDiagram:

@@ -19,27 +19,33 @@ both crossings (worth 1 to both).  The input is reduced once and cut
 into split components and connected summands, each expanded alone with
 its two cut ports joined; k split components and l free loops add the
 factor delta^(k + l - 1).  The diagram keeps its reduction and cut for
-its lifetime, so Homfly and Kauffman of one diagram share them.
+its lifetime, so Homfly and Kauffman of one diagram share them.  A bad
+crossing in a twist region, a chain of k >= 2 crossings joined by
+alternating bigons, expands the whole region in one step by the Hecke
+and BMW quadratic relations unrolled along it, into at most three
+children built in one splice each.
 
 Every node is a ``LinkDiagram`` in the flat format of ``diagram``: a
 crossing is its rank, a port the integer 4 * rank + port, and the moves,
 reductions, walks and cuts run on integer tuples.  This module reads no
 ports: it asks the diagram for the first bad crossing, a crossing's sign
-or over flag, a leaf's writhe and walk count, and the memo key.
+or over flag, a twist region's size, sign, strand directions and
+splices, a leaf's writhe and walk count, and the memo key.
 
 The expansion is memoized.  A node's value is the sum of its leaves
 c v^ev z^ez delta^(n-1), kept as {(ev, ez, n): c} relative to the node;
-a parent shifts its children's values by the branch monomials, by the
-curls their reduction removed and by their free loops.  The key of a
-reduced node is ``memo_key()``: its over flags, inflow ports and port
-matching, all by rank, with free loops left out.  Equal keys mean the two
-diagrams differ only by a renaming of crossings, and neither Homfly of
-an oriented diagram nor the Dubrovnik polynomial of an unoriented one
-depends on names, so a hit is exact.  A twist region meets its shorter
-windows again under other ids, so T(2,n) expands n + 1 nodes instead of
-a Fibonacci tree.  One memo serves one call of ``homfly`` or
-``kauffman_dubrovnik`` and is shared by its pieces, so equal summands are
-expanded once; no memo outlives its call.  The expansion runs on an
+a parent multiplies its children's values by the branch coefficients
+and shifts them by the curls their reduction removed and by their free
+loops.  The key of a reduced node is ``memo_key()``: its over flags,
+inflow ports and port matching, all by rank, with free loops left out.
+Equal keys mean the two diagrams differ only by a renaming of
+crossings, and neither Homfly of an oriented diagram nor the Dubrovnik
+polynomial of an unoriented one depends on names, so a hit is exact.
+T(2,n) is one cyclic region and expands 2 nodes for every n >= 2; a
+crossing at a time it took n + 1 with the memo and a Fibonacci tree
+without.  One memo serves one call of ``homfly`` or
+``kauffman_dubrovnik`` and is shared by its pieces, so equal summands
+are expanded once; no memo outlives its call.  The expansion runs on an
 explicit stack, so no ceiling the caller sets can reach Python's
 recursion limit.  A piece's value is multiplied out against the powers
 of delta, the first piece's shifted by the factor delta^(k + l - 1).
@@ -190,6 +196,7 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
 # the powers are only read here, never handed to a caller
 _HOMFLY_POWERS = [VZPoly(1), VZPoly(HOMFLY_DELTA.terms)]
 _DUBROVNIK_POWERS = [VZPoly(1), VZPoly(DUBROVNIK_DELTA.terms)]
+_TWISTS = {}  # sigma^k at index k per (kauffman, h, parallel), kept likewise
 
 
 def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
@@ -199,28 +206,31 @@ def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
 
 
 def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, extra: int) -> VZPoly:
-    """Reduce each node, expand it at its first bad crossing unless its key
-    is in ``memo``, and store its value there once its children have one;
-    the root's value is multiplied out times delta^extra."""
+    """Reduce each node, expand it at its first bad crossing, or at once at
+    the twist region that crossing lies in, unless its key is in ``memo``,
+    and store its value there once its children have one; the root's value
+    is multiplied out times delta^extra."""
     stack = []
 
-    def branch(c, node, ev, ez, loops):
-        # a child's shift (c, ev, ez, n) and key; queued unless known
+    def branch(coeff, node, loops):
+        # a child's coefficient {(ev, ez): c}, shifts and key; queued unless known
         node, curls = node.reduced()
         key = node.memo_key()
         if key not in memo:
             stack.append((key, node, None))
-        return c, ev - curls if kauffman else ev, ez, node.loops - loops, key
+        return coeff, -curls if kauffman else 0, node.loops - loops, key
 
-    root = branch(1, d.unoriented(), d.writhe(), 0, 0) if kauffman else branch(1, d, 0, 0, 0)
+    root = branch(None, d.unoriented() if kauffman else d, 0)
     while stack:
         key, cur, branches = stack.pop()
-        if branches is not None:  # the children are known: shift and add them
+        if branches is not None:  # the children are known: multiply, shift and add them
             value = {}
-            for c, ev, ez, n, child in branches:
-                for (e, f, m), x in memo[child].items():
-                    term = (e + ev, f + ez, m + n)
-                    value[term] = value.get(term, 0) + c * x
+            for coeff, dv, n, child in branches:
+                terms = memo[child].items()
+                for (ev, ez), c in coeff.items():
+                    for (e, f, m), x in terms:
+                        term = (e + ev + dv, f + ez, m + n)
+                        value[term] = value.get(term, 0) + c * x
             memo[key] = value
             continue
         if key in memo:
@@ -232,26 +242,56 @@ def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, 
             continue
         branches, loops = [], cur.loops
         stack.append((key, cur, branches))
-        if kauffman:
+        region = cur._twist_region(bad)
+        if region is not None:
+            k, h, parallel, splices = region
+            coeffs = _twist_coefficients(kauffman, h, parallel, k)
+            branches += [branch(c.terms, cur._fused(*sp), loops) for c, sp in zip(coeffs, splices) if c]
+        elif kauffman:
             # with ports in CCW order, over on (0,2) plays the role of L+
             # relative to the smoothing labels (L0 joins (1,2)/(0,3))
             si = 1 if cur.over02(bad) else -1
             smooth_a, smooth_b = cur.smoothings_unoriented(bad)
-            branches += [branch(1, cur.switched(bad), 0, 0, loops),
-                         branch(si, smooth_a, 0, 1, loops), branch(-si, smooth_b, 0, 1, loops)]
+            branches += [branch({(0, 0): 1}, cur.switched(bad), loops),
+                         branch({(0, 1): si}, smooth_a, loops), branch({(0, 1): -si}, smooth_b, loops)]
         else:
             s = cur.sign(bad)  # P(L+-) = v^{+-2} P(L-+) +- v^{+-1} z P(L0)
-            branches += [branch(1, cur.switched(bad), 2 * s, 0, loops),
-                         branch(s, cur.smoothed_oriented(bad), s, 1, loops)]
-    _, ev, ez, n, key = root
+            branches += [branch({(2 * s, 0): 1}, cur.switched(bad), loops),
+                         branch({(s, 1): s}, cur.smoothed_oriented(bad), loops)]
+    _, dv, n, key = root
+    dv += d.writhe() if kauffman else 0
     total = {}
     for (e, f, m), c in memo[key].items():
         if m + n < 1:
             raise ValueError("negative powers are not defined for polynomials")
         for (de, df), x in _delta_power(powers, m + n - 1 + extra).terms.items():
-            term = (e + ev + de, f + ez + df)
+            term = (e + dv + de, f + df)
             total[term] = total.get(term, 0) + c * x
     return VZPoly(total)
+
+
+def _twist_coefficients(kauffman: bool, h: int, parallel: bool | None, k: int) -> tuple[VZPoly, VZPoly, VZPoly]:
+    """sigma^k = c_sigma sigma + c_1 1 + c_e e in a twist region of k
+    crossings of sign h (``LinkDiagram._twist_region``), the one-crossing
+    rule unrolled.  Homfly smooths parallel strands through, to 1, with
+    sign s = h, and antiparallel ones back, to e, with s = -h and
+    e sigma = e; Kauffman has sigma - sigma^{-1} = h z (1 - e) and
+    e sigma = a^eps e, eps = -h being the sign of the curl a turn-back
+    leaves."""
+    key = (kauffman, h, parallel)
+    if key not in _TWISTS:  # sigma^0 = 1, sigma^1 = sigma
+        _TWISTS[key] = [(VZPoly(0), VZPoly(1), VZPoly(0)), (VZPoly(1), VZPoly(0), VZPoly(0))]
+    table = _TWISTS[key]
+    s = h if parallel or kauffman else -h
+    while len(table) <= k:  # sigma^j = q sigma^{j-2} + p sigma^{j-1} + the turn-back term
+        j, x1, x2 = len(table), table[-1], table[-2]
+        q, m = VZPoly.monomial(1, 0 if kauffman else 2 * s, 0), VZPoly.monomial(s, 0 if kauffman else s, 1)
+        p = VZPoly(0) if parallel is False else m  # q = v^{2s} or 1, m = s v^s z or h z
+        a, b, e = (q * y2 + p * y1 for y1, y2 in zip(x1, x2))
+        if not parallel:  # - h z a^{eps (j-1)} e with a = v^{-1}, or s v^s z e
+            e = e - m * VZPoly.monomial(1, h * (j - 1), 0) if kauffman else e + m
+        table.append((a, b, e))
+    return table[k]
 
 
 # ---------------------------------------------------------------------------

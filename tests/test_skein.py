@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -423,22 +424,26 @@ def test_connected_summands_are_expanded_one_by_one(monkeypatch):
 
     p1, n1 = nodes(homfly, TREFOIL)
     f1, m1 = nodes(kauffman_dubrovnik, TREFOIL)
-    assert (n1, m1) == (4, 4)
+    # the trefoil is one cyclic twist region: its root and the
+    # crossing-free leaf that all its children reduce to
+    assert (n1, m1) == (2, 2)
     # later summands hit the memo of the first ones; expanded one by one
-    # without a memo they take 20 and 28 nodes, unfactored 197 and 1,327
-    assert nodes(homfly, trefoil_power(4))[1] == 7
-    assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 4
-    assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 7)
-    assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 4)
-    # the fixed fronts of the skein-deep benchmark
+    # without a memo, a crossing at a time, they take 20 and 28 nodes,
+    # unfactored 197 and 1,327
+    assert nodes(homfly, trefoil_power(4))[1] == 3
+    assert nodes(kauffman_dubrovnik, trefoil_power(4))[1] == 2
+    assert nodes(homfly, trefoil_power(6), max_crossings=18) == (p1 ** 6, 3)
+    assert nodes(kauffman_dubrovnik, trefoil_power(6), max_crossings=18) == (f1 ** 6, 2)
+    # the fixed fronts of the skein-deep benchmark; each twist region is
+    # expanded in one step, so T(2,n) takes 2 nodes for every n >= 2
     twist = [front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(14)]
     hopf = front("L1 L2 X1 X3 R2 R1")
     fixed = {
-        "T(2,11)": (twist[11], (12, 12)),
-        "T(2,13)": (twist[13], (14, 14)),
-        "trefoil^#4": (trefoil_power(4), (7, 4)),
-        "T(2,5)#T(2,7)": (connected_sum(twist[5], twist[7]), (13, 8)),
-        "hopf^#3#trefoil^#2": (chain([hopf] * 3 + [TREFOIL] * 2), (9, 6)),
+        "T(2,11)": (twist[11], (2, 2)),
+        "T(2,13)": (twist[13], (2, 2)),
+        "trefoil^#4": (trefoil_power(4), (3, 2)),
+        "T(2,5)#T(2,7)": (connected_sum(twist[5], twist[7]), (3, 3)),
+        "hopf^#3#trefoil^#2": (chain([hopf] * 3 + [TREFOIL] * 2), (4, 3)),
     }
     for name, (f, counts) in fixed.items():
         assert (nodes(homfly, f)[1], nodes(kauffman_dubrovnik, f)[1]) == counts, name
@@ -523,7 +528,7 @@ def test_twist_regions_match_oracle():
 
 def test_twist_family_is_linear(monkeypatch):
     # P_n = v z P_{n-1} + v^2 P_{n-2} for the positive twist, far beyond the
-    # oracle; the memo expands each window of the twist once
+    # oracle; the whole twist is one region, expanded in one step
     calls = []
     first_bad = LinkDiagram.first_bad_crossing
 
@@ -536,11 +541,43 @@ def test_twist_family_is_linear(monkeypatch):
     for n in range(3, 26):
         calls.clear()
         p.append(homfly(torus(n), max_crossings=25))
-        assert len(calls) <= n + 1
+        assert len(calls) <= 2
         assert p[-1] == V * Z * p[-2] + V * V * p[-3]
         calls.clear()
         kauffman_dubrovnik(torus(n), max_crossings=25)
-        assert len(calls) <= n + 1
+        assert len(calls) <= 2
+
+
+def test_twist_regions_expand_as_crossing_by_crossing(monkeypatch):
+    # the tuple reference expands every region a crossing at a time; each
+    # kind of region the one-step rule tells apart must be met often
+    seen = dict.fromkeys(["parallel", "antiparallel", "kauffman h=1", "kauffman h=-1", "cyclic"], 0)
+    region = LinkDiagram._twist_region
+
+    def counted(self, cid):
+        found = region(self, cid)
+        if found is not None:
+            k, h, parallel, _ = found
+            seen[f"kauffman h={h}" if parallel is None else "parallel" if parallel else "antiparallel"] += 1
+            seen["cyclic"] += k == self.num_crossings  # a reduced node: the region closes up
+        return found
+
+    monkeypatch.setattr(LinkDiagram, "_twist_region", counted)
+    hopf = front("L1 L2 X1 X3 R2 R1")
+    fronts = twisted_fronts(seed=49, count=100, max_crossings=14)
+    fronts += [front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(16)]
+    fronts += [chain([hopf, TREFOIL, hopf]), FrontDiagram(hopf.events * 3, name="hopf3")]
+    for f in fronts:
+        n = components(f).num_components
+        for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
+            d = front_to_diagram(f, reverse)
+            mirror = d
+            for cid in d.crossings:
+                mirror = mirror.switched(cid)
+            for x in (d, mirror):
+                assert homfly(x) == tuple_reference.homfly(x), (str(f), reverse, x is mirror)
+                assert kauffman_dubrovnik(x) == tuple_reference.kauffman_dubrovnik(x), (str(f), reverse, x is mirror)
+    assert min(seen.values()) >= 20, seen
 
 
 def split_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -683,6 +720,15 @@ def test_crossing_lookups_name_an_unknown_id(cid):
         with pytest.raises(ValueError, match=f"crossing id {cid!r} is not an int"):
             LinkDiagram({cid: Crossing(True, (0, 1))}, {(cid, 0): (cid, 1), (cid, 1): (cid, 0),
                                                         (cid, 2): (cid, 3), (cid, 3): (cid, 2)})
+
+
+@pytest.mark.parametrize("loops", [1.5, "2", True, -2], ids=repr)
+def test_free_loop_count_must_be_a_non_negative_int(loops):
+    # a bool passes as an int and a float or str failed only later, in the
+    # skein sums; -2 was reported as a front with no components
+    with pytest.raises(ValueError, match=re.escape(f"free loop count {loops!r} is not a non-negative int")):
+        LinkDiagram({}, {}, loops)
+    assert homfly(LinkDiagram({}, {}, 2)) == HOMFLY_DELTA
 
 
 def test_walks_leaves_and_exports_match_tuple_reference():

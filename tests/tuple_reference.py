@@ -7,8 +7,10 @@ those dicts.  ``homfly``, ``kauffman_dubrovnik``, ``seifert_circle_count``
 and ``leaf`` run the package's algorithms on it, so the tests can compare
 the flat kernel of ``legfronts.diagram`` with an independent
 implementation of the same steps.  Its reductions scan ports in the
-insertion order of ``adj``, so its skein trees can differ from the
-flat kernel's by a node or two; the polynomials cannot.
+insertion order of ``adj``, and it expands a twist region one crossing
+at a time where the flat kernel expands it in one step, so its skein
+trees differ from the flat kernel's; the polynomials cannot, which
+makes it the oracle for the one-step region rule.
 """
 
 from legfronts.diagram import Crossing, LinkDiagram, _sign_from
