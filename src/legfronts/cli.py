@@ -5,6 +5,10 @@ line, ``#`` comments); a bare corpus name like ``trefoil`` resolves to the
 bundled file of that name.  Exit codes: 0 all checks passed, 1 a check
 failed, the input was invalid or an internal consistency check failed,
 2 the skein crossing ceiling was hit or, from argparse, a usage error.
+
+A command imports the layers it computes with when it runs, so
+``rulings``, ``invariants``, ``validate`` and ``corpus`` never load the
+skein or analysis layer; a bare corpus name also loads ``corpus``.
 """
 
 import argparse
@@ -13,8 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, corpus, fronts, rulings, skein
-from .laurent import conway as conway_of
+from . import fronts, rulings
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -25,6 +28,8 @@ def _load_front(ref: str) -> fronts.FrontDiagram:
     path = Path(ref)
     if path.is_file():
         return fronts.parse_front(path.read_text(), name=path.stem)
+    from . import corpus
+
     if ref in corpus.corpus_names():
         return corpus.load(ref)
     raise FileNotFoundError(f"{ref!r} is neither a file nor a bundled front")
@@ -57,7 +62,7 @@ def _add_common(parser: argparse.ArgumentParser, orientable=True, skeinful=False
         parser.add_argument(
             "--max-crossings",
             type=int,
-            default=skein.DEFAULT_MAX_CROSSINGS,
+            default=fronts.DEFAULT_MAX_CROSSINGS,
             help="ceiling on the input's crossing count for the skein polynomials",
         )
 
@@ -255,6 +260,9 @@ def _cmd_rulings(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from . import skein
+    from .laurent import conway
+
     diagram = _load_front(args.front)
     d = skein.front_to_diagram(diagram, args.reverse_component)
     if args.command == "homfly":
@@ -262,13 +270,15 @@ def _cmd_poly(args) -> int:
     elif args.command == "kauffman":
         poly = skein.kauffman_dubrovnik(d, args.max_crossings)
     else:
-        poly = conway_of(skein.homfly(d, args.max_crossings))
+        poly = conway(skein.homfly(d, args.max_crossings))
     payload = {"front": diagram.name, **_poly_payload(args.command, poly)}
     _emit(payload, args.format, [f"{args.command}({diagram.name}) = {poly}"])
     return EXIT_OK
 
 
 def _cmd_rutherford(args) -> int:
+    from . import analysis
+
     diagram = _load_front(args.front)
     res = analysis.rutherford_check(diagram, args.max_crossings, args.reverse_component)
     payload = {
@@ -290,6 +300,8 @@ def _cmd_rutherford(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from . import analysis
+
     diagram = _load_front(args.front)
     res = analysis.rho_report(
         diagram, args.khovanov_bound, args.max_crossings, args.reverse_component
@@ -304,6 +316,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_tests(args) -> int:
+    from . import analysis
+
     diagram = _load_front(args.front)
     report = analysis.analyze(
         diagram, args.khovanov_bound, args.max_crossings, args.reverse_component
@@ -334,6 +348,8 @@ def _cmd_tests(args) -> int:
 
 
 def _cmd_connsum(args) -> int:
+    from . import analysis
+
     f1 = _load_front(args.front1)
     f2 = _load_front(args.front2)
     res = analysis.connsum_check(f1, f2, args.reverse_component)
@@ -356,6 +372,8 @@ def _cmd_connsum(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus
+
     rows = [
         (name, corpus.DESCRIPTIONS.get(name, ""), str(corpus.load(name)))
         for name in corpus.corpus_names()
@@ -391,7 +409,7 @@ def main(argv=None) -> int:
     except fronts.FrontFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except skein.ResourceLimitError as exc:
+    except fronts.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except RuntimeError as exc:  # after ResourceLimitError, which subclasses it

@@ -19,9 +19,11 @@ it down by four, so ranks stay positions in id order.  Every diagram
 built, by the constructor or a move, has its matching checked for
 symmetry.  The constructor takes dicts keyed by ids and by (id, port)
 pairs, checks that every id is an ``int`` and that they match every
-crossing port and nothing else, and ``crossings`` and ``adj`` give them
-back.  A method that takes a crossing id raises ``ValueError`` for any
-value that is not one of the diagram's ids.
+crossing port and nothing else, and, when every crossing is oriented,
+that each arc flows in at exactly one of its ends; ``crossings`` and
+``adj`` give them back.  They and the free loop count ``loops`` are
+read-only views.  A method that takes a crossing id raises
+``ValueError`` for any value that is not one of the diagram's ids.
 
 ``reduced`` strips Reidemeister-I curls and Reidemeister-II bigons whose
 one strand is over at both crossings.  ``_pieces`` cuts a diagram into
@@ -60,7 +62,7 @@ class LinkDiagram:
     """Combinatorial oriented (or orientation-stripped) link diagram."""
 
     # _cut is filled by _summands on first use and never set elsewhere
-    __slots__ = ("_ids", "_over", "_ins", "_adj", "loops", "_cut")
+    __slots__ = ("_ids", "_over", "_ins", "_adj", "_loops", "_cut")
 
     def __init__(self, crossings: dict[int, Crossing], adj: dict[Port, Port], loops: int = 0):
         for c in crossings:
@@ -76,6 +78,12 @@ class LinkDiagram:
         for p, (c, q) in adj.items():
             if c not in crossings or q not in range(4):
                 raise ValueError(f"the arc at port {p} leads to {(c, q)}, which is no crossing port")
+        if all(x.in_ports is not None for x in crossings.values()):
+            inflow = {(c, p) for c, x in crossings.items() for p in x.in_ports}
+            for p, q in adj.items():
+                if p <= q and (p in inflow) == (q in inflow):
+                    ends = "both" if p in inflow else "neither"
+                    raise ValueError(f"the arc between ports {p} and {q} flows in at {ends} of its ends")
         ids = sorted(crossings)
         rank = {c: 4 * i for i, c in enumerate(ids)}
         self._set(tuple(ids), tuple(crossings[c].over02 for c in ids), tuple(crossings[c].in_ports for c in ids),
@@ -84,7 +92,7 @@ class LinkDiagram:
     def _set(self, ids, over, ins, adj, loops) -> "LinkDiagram":
         if adj and itemgetter(*adj)(adj) != tuple(range(len(adj))):
             raise ValueError("arc matching is not symmetric")
-        self._ids, self._over, self._ins, self._adj, self.loops = ids, over, ins, adj, loops
+        self._ids, self._over, self._ins, self._adj, self._loops = ids, over, ins, adj, loops
         return self
 
     # -- read views and basic queries ----------------------------------------
@@ -97,6 +105,11 @@ class LinkDiagram:
     def adj(self) -> dict[Port, Port]:
         ids = self._ids
         return {(ids[p >> 2], p & 3): (ids[q >> 2], q & 3) for p, q in enumerate(self._adj)}
+
+    @property
+    def loops(self) -> int:
+        """The number of crossing-free components."""
+        return self._loops
 
     @property
     def num_crossings(self) -> int:
@@ -126,7 +139,7 @@ class LinkDiagram:
         return sum(map(self.sign, self._ids))
 
     def num_components(self) -> int:
-        return self._walks()[1] + self.loops
+        return self._walks()[1] + self._loops
 
     def memo_key(self) -> tuple:
         """Over flags, inflow ports and matching by rank; loops left out."""
@@ -183,7 +196,7 @@ class LinkDiagram:
         """Circles of the oriented smoothing of every crossing, free loops included."""
         if not self.is_oriented:
             raise ValueError("Seifert smoothing needs an oriented diagram")
-        adj, ins, seen, circles = self._adj, self._ins, set(), self.loops
+        adj, ins, seen, circles = self._adj, self._ins, set(), self._loops
         for p in range(len(adj)):
             if p & 3 in ins[p >> 2] and p not in seen:  # an inflow port on a new circle
                 circles += 1
@@ -199,7 +212,7 @@ class LinkDiagram:
         """Swap over and under strands at one crossing."""
         i, over = self._rank(cid), self._over
         over = over[:i] + (not over[i],) + over[i + 1:]
-        return _diagram(self._ids, over, self._ins, self._adj, self.loops)
+        return _diagram(self._ids, over, self._ins, self._adj, self._loops)
 
     def smoothed_oriented(self, cid: int) -> "LinkDiagram":
         """Reconnect along orientation (the Seifert smoothing)."""
@@ -284,20 +297,20 @@ class LinkDiagram:
 
     def _summands(self) -> tuple[list["LinkDiagram"], int, int]:
         """The pieces and split count ``_pieces`` cuts the reduced diagram
-        into, and the free loops the reduction adds.
+        into, and the reduced diagram's free loops.
 
         Computed on first use and kept for the diagram's lifetime, so every
-        skein polynomial of one diagram shares one reduction and one cut.
-        The loops are kept as a difference because ``loops`` is writable.
+        skein polynomial of one diagram shares one reduction and one cut;
+        no field of a diagram can change after it is built.
         """
         cut = getattr(self, "_cut", None)
         if cut is None:
             d = self.reduced()[0]
-            cut = self._cut = (*_pieces(d), d.loops - self.loops)
+            cut = self._cut = (*_pieces(d), d.loops)
         return cut
 
     def unoriented(self) -> "LinkDiagram":
-        return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self.loops)
+        return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self._loops)
 
     def _fused(self, *splices) -> "LinkDiagram":
         """Remove crossings, each splice (rank, pairs) wiring the ports of
@@ -307,7 +320,7 @@ class LinkDiagram:
         matching as earlier splices left it; a pair whose ports share an
         arc closes a loop.  Ports in no pair must be joined to each other.
         """
-        adj, loops = list(self._adj), self.loops
+        adj, loops = list(self._adj), self._loops
         for i, pairs in splices:
             base = 4 * i
             for a, b in pairs:
@@ -349,7 +362,7 @@ class LinkDiagram:
         # ins[ins[0] % 2 != over] is the under strand's inflow port
         rows = [[label[4 * i + (ins[ins[0] % 2 != over] + s) % 4] for s in range(4)]
                 for i, (over, ins) in enumerate(zip(self._over, self._ins))]
-        return {"crossings": rows, "free_loops": self.loops}
+        return {"crossings": rows, "free_loops": self._loops}
 
 
 # the planar smoothings; in a twist region where ports p, p + 1 face one

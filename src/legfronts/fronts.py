@@ -42,6 +42,13 @@ Conventions fixed here and relied on by the rest of the package:
 * The Maslov potential is Z_{2r}-valued (plain integers when r = 0),
   jumps by one at each cusp with the upper strand higher, and is even on
   rightward strands.
+
+The package's error types live here, so that any layer can raise one
+without importing another, and so does the skein polynomials' ceiling on
+the input's crossing count: ``DEFAULT_MAX_CROSSINGS`` is its default,
+and ``ResourceLimitError`` is raised when a diagram exceeds it.  ``skein``
+re-exports both as the same objects; the command line reads them here,
+so commands that compute no polynomial never load the skein layer.
 """
 
 import math
@@ -65,6 +72,13 @@ class InvalidFrontError(ValueError):
 
 class NormalFormError(ValueError):
     """Raised when a connected-sum operand is the empty front, with no cusp to splice."""
+
+
+DEFAULT_MAX_CROSSINGS = 16
+
+
+class ResourceLimitError(RuntimeError):
+    """Crossing count exceeds the configured skein recursion ceiling."""
 
 
 class _Event(NamedTuple):  # FrontEvent's fields: a NamedTuple body cannot define __new__

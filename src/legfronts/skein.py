@@ -71,17 +71,12 @@ Conventions (pinned operationally by the test suite):
 
 from . import fronts
 from .diagram import LinkDiagram, _diagram
+from .fronts import DEFAULT_MAX_CROSSINGS, ResourceLimitError  # re-exported, the same objects
 from .laurent import VZPoly
-
-DEFAULT_MAX_CROSSINGS = 16
 
 HOMFLY_DELTA = VZPoly({(-1, -1): 1, (1, -1): -1})
 # (a - a^{-1})/z + 1 rendered with a = v^{-1}
 DUBROVNIK_DELTA = VZPoly({(-1, -1): 1, (1, -1): -1, (0, 0): 1})
-
-
-class ResourceLimitError(RuntimeError):
-    """Crossing count exceeds the configured skein recursion ceiling."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +173,8 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
         raise ResourceLimitError(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
         )
-    pieces, components, added = d._summands()
-    n = components + d.loops + added - 1
+    pieces, components, loops = d._summands()
+    n = components + loops - 1
     if n < 0:  # the empty front: delta^-1 is no polynomial
         raise ValueError("a front with no components has no Homfly or Kauffman polynomial")
     powers = _DUBROVNIK_POWERS if kauffman else _HOMFLY_POWERS

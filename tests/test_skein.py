@@ -462,11 +462,13 @@ def test_both_polynomials_share_one_reduction_and_cut(monkeypatch):
     p, f = homfly(d), kauffman_dubrovnik(d)
     assert len(calls) == 1
     assert (homfly(d), kauffman_dubrovnik(d)) == (p, f) and len(calls) == 1
-    # the cut keeps the loops its reduction adds, so a later change of the
-    # writable loop count still reaches both polynomials
-    d.loops += 1
-    assert (homfly(d), kauffman_dubrovnik(d)) == (p * HOMFLY_DELTA, f * DUBROVNIK_DELTA)
-    assert len(calls) == 1
+    # the kept cut cannot go stale: the loop count is read-only, and a
+    # diagram built with one more free loop is cut again and gains delta
+    with pytest.raises(AttributeError):
+        d.loops += 1
+    looped = LinkDiagram(d.crossings, d.adj, d.loops + 1)
+    assert (homfly(looped), kauffman_dubrovnik(looped)) == (p * HOMFLY_DELTA, f * DUBROVNIK_DELTA)
+    assert len(calls) == 2
 
 
 def test_returned_polynomials_are_fresh():
@@ -728,7 +730,32 @@ def test_free_loop_count_must_be_a_non_negative_int(loops):
     # skein sums; -2 was reported as a front with no components
     with pytest.raises(ValueError, match=re.escape(f"free loop count {loops!r} is not a non-negative int")):
         LinkDiagram({}, {}, loops)
-    assert homfly(LinkDiagram({}, {}, 2)) == HOMFLY_DELTA
+    # nor can it be set later: the count is read-only
+    d = LinkDiagram({}, {}, 2)
+    with pytest.raises(AttributeError):
+        d.loops = loops
+    assert homfly(d) == HOMFLY_DELTA
+
+
+def test_each_arc_of_an_oriented_diagram_flows_in_at_one_end():
+    # the trefoil with strand 2 reversed at crossing 2 alone: homfly raised
+    # RuntimeError and kauffman_dubrovnik returned a wrong polynomial
+    trefoil = front_to_diagram(TREFOIL)
+    crossings = trefoil.crossings
+    crossings[2] = Crossing(True, (0, 3))
+    message = "the arc between ports (1, 2) and (2, 1) flows in at neither of its ends"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkDiagram(crossings, trefoil.adj)
+    curl = {(1, 0): (1, 1), (1, 1): (1, 0), (1, 2): (1, 3), (1, 3): (1, 2)}
+    message = "the arc between ports (1, 0) and (1, 1) flows in at both of its ends"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkDiagram({1: Crossing(True, (0, 1))}, curl)
+    # unoriented, the same matchings are diagrams; oriented the other way
+    # round, the curl is one
+    unoriented = {c: Crossing(x.over02, None) for c, x in crossings.items()}
+    assert LinkDiagram(unoriented, trefoil.adj).num_crossings == 3
+    assert LinkDiagram({1: Crossing(True, None)}, curl).num_crossings == 1
+    assert homfly(LinkDiagram({1: Crossing(True, (0, 3))}, curl)) == 1
 
 
 def test_walks_leaves_and_exports_match_tuple_reference():
