@@ -1,11 +1,12 @@
 """Legendrian front diagrams, normal rulings, and skein polynomial invariants.
 
 Each layer is imported the first time a caller touches it (PEP 562), so
-``import legfronts`` compiles no submodule and a caller that only lists
-rulings never compiles the skein or analysis layer.  A public name is
-looked up in its defining module on every access and never kept here,
-so ``legfronts.X is legfronts.<module>.X`` holds even while a test or
-the benchmark's tracer has patched the module.
+``import legfronts`` compiles no submodule, a caller that only lists
+rulings never compiles the skein or analysis layer, and one that only
+checks connected sums never compiles the skein or Laurent layer.  A
+public name is looked up in its defining module on every access and
+never kept here, so ``legfronts.X is legfronts.<module>.X`` holds even
+while a test or the benchmark's tracer has patched the module.
 """
 
 import sys

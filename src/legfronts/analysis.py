@@ -17,17 +17,32 @@ bound, each computed on first use and then kept for the context's
 lifetime.
 ``analyze`` runs all checks on one context, so each quantity is computed
 once per report; a standalone check builds a context of its own.
+
+The module imports only the front and ruling layers.  ``_layers`` binds
+the skein and Laurent layers to the module globals ``skein`` and
+``laurent`` when a context is first built or ``no_ruling_tests`` first
+runs, so ``connsum_check``, which builds no polynomial, never compiles
+them, and a check pays one global test, not an import, per call.
+Annotations that name their types are strings for that reason.
 """
 
 from functools import cached_property
 from typing import NamedTuple
 
-from . import fronts, rulings, skein
-from .laurent import HomflyProfile, VZPoly, ZPoly, conway as conway_of, profile
+from . import fronts, rulings
+
+skein = laurent = None  # bound by _layers on first use
 
 FIRED = "fired"
 QUIET = "quiet"
 NOT_EVALUATED = "not_evaluated"
+
+
+def _layers() -> None:
+    """Bind the skein and Laurent layers to this module's globals on the first call."""
+    global skein, laurent
+    if skein is None:
+        from . import laurent, skein
 
 
 class _Context:
@@ -35,6 +50,7 @@ class _Context:
     computed on first use and at most once."""
 
     def __init__(self, diagram: fronts.FrontDiagram, max_crossings: int, reverse, khovanov_bound=None):
+        _layers()
         self.diagram, self.max_crossings, self.reverse = diagram, max_crossings, reverse
         self.khovanov_bound = khovanov_bound
 
@@ -43,19 +59,19 @@ class _Context:
         return fronts.sweep_front(self.diagram, self.reverse)
 
     @cached_property
-    def link(self) -> skein.LinkDiagram:
+    def link(self) -> "skein.LinkDiagram":
         return skein._resolved(self.sweep)
 
     @cached_property
-    def homfly(self) -> VZPoly:
+    def homfly(self) -> "laurent.VZPoly":
         return skein.homfly(self.link, self.max_crossings)
 
     @cached_property
-    def homfly_profile(self) -> HomflyProfile:
-        return profile(self.homfly)
+    def homfly_profile(self) -> "laurent.HomflyProfile":
+        return laurent.profile(self.homfly)
 
     @cached_property
-    def kauffman(self) -> VZPoly:
+    def kauffman(self) -> "laurent.VZPoly":
         return skein.kauffman_dubrovnik(self.link, self.max_crossings)
 
     @cached_property
@@ -69,10 +85,10 @@ class _Context:
 
 class RutherfordResult(NamedTuple):
     tb: int
-    homfly_slice: ZPoly
-    two_graded_poly: ZPoly
-    kauffman_slice: ZPoly
-    ungraded_poly: ZPoly
+    homfly_slice: "laurent.ZPoly"
+    two_graded_poly: "laurent.ZPoly"
+    kauffman_slice: "laurent.ZPoly"
+    ungraded_poly: "laurent.ZPoly"
 
     @property
     def two_graded_ok(self) -> bool:
@@ -103,7 +119,7 @@ class RutherfordResult(NamedTuple):
 
 def rutherford_check(
     diagram: fronts.FrontDiagram,
-    max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
+    max_crossings: int = fronts.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> RutherfordResult:
     """Compare the v^(tb+1) slices of Homfly and Dubrovnik-Kauffman with
@@ -137,7 +153,7 @@ class MaxTbResult(NamedTuple):
 
 def max_tb_certificate(
     diagram: fronts.FrontDiagram,
-    max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
+    max_crossings: int = fronts.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> MaxTbResult:
     return _max_tb(_Context(diagram, max_crossings, reverse))
@@ -159,7 +175,7 @@ class RhoResult(NamedTuple):
 def rho_report(
     diagram: fronts.FrontDiagram,
     khovanov_bound: int | None = None,
-    max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
+    max_crossings: int = fronts.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> RhoResult:
     """Three-valued ruling-genus report.
@@ -187,8 +203,8 @@ def _rho(ctx: _Context) -> RhoResult:
 
 
 def no_ruling_tests(
-    homfly_poly: VZPoly,
-    kauffman_poly: VZPoly,
+    homfly_poly: "laurent.VZPoly",
+    kauffman_poly: "laurent.VZPoly",
     khovanov_bound: int | None = None,
 ) -> dict[str, str]:
     """The four polynomial obstructions to 2-graded rulings of a knot type.
@@ -203,10 +219,13 @@ def no_ruling_tests(
     homology on the diagonal i - j = k, in that grading convention); the
     condition reports not_evaluated when absent.
     """
-    return _no_ruling(profile(homfly_poly), kauffman_poly, khovanov_bound)
+    _layers()
+    return _no_ruling(laurent.profile(homfly_poly), kauffman_poly, khovanov_bound)
 
 
-def _no_ruling(prof: HomflyProfile, kauffman_poly: VZPoly, khovanov_bound: int | None) -> dict[str, str]:
+def _no_ruling(
+    prof: "laurent.HomflyProfile", kauffman_poly: "laurent.VZPoly", khovanov_bound: int | None
+) -> dict[str, str]:
     e, p_slice = prof.e, prof.Q  # Q is the Homfly slice at v^e
     out: dict[str, str] = {}
     if khovanov_bound is None:
@@ -247,7 +266,7 @@ class GenusTests(NamedTuple):
 
 def genus_tests(
     diagram: fronts.FrontDiagram,
-    max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
+    max_crossings: int = fronts.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> GenusTests:
     """Genus bounds readable from the polynomials.
@@ -263,7 +282,7 @@ def genus_tests(
 
 def _genus(ctx: _Context) -> GenusTests:
     p, prof = ctx.homfly, ctx.homfly_profile
-    deg = conway_of(p).degree()
+    deg = laurent.conway(p).degree()
     max_genus = ctx.census.max_genus("two_graded")
     knot = ctx.sweep.num_components == 1
     seifert = skein.seifert_diagram_genus(ctx.link) if knot else None
@@ -358,7 +377,7 @@ class AnalysisReport(NamedTuple):
 def analyze(
     diagram: fronts.FrontDiagram,
     khovanov_bound: int | None = None,
-    max_crossings: int = skein.DEFAULT_MAX_CROSSINGS,
+    max_crossings: int = fronts.DEFAULT_MAX_CROSSINGS,
     reverse=(),
 ) -> AnalysisReport:
     """Run every check on one front and collect a structured report."""

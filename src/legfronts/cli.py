@@ -8,7 +8,10 @@ failed, the input was invalid or an internal consistency check failed,
 
 A command imports the layers it computes with when it runs, so
 ``rulings``, ``invariants``, ``validate`` and ``corpus`` never load the
-skein or analysis layer; a bare corpus name also loads ``corpus``.
+skein or analysis layer, and of them only ``rulings``, which prints
+ruling polynomials, loads the Laurent layer.  ``connsum`` loads
+``analysis`` but never the skein or Laurent layer; a bare corpus name
+also loads ``corpus``.
 """
 
 import argparse

@@ -19,11 +19,13 @@ it down by four, so ranks stay positions in id order.  Every diagram
 built, by the constructor or a move, has its matching checked for
 symmetry.  The constructor takes dicts keyed by ids and by (id, port)
 pairs, checks that every id is an ``int`` and that they match every
-crossing port and nothing else, and, when every crossing is oriented,
-that each arc flows in at exactly one of its ends; ``crossings`` and
-``adj`` give them back.  They and the free loop count ``loops`` are
-read-only views.  A method that takes a crossing id raises
-``ValueError`` for any value that is not one of the diagram's ids.
+crossing port and nothing else, that an oriented crossing's two inflow
+ports are one even and one odd port, one per strand, and, when every
+crossing is oriented, that each arc flows in at exactly one of its ends;
+the skein moves skip these checks.  ``crossings`` and ``adj`` give them
+back.  They and the free loop count ``loops`` are read-only views.  A
+method that takes a crossing id raises ``ValueError`` for any value that
+is not one of the diagram's ids.
 
 ``reduced`` strips Reidemeister-I curls and Reidemeister-II bigons whose
 one strand is over at both crossings.  ``_pieces`` cuts a diagram into
@@ -70,6 +72,12 @@ class LinkDiagram:
                 raise ValueError(f"crossing id {c!r} is not an int")
         if type(loops) is not int or loops < 0:
             raise ValueError(f"free loop count {loops!r} is not a non-negative int")
+        for c, x in crossings.items():
+            # one inflow port per strand: one of (0, 2) and one of (1, 3)
+            ins = x.in_ports
+            pair = isinstance(ins, tuple) and len(ins) == 2 and all(type(p) is int and 0 <= p < 4 for p in ins)
+            if ins is not None and not (pair and ins[0] % 2 != ins[1] % 2):
+                raise ValueError(f"crossing {c} has inflow ports {ins!r}, not one even and one odd port of 0..3")
         if any(adj.get(q) != p for p, q in adj.items()):
             raise ValueError("arc matching is not symmetric")
         for port in [(c, p) for c in crossings for p in range(4)]:

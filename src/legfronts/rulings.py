@@ -40,7 +40,9 @@ classes.  It has two readers: ``census`` unpacks them at w = c + 1 into
 the polynomials of a ``RulingCensus``, beside whether the front is a
 knot, and ``analysis.connsum_check`` multiplies the packed ints of a
 splice's summands, swept at a width set by the composite, and compares
-them with the composite's.  The listing pass carries the switch sets
+them with the composite's.  Only ``census`` builds polynomials, so it
+binds ``ZPoly`` on its first call, and a listing or ``connsum_check``
+never loads the Laurent layer.  The listing pass carries the switch sets
 themselves, each a string with one code point per crossing id, chr(cid)
 in increasing order, and beside each string the caller's rendering of
 the same set: a switch appends chr(cid) to the string and names[cid] to
@@ -70,7 +72,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import fronts
-from .laurent import ZPoly
+
+ZPoly = None  # bound by _census on first use
 
 # the class table: the largest grading tag each class filter admits
 _LIMITS = {"ungraded": 2, "two_graded": 1, "z_graded": 0}
@@ -265,7 +268,7 @@ class RulingCensus(NamedTuple):
 
     __hash__ = None
     is_knot: bool
-    polynomials: dict[str, ZPoly]
+    polynomials: dict[str, "ZPoly"]
 
     def count(self, class_filter: str) -> int:
         _limit(class_filter)
@@ -287,6 +290,9 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
     """The class polynomials, read off the packed counts at w = c + 1."""
+    global ZPoly
+    if ZPoly is None:
+        from .laurent import ZPoly
     w, offset = len(sweep.crossings) + 1, 1 - sweep.num_arcs // 2
     by_limit = [ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)]
     return RulingCensus(sweep.num_components == 1, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})

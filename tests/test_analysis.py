@@ -7,7 +7,7 @@ from collections.abc import Hashable
 import pytest
 
 from conftest import random_fronts, ruled_random_front
-from legfronts import analysis, corpus, fronts, rulings, skein
+from legfronts import analysis, corpus, fronts, laurent, rulings, skein
 from legfronts.analysis import (
     FIRED,
     NOT_EVALUATED,
@@ -444,7 +444,7 @@ def test_analyze_soundness_flags_quiet_when_rulings_exist():
 def test_analyze_computes_each_quantity_once(monkeypatch, diagram, reverse):
     calls = Counter()
     for module, name in ((skein, "homfly"), (skein, "kauffman_dubrovnik"), (rulings, "enumerate_rulings"),
-                         (fronts, "sweep_geometry"), (analysis, "profile"), (analysis, "_no_ruling")):
+                         (fronts, "sweep_geometry"), (laurent, "profile"), (analysis, "_no_ruling")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)

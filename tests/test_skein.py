@@ -758,6 +758,18 @@ def test_each_arc_of_an_oriented_diagram_flows_in_at_one_end():
     assert homfly(LinkDiagram({1: Crossing(True, (0, 3))}, curl)) == 1
 
 
+@pytest.mark.parametrize("ins", [(0, 2), (3, 1), (0, 5), (0, 1, 2), [0, 1], (True, 2), (0.0, 1)], ids=repr)
+def test_each_oriented_crossing_has_one_inflow_port_per_strand(ins):
+    # two inflow ports on the (0, 2) strand passed every other check, and
+    # sign(1) returned 0
+    curl = {(1, 0): (1, 3), (1, 3): (1, 0), (1, 1): (1, 2), (1, 2): (1, 1)}
+    message = f"crossing 1 has inflow ports {ins!r}, not one even and one odd port of 0..3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkDiagram({1: Crossing(True, ins)}, curl)
+    # either order of the two strands' ports is accepted
+    assert [LinkDiagram({1: Crossing(True, good)}, curl).sign(1) for good in ((0, 1), (1, 0))] == [1, 1]
+
+
 def test_walks_leaves_and_exports_match_tuple_reference():
     rng = random.Random(44)
     fronts = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=45, count=120)
