@@ -35,8 +35,10 @@ XOR of the bits over its subtree; two arcs cut the graph exactly when
 their labels are equal, and in a planar diagram they bound a disk, a
 connected sum.  ``_summands`` reduces a diagram and cuts it once, on
 first use, and keeps the result in a private slot.  ``_twist_region``
-finds a chain of the alternating bigons ``reduced`` keeps, with the
-splices of its three skein children, each built by one ``_fused``.
+finds the chain of the alternating bigons ``reduced`` keeps through a
+crossing, a lone crossing being a chain of one, with the splices of its
+three skein children, each built by one ``_fused``, which switches the
+lone crossing for the kept child; there is no other skein move.
 
 ``memo_key`` is the memo key of the skein expansion: the over flags, the
 inflow ports and the matching, all by rank, free loops left out.  Two
@@ -73,6 +75,8 @@ class LinkDiagram:
         if type(loops) is not int or loops < 0:
             raise ValueError(f"free loop count {loops!r} is not a non-negative int")
         for c, x in crossings.items():
+            if type(x.over02) is not bool:
+                raise ValueError(f"crossing {c} has over flag {x.over02!r}, not a bool")
             # one inflow port per strand: one of (0, 2) and one of (1, 3)
             ins = x.in_ports
             pair = isinstance(ins, tuple) and len(ins) == 2 and all(type(p) is int and 0 <= p < 4 for p in ins)
@@ -132,10 +136,6 @@ class LinkDiagram:
         if type(cid) is not int or cid not in self._ids:
             raise ValueError(f"link diagram has no crossing {cid}")
         return self._ids.index(cid)
-
-    def over02(self, cid: int) -> bool:
-        """Whether the strand through ports (0, 2) of a crossing is over."""
-        return self._over[self._rank(cid)]
 
     def sign(self, cid: int) -> int:
         i = self._rank(cid)
@@ -216,37 +216,18 @@ class LinkDiagram:
 
     # -- skein moves --------------------------------------------------------
 
-    def switched(self, cid: int) -> "LinkDiagram":
-        """Swap over and under strands at one crossing."""
-        i, over = self._rank(cid), self._over
-        over = over[:i] + (not over[i],) + over[i + 1:]
-        return _diagram(self._ids, over, self._ins, self._adj, self._loops)
-
-    def smoothed_oriented(self, cid: int) -> "LinkDiagram":
-        """Reconnect along orientation (the Seifert smoothing)."""
-        i = self._rank(cid)
-        if self._ins[i] is None:
-            raise ValueError("oriented smoothing needs an oriented diagram")
-        i1, i2 = self._ins[i]
-        return self._fused((i, ((i1, i2 ^ 2), (i2, i1 ^ 2))))
-
-    def smoothings_unoriented(self, cid: int) -> tuple["LinkDiagram", "LinkDiagram"]:
-        """The two planar reconnections: port pairing {(1,2),(0,3)} first,
-        then {(0,1),(2,3)}."""
-        i = self._rank(cid)
-        return self._fused((i, _SMOOTHINGS[0])), self._fused((i, _SMOOTHINGS[1]))
-
-    def _twist_region(self, cid: int) -> tuple | None:
-        """The twist region through a crossing, or None when it is in none:
-        a maximal chain of k >= 2 crossings joined pairwise by alternating
-        bigons, cyclic for T(2, k).  Returns k; h, the first crossing's
-        ``si`` (1 when the (0, 2) strand is over), negated unless the
-        through smoothing, which keeps both strands running along the chain,
-        pairs {(1,2),(0,3)}; whether the strands run the same way (None
-        when unoriented); and the ``_fused`` splices of sigma (the first
-        crossing kept, the rest smoothed through), 1 (all smoothed through)
-        and e (the first turned back).  An alternating bigon keeps the over
-        flag XOR the axis parity, so every crossing has the same h.
+    def _twist_region(self, cid: int) -> tuple:
+        """The twist region through a crossing: a maximal chain of k
+        crossings joined pairwise by alternating bigons, cyclic for T(2, k),
+        or the crossing alone, through on {(1,2),(0,3)}.  Returns k; h, the
+        first crossing's ``si`` (1 when the (0, 2) strand is over), negated
+        unless the through smoothing, which keeps both strands running along
+        the chain, pairs {(1,2),(0,3)}; whether the oriented smoothing is the
+        through one (None when unoriented); and the ``_fused`` splices and
+        flip of sigma (the crossing switched if k = 1, else the first kept
+        and the rest smoothed through), 1 (all smoothed through) and e (the
+        first turned back).  An alternating bigon keeps the over flag XOR
+        the axis parity, so every crossing has the same h.
         """
         i, adj, over, ins = self._rank(cid), self._adj, self._over, self._ins
 
@@ -256,9 +237,7 @@ class LinkDiagram:
                     and ((p ^ b) & 1 == 0) != (over[p >> 2] == over[b >> 2])):
                 return b & ~3 | b + 1 & 3
 
-        p = next((p for p in range(4 * i, 4 * i + 4) if across(p) is not None), None)
-        if p is None:
-            return None
+        p = next((p for p in range(4 * i, 4 * i + 4) if across(p) is not None), 4 * i)
         q = p ^ 2  # back along the chain to its first crossing, or round to i
         while (b := across(q)) is not None and b >> 2 != i:
             q = b
@@ -272,7 +251,8 @@ class LinkDiagram:
             raise RuntimeError("the crossings of a twist region disagree on its strands' directions")
         through = [(q >> 2, _SMOOTHINGS[q & 1]) for q in chain]
         rest, h = through[1:], 1 if over[first >> 2] != first & 1 else -1
-        return len(chain), h, parallel.pop(), (rest, through, [(first >> 2, _SMOOTHINGS[~first & 1])] + rest)
+        turned = [(first >> 2, _SMOOTHINGS[~first & 1])] + rest
+        return len(chain), h, parallel.pop(), ((rest, None if rest else i), (through, None), (turned, None))
 
     def reduced(self) -> tuple["LinkDiagram", int]:
         """Strip Reidemeister-I curls and Reidemeister-II bigons until none
@@ -320,9 +300,10 @@ class LinkDiagram:
     def unoriented(self) -> "LinkDiagram":
         return _diagram(self._ids, self._over, (None,) * len(self._ids), self._adj, self._loops)
 
-    def _fused(self, *splices) -> "LinkDiagram":
+    def _fused(self, *splices, flip=None) -> "LinkDiagram":
         """Remove crossings, each splice (rank, pairs) wiring the ports of
-        one crossing together pairwise, and build one diagram.
+        one crossing together pairwise, switch the crossing of rank
+        ``flip``, if one is given, and build one diagram.
 
         Each pair splices the arcs at its two ports into one, reading the
         matching as earlier splices left it; a pair whose ports share an
@@ -338,6 +319,8 @@ class LinkDiagram:
                 else:
                     adj[x], adj[y] = y, x
         ids, over, ins = self._ids, self._over, self._ins
+        if flip is not None:
+            over = over[:flip] + (not over[flip],) + over[flip + 1:]
         for i, _ in sorted(splices, reverse=True):  # from the top, so lower ranks stay put
             base = 4 * i
             del adj[base:base + 4]

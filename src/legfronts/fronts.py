@@ -192,7 +192,11 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
     violations = []
     n = 0
     for i, (kind, k) in enumerate(diagram.events, start=1):
-        if kind == "L":
+        if kind not in EVENT_KINDS:  # events built from plain tuples skip FrontEvent's checks
+            violations.append(Violation(i, f"unknown event kind {kind!r}"))
+        elif type(k) is not int:
+            violations.append(Violation(i, f"event height {k!r} is not an int"))
+        elif kind == "L":
             if not 1 <= k <= n + 1:
                 violations.append(Violation(i, f"left cusp height {k} out of range 1..{n + 1}"))
             n += 2
@@ -257,22 +261,26 @@ def sweep_geometry(diagram: FrontDiagram) -> tuple[int, tuple, tuple]:
     n_arcs = 0
     cusps = []
     crossings = []
-    for kind, k in diagram.events:  # k >= 1, as FrontEvent checks
+    for kind, k in diagram.events:  # plain tuples as events skip FrontEvent's checks
+        if type(k) is not int:
+            _invalid(diagram)
         if kind == "L":
-            if k > len(stack) + 1:
+            if not 0 < k <= len(stack) + 1:
                 _invalid(diagram)
             stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
             cusps.append(("L", n_arcs, n_arcs + 1))
             n_arcs += 2
-        elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
+        elif not 0 < k < len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
         elif kind == "R":
             cusps.append(("R", stack[k - 1], stack[k]))
             del stack[k - 1:k + 1]
-        else:
+        elif kind == "X":
             over, under = stack[k - 1], stack[k]
             crossings.append((over, under))
             stack[k - 1], stack[k] = under, over
+        else:
+            _invalid(diagram)
     if stack:
         _invalid(diagram)
     return n_arcs, tuple(cusps), tuple(crossings)

@@ -9,28 +9,28 @@ NE, so a front-born crossing always carries its over strand on (0, 2).
 
 Both polynomial invariants are computed by one descending-diagram
 recursion: walk the components from deterministic base points; the first
-crossing met on its under strand is expanded by the skein relation into a
-switched child (fewer bad crossings) and smoothed children (fewer
-crossings); a diagram with no bad crossing is a layered unlink and is a
-leaf.  Before it is expanded, every diagram is reduced: Reidemeister-I
+crossing met on its under strand is expanded with its twist region, a
+chain of k crossings joined by alternating bigons, k = 1 for a crossing
+in no such bigon; a diagram with no bad crossing is a layered unlink and
+is a leaf.  Before it is expanded, every diagram is reduced: Reidemeister-I
 curls are removed (worth a^{+-1} to the Dubrovnik polynomial, 1 to
 Homfly), and so are Reidemeister-II bigons whose one strand is over at
 both crossings (worth 1 to both).  The input is reduced once and cut
 into split components and connected summands, each expanded alone with
 its two cut ports joined; k split components and l free loops add the
 factor delta^(k + l - 1).  The diagram keeps its reduction and cut for
-its lifetime, so Homfly and Kauffman of one diagram share them.  A bad
-crossing in a twist region, a chain of k >= 2 crossings joined by
-alternating bigons, expands the whole region in one step by the Hecke
-and BMW quadratic relations unrolled along it, into at most three
-children built in one splice each.
+its lifetime, so Homfly and Kauffman of one diagram share them.  A
+region expands in one step by the Hecke and BMW relations unrolled along
+it, written once in ``_twist_coefficients``, into at most three children
+built in one splice each: a lone crossing switched or the first of k >= 2
+kept, and the region smoothed through or turned back.
 
 Every node is a ``LinkDiagram`` in the flat format of ``diagram``: a
 crossing is its rank, a port the integer 4 * rank + port, and the moves,
 reductions, walks and cuts run on integer tuples.  This module reads no
-ports: it asks the diagram for the first bad crossing, a crossing's sign
-or over flag, a twist region's size, sign, strand directions and
-splices, a leaf's writhe and walk count, and the memo key.
+ports: it asks the diagram for the first bad crossing, a twist region's
+size, sign, strand directions and splices, a leaf's writhe and walk
+count, the input's writhe, and the memo key.
 
 The expansion is memoized.  A node's value is the sum of its leaves
 c v^ev z^ez delta^(n-1), kept as {(ev, ez, n): c} relative to the node;
@@ -191,7 +191,7 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
 # the powers are only read here, never handed to a caller
 _HOMFLY_POWERS = [VZPoly(1), VZPoly(HOMFLY_DELTA.terms)]
 _DUBROVNIK_POWERS = [VZPoly(1), VZPoly(DUBROVNIK_DELTA.terms)]
-_TWISTS = {}  # sigma^k at index k per (kauffman, h, parallel), kept likewise
+_TWISTS = {}  # per (kauffman, h, parallel): at index k the row of a region of k crossings, kept likewise
 
 
 def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
@@ -201,10 +201,10 @@ def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
 
 
 def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, extra: int) -> VZPoly:
-    """Reduce each node, expand it at its first bad crossing, or at once at
-    the twist region that crossing lies in, unless its key is in ``memo``,
-    and store its value there once its children have one; the root's value
-    is multiplied out times delta^extra."""
+    """Reduce each node, expand it at once at the twist region of its first
+    bad crossing, unless its key is in ``memo``, and store its value there
+    once its children have one; the root's value is multiplied out times
+    delta^extra."""
     stack = []
 
     def branch(coeff, node, loops):
@@ -237,22 +237,9 @@ def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, 
             continue
         branches, loops = [], cur.loops
         stack.append((key, cur, branches))
-        region = cur._twist_region(bad)
-        if region is not None:
-            k, h, parallel, splices = region
-            coeffs = _twist_coefficients(kauffman, h, parallel, k)
-            branches += [branch(c.terms, cur._fused(*sp), loops) for c, sp in zip(coeffs, splices) if c]
-        elif kauffman:
-            # with ports in CCW order, over on (0,2) plays the role of L+
-            # relative to the smoothing labels (L0 joins (1,2)/(0,3))
-            si = 1 if cur.over02(bad) else -1
-            smooth_a, smooth_b = cur.smoothings_unoriented(bad)
-            branches += [branch({(0, 0): 1}, cur.switched(bad), loops),
-                         branch({(0, 1): si}, smooth_a, loops), branch({(0, 1): -si}, smooth_b, loops)]
-        else:
-            s = cur.sign(bad)  # P(L+-) = v^{+-2} P(L-+) +- v^{+-1} z P(L0)
-            branches += [branch({(2 * s, 0): 1}, cur.switched(bad), loops),
-                         branch({(s, 1): s}, cur.smoothed_oriented(bad), loops)]
+        k, h, parallel, children = cur._twist_region(bad)
+        coeffs = _twist_coefficients(kauffman, h, parallel, k)
+        branches += [branch(c.terms, cur._fused(*sp, flip=f), loops) for c, (sp, f) in zip(coeffs, children) if c]
     _, dv, n, key = root
     dv += d.writhe() if kauffman else 0
     total = {}
@@ -266,20 +253,22 @@ def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, 
 
 
 def _twist_coefficients(kauffman: bool, h: int, parallel: bool | None, k: int) -> tuple[VZPoly, VZPoly, VZPoly]:
-    """sigma^k = c_sigma sigma + c_1 1 + c_e e in a twist region of k
+    """sigma^k = c_sigma sigma + c_1 1 + c_e e in a twist region of k >= 2
     crossings of sign h (``LinkDiagram._twist_region``), the one-crossing
-    rule unrolled.  Homfly smooths parallel strands through, to 1, with
-    sign s = h, and antiparallel ones back, to e, with s = -h and
-    e sigma = e; Kauffman has sigma - sigma^{-1} = h z (1 - e) and
+    rule unrolled; for a lone crossing, k = 1, the rule itself, sigma =
+    c sigma^-1 + c_1 1 + c_e e.  Homfly smooths parallel strands through,
+    to 1, with sign s = h, and antiparallel ones back, to e, with s = -h
+    and e sigma = e; Kauffman has sigma - sigma^{-1} = h z (1 - e) and
     e sigma = a^eps e, eps = -h being the sign of the curl a turn-back
     leaves."""
     key = (kauffman, h, parallel)
-    if key not in _TWISTS:  # sigma^0 = 1, sigma^1 = sigma
-        _TWISTS[key] = [(VZPoly(0), VZPoly(1), VZPoly(0)), (VZPoly(1), VZPoly(0), VZPoly(0))]
+    if key not in _TWISTS:  # sigma^0 = 1
+        _TWISTS[key] = [(VZPoly(0), VZPoly(1), VZPoly(0))]
     table = _TWISTS[key]
     s = h if parallel or kauffman else -h
     while len(table) <= k:  # sigma^j = q sigma^{j-2} + p sigma^{j-1} + the turn-back term
-        j, x1, x2 = len(table), table[-1], table[-2]
+        j = len(table)  # sigma^+-1 = sigma: row 1 has sigma^-1, a lone crossing's kept child, in sigma's slot
+        x1, x2 = ((VZPoly(1), VZPoly(0), VZPoly(0)) if abs(i) == 1 else table[i] for i in (j - 1, j - 2))
         q, m = VZPoly.monomial(1, 0 if kauffman else 2 * s, 0), VZPoly.monomial(s, 0 if kauffman else s, 1)
         p = VZPoly(0) if parallel is False else m  # q = v^{2s} or 1, m = s v^s z or h z
         a, b, e = (q * y2 + p * y1 for y1, y2 in zip(x1, x2))

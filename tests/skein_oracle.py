@@ -1,7 +1,9 @@
 """Reference skein recursions for tests: the raw descending-diagram loops.
 
 These expand every node by the skein relation without simplifying the
-diagram and multiply a full ``VZPoly`` per node.  They are slow but
+diagram and multiply a full ``VZPoly`` per node.  They run on
+``tuple_reference.TupleDiagram``'s dict moves, so they share no move with
+the flat kernel of ``legfronts.diagram``.  They are slow but
 straightforward, so the property tests compare ``legfronts.skein.homfly``
 and ``kauffman_dubrovnik`` against them.
 """
@@ -15,6 +17,7 @@ from legfronts.skein import (
     LinkDiagram,
     ResourceLimitError,
 )
+from tuple_reference import TupleDiagram
 
 
 def homfly(
@@ -28,7 +31,7 @@ def homfly(
             f"{d.num_crossings} crossings exceed the ceiling of {max_crossings}"
         )
     total = VZPoly(0)
-    stack: list[tuple[LinkDiagram, VZPoly]] = [(d, VZPoly(1))]
+    stack: list[tuple[TupleDiagram, VZPoly]] = [(TupleDiagram.of(d), VZPoly(1))]
     while stack:
         cur, coeff = stack.pop()
         bad = cur.first_bad_crossing()
@@ -62,7 +65,7 @@ def kauffman_dubrovnik(
     w0 = d.writhe()
     z = VZPoly.monomial(1, 0, 1)
     total = VZPoly(0)
-    stack: list[tuple[LinkDiagram, VZPoly]] = [(d.unoriented(), VZPoly(1))]
+    stack: list[tuple[TupleDiagram, VZPoly]] = [(TupleDiagram.of(d).unoriented(), VZPoly(1))]
     while stack:
         cur, coeff = stack.pop()
         bad = cur.first_bad_crossing()
@@ -76,7 +79,7 @@ def kauffman_dubrovnik(
         smooth_a, smooth_b = cur.smoothings_unoriented(bad)
         # with ports in CCW order, over on (0,2) plays the role of L+
         # relative to the smoothing labels (L0 joins (1,2)/(0,3))
-        si = 1 if cur.over02(bad) else -1
+        si = 1 if cur.crossings[bad].over02 else -1
         stack.append((switched, coeff))
         stack.append((smooth_a, coeff * z * si))
         stack.append((smooth_b, coeff * z * (-si)))

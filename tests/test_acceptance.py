@@ -8,6 +8,7 @@ no tolerances anywhere.
 import random
 from contextlib import contextmanager
 
+import tuple_reference
 from conftest import nested_unlink, random_fronts
 from test_rulings import oracle_switch_sets
 
@@ -169,11 +170,12 @@ def test_criterion_9_skein_properties():
             if d.num_crossings == 0:
                 continue
             cid = rng.choice(sorted(d.crossings))
-            pos = d if d.sign(cid) > 0 else d.switched(cid)
+            t = tuple_reference.TupleDiagram.of(d)
+            pos = t if t.sign(cid) > 0 else t.switched(cid)
             residual = (
-                V_INV * homfly(pos)
-                - V * homfly(pos.switched(cid))
-                - Z * homfly(d.smoothed_oriented(cid))
+                V_INV * homfly(pos.flat())
+                - V * homfly(pos.switched(cid).flat())
+                - Z * homfly(t.smoothed_oriented(cid).flat())
             )
             assert residual == VZPoly(0)
             checked += 1

@@ -40,6 +40,20 @@ V_INV = VZPoly.monomial(1, -1, 0)
 Z = VZPoly.monomial(1, 0, 1)
 
 
+def switched(d: LinkDiagram, *cids: int) -> LinkDiagram:
+    """d with the crossings cids switched, built by the tuple reference;
+    the flat kernel has no one-crossing move."""
+    t = tuple_reference.TupleDiagram.of(d)
+    for cid in cids:
+        t = t.switched(cid)
+    return t.flat()
+
+
+def mirrored(d: LinkDiagram) -> LinkDiagram:
+    """d with every crossing switched."""
+    return switched(d, *d.crossings)
+
+
 # -- front to diagram ---------------------------------------------------------
 
 
@@ -188,9 +202,9 @@ def test_homfly_skein_relation_residual_is_zero():
         if d.num_crossings == 0:
             continue
         cid = rng.choice(sorted(d.crossings))
-        pos = d if d.sign(cid) > 0 else d.switched(cid)
-        neg = pos.switched(cid)
-        smooth = d.smoothed_oriented(cid)
+        pos = d if d.sign(cid) > 0 else switched(d, cid)
+        neg = switched(pos, cid)
+        smooth = tuple_reference.TupleDiagram.of(d).smoothed_oriented(cid).flat()
         residual = V_INV * homfly(pos) - V * homfly(neg) - Z * homfly(smooth)
         assert residual == VZPoly(0)
         checked += 1
@@ -306,10 +320,7 @@ def kinks(k: int, positive: bool):
     """k stacked curls on one unknot: the twisted eye L1 X1^k R1, mirrored
     for positive curls."""
     d = front_to_diagram(front("L1 " + "X1 " * k + "R1"))
-    if positive:
-        for cid in list(d.crossings):
-            d = d.switched(cid)
-    return d
+    return mirrored(d) if positive else d
 
 
 @pytest.mark.parametrize("positive", [True, False])
@@ -330,14 +341,14 @@ def test_stacked_kinks_reduce_to_the_unknot(positive):
 def test_bigon_with_one_strand_over_is_removed():
     # the trefoil twist with its middle crossing switched: the bigon it
     # forms with the first crossing goes, the last crossing is then a curl
-    d = front_to_diagram(TREFOIL).switched(2)
+    d = switched(front_to_diagram(TREFOIL), 2)
     bare, curls = d.reduced()
     assert (bare.num_crossings, bare.loops, curls) == (0, 1, 1)
     assert homfly(d) == VZPoly(1)
     assert kauffman_dubrovnik(d) == VZPoly(1)
     # in the four-crossing twist of T(2,4), switching two crossings lets
     # one bigon go and leaves the two-component unlink
-    d = front_to_diagram(front("L1 L3 X2 X2 X2 X2 R1 R1")).switched(2).switched(3)
+    d = switched(front_to_diagram(front("L1 L3 X2 X2 X2 X2 R1 R1")), 2, 3)
     assert d.reduced()[0].num_crossings == 2
     assert homfly(d) == HOMFLY_DELTA
     assert kauffman_dubrovnik(d) == DUBROVNIK_DELTA
@@ -449,6 +460,30 @@ def test_connected_summands_are_expanded_one_by_one(monkeypatch):
         assert (nodes(homfly, f)[1], nodes(kauffman_dubrovnik, f)[1]) == counts, name
 
 
+def test_ruled_fronts_keep_their_skein_trees(monkeypatch):
+    # the pins above are twists and connected sums; most bad crossings of
+    # ruled fronts lie in no alternating bigon, regions of one
+    calls = []
+    first_bad = LinkDiagram.first_bad_crossing
+
+    def counted(self, *args):
+        calls.append(1)
+        return first_bad(self, *args)
+
+    monkeypatch.setattr(LinkDiagram, "first_bad_crossing", counted)
+    rng, fronts, totals = random.Random(3), [], []
+    while len(fronts) < 40:  # the first 40 draws with 8 to 16 crossings
+        f = ruled_random_front(rng, max_events=40, max_strands=8)
+        if 8 <= f.num_crossings <= 16:
+            fronts.append(f)
+    for poly in (homfly, kauffman_dubrovnik):
+        calls.clear()
+        for f in fronts:
+            poly(front_to_diagram(f), max_crossings=64)
+        totals.append(len(calls))
+    assert totals == [228, 301]
+
+
 def test_both_polynomials_share_one_reduction_and_cut(monkeypatch):
     calls = []
     pieces = diagram._pieces
@@ -553,15 +588,14 @@ def test_twist_family_is_linear(monkeypatch):
 def test_twist_regions_expand_as_crossing_by_crossing(monkeypatch):
     # the tuple reference expands every region a crossing at a time; each
     # kind of region the one-step rule tells apart must be met often
-    seen = dict.fromkeys(["parallel", "antiparallel", "kauffman h=1", "kauffman h=-1", "cyclic"], 0)
+    seen = dict.fromkeys(["parallel", "antiparallel", "kauffman h=1", "kauffman h=-1", "cyclic", "lone"], 0)
     region = LinkDiagram._twist_region
 
     def counted(self, cid):
-        found = region(self, cid)
-        if found is not None:
-            k, h, parallel, _ = found
-            seen[f"kauffman h={h}" if parallel is None else "parallel" if parallel else "antiparallel"] += 1
-            seen["cyclic"] += k == self.num_crossings  # a reduced node: the region closes up
+        found = k, h, parallel, _ = region(self, cid)
+        seen[f"kauffman h={h}" if parallel is None else "parallel" if parallel else "antiparallel"] += 1
+        seen["cyclic"] += k == self.num_crossings  # a reduced node: the region closes up
+        seen["lone"] += k == 1
         return found
 
     monkeypatch.setattr(LinkDiagram, "_twist_region", counted)
@@ -569,13 +603,14 @@ def test_twist_regions_expand_as_crossing_by_crossing(monkeypatch):
     fronts = twisted_fronts(seed=49, count=100, max_crossings=14)
     fronts += [front("L1 L3 " + "X2 " * n + "R1 R1") for n in range(16)]
     fronts += [chain([hopf, TREFOIL, hopf]), FrontDiagram(hopf.events * 3, name="hopf3")]
+    rng = random.Random(50)  # ruled fronts, where many bad crossings lie in no alternating bigon
+    ruled = (ruled_random_front(rng, max_events=24) for _ in range(30))
+    fronts += [f for f in ruled if 12 <= f.num_crossings <= 16][:4]
     for f in fronts:
         n = components(f).num_components
         for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
             d = front_to_diagram(f, reverse)
-            mirror = d
-            for cid in d.crossings:
-                mirror = mirror.switched(cid)
+            mirror = mirrored(d)
             for x in (d, mirror):
                 assert homfly(x) == tuple_reference.homfly(x), (str(f), reverse, x is mirror)
                 assert kauffman_dubrovnik(x) == tuple_reference.kauffman_dubrovnik(x), (str(f), reverse, x is mirror)
@@ -593,9 +628,7 @@ def split_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
 def test_memo_keeps_mirrors_and_reversals_apart():
     # each pair has one shape of diagram: one differs in every crossing's
     # over strand, the other in one component's orientation
-    mirror = torus(5)
-    for cid in list(mirror.crossings):
-        mirror = mirror.switched(cid)
+    mirror = mirrored(torus(5))
     parallel, antiparallel = torus(4), front_to_diagram(front("L1 L3 X2 X2 X2 X2 R1 R1"))
     for a, b in ((torus(5), mirror), (parallel, antiparallel)):
         for poly, delta in ((homfly, HOMFLY_DELTA), (kauffman_dubrovnik, DUBROVNIK_DELTA)):
@@ -684,11 +717,7 @@ def test_diagram_round_trips_through_the_flat_format():
     d = LinkDiagram(crossings, adj, 1)
     assert (d.crossings, d.adj, d.loops) == (crossings, adj, 1)
     assert d.num_crossings == 3 and d.num_components() == 2
-    assert d.switched(-7).crossings == {**crossings, -7: Crossing(True, crossings[-7].in_ports)}
     assert d.unoriented().crossings == {c: Crossing(cr.over02, None) for c, cr in crossings.items()}
-    smoothed = d.smoothed_oriented(12)
-    reference = tuple_reference.TupleDiagram(crossings, adj, 1).smoothed_oriented(12)
-    assert (smoothed.crossings, smoothed.adj, smoothed.loops) == (reference.crossings, reference.adj, reference.loops)
     asymmetric = dict(adj)
     asymmetric[(40, 0)], asymmetric[(40, 1)] = asymmetric[(40, 1)], asymmetric[(40, 0)]
     with pytest.raises(ValueError, match="arc matching is not symmetric"):
@@ -714,10 +743,8 @@ def test_diagram_round_trips_through_the_flat_format():
 def test_crossing_lookups_name_an_unknown_id(cid):
     # True and 1.0 equal crossing 1 in a tuple search, but are no crossing id
     d = front_to_diagram(TREFOIL)
-    lookups = (d.over02, d.sign, d.switched, d.smoothed_oriented, d.smoothings_unoriented)
-    for lookup in lookups:
-        with pytest.raises(ValueError, match=f"link diagram has no crossing {cid}$"):
-            lookup(cid)
+    with pytest.raises(ValueError, match=f"link diagram has no crossing {cid}$"):
+        d.sign(cid)
     if type(cid) is not int:
         with pytest.raises(ValueError, match=f"crossing id {cid!r} is not an int"):
             LinkDiagram({cid: Crossing(True, (0, 1))}, {(cid, 0): (cid, 1), (cid, 1): (cid, 0),
@@ -768,6 +795,20 @@ def test_each_oriented_crossing_has_one_inflow_port_per_strand(ins):
         LinkDiagram({1: Crossing(True, ins)}, curl)
     # either order of the two strands' ports is accepted
     assert [LinkDiagram({1: Crossing(True, good)}, curl).sign(1) for good in ((0, 1), (1, 0))] == [1, 1]
+
+
+@pytest.mark.parametrize("over", [2, "yes", None, 1, 0.0], ids=repr)
+def test_each_crossing_has_a_bool_over_flag(over):
+    # the walks compare over flags with port parities and with each other,
+    # so the trefoil with 2, "yes" or None in place of True had the
+    # unknot's polynomials; 1 and 0.0 passed only by equality with a bool
+    trefoil = front_to_diagram(TREFOIL)
+    crossings = {c: Crossing(over, x.in_ports) for c, x in trefoil.crossings.items()}
+    with pytest.raises(ValueError, match=re.escape(f"crossing 1 has over flag {over!r}, not a bool")):
+        LinkDiagram(crossings, trefoil.adj)
+    crossings[1] = Crossing(True, crossings[1].in_ports)
+    with pytest.raises(ValueError, match=re.escape(f"crossing 2 has over flag {over!r}, not a bool")):
+        LinkDiagram(crossings, trefoil.adj)
 
 
 def test_walks_leaves_and_exports_match_tuple_reference():

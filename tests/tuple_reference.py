@@ -8,9 +8,15 @@ and ``leaf`` run the package's algorithms on it, so the tests can compare
 the flat kernel of ``legfronts.diagram`` with an independent
 implementation of the same steps.  Its reductions scan ports in the
 insertion order of ``adj``, and it expands a twist region one crossing
-at a time where the flat kernel expands it in one step, so its skein
-trees differ from the flat kernel's; the polynomials cannot, which
-makes it the oracle for the one-step region rule.
+at a time where the flat kernel expands every bad crossing's region,
+a lone crossing being a region of one, in one step, so its skein trees
+differ from the flat kernel's; the polynomials cannot, which makes it
+the oracle for the one-step region rule.
+
+Its one-crossing moves ``switched``, ``smoothed_oriented`` and
+``smoothings_unoriented`` have no counterpart in the flat kernel.  The
+raw skein oracle runs on them, and tests that need a mirror or one
+smoothed crossing build it here and convert it back with ``flat``.
 """
 
 from legfronts.diagram import Crossing, LinkDiagram, _sign_from
@@ -32,6 +38,10 @@ class TupleDiagram:
     @classmethod
     def of(cls, d: LinkDiagram) -> "TupleDiagram":
         return cls(d.crossings, d.adj, d.loops)
+
+    def flat(self) -> LinkDiagram:
+        """The same diagram in the flat kernel."""
+        return LinkDiagram(self.crossings, self.adj, self.loops)
 
     @property
     def num_crossings(self):
@@ -291,8 +301,8 @@ def seifert_circle_count(d: LinkDiagram) -> int:
     return t.loops
 
 
-def leaf(d: LinkDiagram) -> tuple[int, int]:
+def leaf(d: LinkDiagram | TupleDiagram) -> tuple[int, int]:
     """Walk-induced writhe and walk count of a descending diagram."""
-    t = TupleDiagram.of(d)
+    t = d if isinstance(d, TupleDiagram) else TupleDiagram.of(d)
     walks = t._walks()
     return _leaf_writhe(t, walks), len(walks)
