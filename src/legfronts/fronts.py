@@ -192,9 +192,7 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
     violations = []
     n = 0
     for i, (kind, k) in enumerate(diagram.events, start=1):
-        if kind not in EVENT_KINDS:  # events built from plain tuples skip FrontEvent's checks
-            violations.append(Violation(i, f"unknown event kind {kind!r}"))
-        elif type(k) is not int:
+        if type(k) is not int:  # events built from plain tuples skip FrontEvent's checks
             violations.append(Violation(i, f"event height {k!r} is not an int"))
         elif kind == "L":
             if not 1 <= k <= n + 1:
@@ -207,9 +205,11 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
             if n < 0:
                 violations.append(Violation(i, "strand count went negative"))
                 n = 0
-        else:
+        elif kind == "X":
             if not 1 <= k <= n - 1:
                 violations.append(Violation(i, f"crossing height {k} out of range 1..{n - 1}"))
+        else:
+            violations.append(Violation(i, f"unknown event kind {kind!r}"))
     if n != 0:
         violations.append(Violation(None, f"{n} strands left open at the end of the diagram"))
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -593,9 +593,11 @@ def test_twist_regions_expand_as_crossing_by_crossing(monkeypatch):
 
     def counted(self, cid):
         found = k, h, parallel, _ = region(self, cid)
-        seen[f"kauffman h={h}" if parallel is None else "parallel" if parallel else "antiparallel"] += 1
-        seen["cyclic"] += k == self.num_crossings  # a reduced node: the region closes up
-        seen["lone"] += k == 1
+        if k > 1:
+            seen[f"kauffman h={h}" if parallel is None else "parallel" if parallel else "antiparallel"] += 1
+            seen["cyclic"] += k == self.num_crossings  # a reduced node: the region closes up
+        else:
+            seen["lone"] += 1
         return found
 
     monkeypatch.setattr(LinkDiagram, "_twist_region", counted)
