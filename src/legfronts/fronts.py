@@ -1,8 +1,10 @@
 """Combinatorial front diagrams of Legendrian links, plat style.
 
 A front is encoded as a left-to-right sequence of events, one per generic
-x-slice.  With n strands entering a slice (numbered 1..n from the top),
-the legal events are:
+x-slice, each a ``FrontEvent``: ``FrontDiagram`` converts the events it is
+given, so ``FrontEvent`` is the one home of the rule that a kind is L, R or
+X and a height an int >= 1.  With n strands entering a slice (numbered
+1..n from the top), the legal events are:
 
 * ``L k`` (1 <= k <= n+1): a left cusp opens two new strands at heights
   k and k+1; strands previously at height >= k move down by two.
@@ -104,11 +106,23 @@ class FrontEvent(_Event):
         return f"{self.kind}{self.height}"
 
 
-class FrontDiagram(NamedTuple):
+class _Front(NamedTuple):  # FrontDiagram's fields, as _Event holds FrontEvent's
     events: tuple[FrontEvent, ...]
-    name: str = "front"
+    name: str
     # source line per event when parsed from text; informational only
-    lines: tuple[int, ...] | None = None
+    lines: tuple[int, ...] | None
+
+
+class FrontDiagram(_Front):  # every event a FrontEvent, checked when the front is made
+    __slots__ = ()
+
+    def __new__(cls, events, name="front", lines=None):
+        events = tuple([ev if type(ev) is FrontEvent else FrontEvent(*ev) for ev in events])
+        return tuple.__new__(cls, (events, name, lines))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace converts too
+        return cls(*iterable)
 
     # equal, and hashed, by events alone: name and lines are informational
     def __eq__(self, other):
@@ -144,7 +158,7 @@ def front(tokens: str, name: str = "front") -> FrontDiagram:
         if kind not in EVENT_KINDS or not num.isdecimal() or int(num) < 1:
             raise ValueError(f"bad event token {tok!r}")
         events.append(FrontEvent(kind, int(num)))
-    return FrontDiagram(tuple(events), name=name)
+    return FrontDiagram(events, name=name)
 
 
 def parse_front(text: str, name: str = "front") -> FrontDiagram:
@@ -169,7 +183,7 @@ def parse_front(text: str, name: str = "front") -> FrontDiagram:
             raise FrontFormatError(lineno, f"height must be >= 1, got {k}")
         events.append(FrontEvent(kind, k))
         lines.append(lineno)
-    return FrontDiagram(tuple(events), name=name, lines=tuple(lines))
+    return FrontDiagram(events, name=name, lines=tuple(lines))
 
 
 def render_front(diagram: FrontDiagram) -> str:
@@ -192,24 +206,19 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
     violations = []
     n = 0
     for i, (kind, k) in enumerate(diagram.events, start=1):
-        if type(k) is not int:  # events built from plain tuples skip FrontEvent's checks
-            violations.append(Violation(i, f"event height {k!r} is not an int"))
-        elif kind == "L":
-            if not 1 <= k <= n + 1:
+        if kind == "L":  # heights are >= 1: FrontDiagram holds FrontEvents
+            if k > n + 1:
                 violations.append(Violation(i, f"left cusp height {k} out of range 1..{n + 1}"))
             n += 2
         elif kind == "R":
-            if not 1 <= k <= n - 1:
+            if k >= n:
                 violations.append(Violation(i, f"right cusp height {k} out of range 1..{n - 1}"))
             n -= 2
             if n < 0:
                 violations.append(Violation(i, "strand count went negative"))
                 n = 0
-        elif kind == "X":
-            if not 1 <= k <= n - 1:
-                violations.append(Violation(i, f"crossing height {k} out of range 1..{n - 1}"))
-        else:
-            violations.append(Violation(i, f"unknown event kind {kind!r}"))
+        elif k >= n:
+            violations.append(Violation(i, f"crossing height {k} out of range 1..{n - 1}"))
     if n != 0:
         violations.append(Violation(None, f"{n} strands left open at the end of the diagram"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -261,26 +270,22 @@ def sweep_geometry(diagram: FrontDiagram) -> tuple[int, tuple, tuple]:
     n_arcs = 0
     cusps = []
     crossings = []
-    for kind, k in diagram.events:  # plain tuples as events skip FrontEvent's checks
-        if type(k) is not int:
-            _invalid(diagram)
+    for kind, k in diagram.events:  # heights are >= 1: FrontDiagram holds FrontEvents
         if kind == "L":
-            if not 0 < k <= len(stack) + 1:
+            if k > len(stack) + 1:
                 _invalid(diagram)
             stack[k - 1:k - 1] = [n_arcs, n_arcs + 1]
             cusps.append(("L", n_arcs, n_arcs + 1))
             n_arcs += 2
-        elif not 0 < k < len(stack):  # a right cusp or a crossing needs strands k and k + 1
+        elif k >= len(stack):  # a right cusp or a crossing needs strands k and k + 1
             _invalid(diagram)
         elif kind == "R":
             cusps.append(("R", stack[k - 1], stack[k]))
             del stack[k - 1:k + 1]
-        elif kind == "X":
+        else:
             over, under = stack[k - 1], stack[k]
             crossings.append((over, under))
             stack[k - 1], stack[k] = under, over
-        else:
-            _invalid(diagram)
     if stack:
         _invalid(diagram)
     return n_arcs, tuple(cusps), tuple(crossings)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -55,6 +57,19 @@ def test_validate_open_strands():
     assert any(v.event_index is None for v in report.violations)
 
 
+def test_validate_words_each_violation_with_its_range():
+    # after a count goes negative it restarts at 0, so the end leaves 4 open
+    report = validate(front("L2 R3 X1 L1 R1 R1 L1 L1"))
+    assert report.violations == (
+        (1, "left cusp height 2 out of range 1..1"),
+        (2, "right cusp height 3 out of range 1..1"),
+        (3, "crossing height 1 out of range 1..-1"),
+        (6, "right cusp height 1 out of range 1..-1"),
+        (6, "strand count went negative"),
+        (None, "4 strands left open at the end of the diagram"),
+    )
+
+
 def test_validate_never_raises_on_negative_count():
     report = validate(front("L1 R1 R1 L1"))
     assert not report.ok
@@ -65,16 +80,19 @@ def test_sweep_raises_the_first_violation_validate_reports():
     # word the error as the first violation of a separate validation
     rng = random.Random(23)
     kinds = Counter()
-    # plain tuples skip FrontEvent's checks; each of these must fail, or the
-    # sweep reads ("L", 0) as a cusp and ("X", 0) and "Q" as crossings
+    rejected = Counter()
+    # plain tuples are made FrontEvents, so each of these fails as it is
+    # built, before the sweep could read ("L", 0) as a cusp or ("X", 0) and
+    # "Q" as crossings
     fixed = [(("L", 0), ("R", 1)), (("L", 1), ("Q", 1), ("R", 1)), (("L", True), ("R", 1)),
              (("L", 1), ("X", 1.0), ("R", 1)), (("L", 1), ("X", 0), ("R", 1))]
-    for i in range(-len(fixed), 4000):
-        if i < 0:
-            events = fixed[i]
-        elif i % 4 == 0:  # random events
+    for events in fixed:
+        with pytest.raises(ValueError, match="^(unknown event kind 'Q'|event height must be a positive integer, got)"):
+            FrontDiagram(events, name="bad")
+    for i in range(4000):
+        if i % 4 == 0:  # random events
             events = tuple(FrontEvent(rng.choice("LRX"), rng.randint(1, 5)) for _ in range(rng.randint(0, 9)))
-        elif i % 4 == 3:  # plain tuples, which skip FrontEvent's checks, some of them junk
+        elif i % 4 == 3:  # plain tuples, some of them junk
             events = tuple((rng.choice("LRX") if rng.random() < 0.9 else rng.choice(["Q", "l", None]),
                             rng.randint(1, 3) if rng.random() < 0.85 else rng.choice([0, -1, True, 1.0, "1"]))
                            for _ in range(rng.randint(0, 6)))
@@ -86,21 +104,26 @@ def test_sweep_raises_the_first_violation_validate_reports():
             j = rng.randrange(len(events))
             n = sum(2 if ev.kind == "L" else -2 if ev.kind == "R" else 0 for ev in events[:j])
             events[j] = FrontEvent(events[j].kind, n + 2 if events[j].kind == "L" else max(n, 1))
-        f = FrontDiagram(tuple(events), name="bad")
+        try:
+            f = FrontDiagram(tuple(events), name="bad")
+        except ValueError as err:  # a junk plain tuple, rejected by FrontEvent
+            assert i % 4 == 3, events
+            rejected[re.match("unknown event kind|event height must be a positive integer, got", str(err))[0]] += 1
+            continue
         report = validate(f)
         if report.ok:
-            assert i >= 0, events
             assert sweep_geometry(f)[0] == 2 * sum(kind == "L" for kind, _ in events)
             continue
         first = report.violations[0]
         with pytest.raises(InvalidFrontError) as info:
             sweep_geometry(f)
         assert str(info.value) == f"invalid front 'bad': {first.message}"
-        kinds["open" if first.event_index is None else re.split(" height| kind", first.message)[0]] += 1
+        kinds["open" if first.event_index is None else first.message.split(" height")[0]] += 1
     # "strand count went negative" is never first: a right-cusp range
     # violation always comes before it
-    assert set(kinds) == {"left cusp", "right cusp", "crossing", "open", "event", "unknown event"}, kinds
+    assert set(kinds) == {"left cusp", "right cusp", "crossing", "open"}, kinds
     assert min(kinds.values()) >= 50, kinds
+    assert len(rejected) == 2 and min(rejected.values()) >= 50, rejected
 
 
 # -- parser -----------------------------------------------------------------
@@ -150,6 +173,29 @@ def test_tokens_and_events_reject_junk():
             FrontEvent("L", height)
         with pytest.raises(ValueError, match="positive integer"):
             FrontEvent("L", 1)._replace(height=height)
+
+
+def test_a_front_of_a_list_is_a_front_of_a_tuple():
+    f = FrontDiagram([FrontEvent("L", 1), FrontEvent("R", 1)])
+    assert f == front("L1 R1") and hash(f) == hash(front("L1 R1"))
+    assert type(f.events) is tuple
+
+
+def test_a_front_of_plain_tuples_holds_front_events():
+    f = FrontDiagram((("L", 1), ("R", 1)), name="u", lines=(3, 4))
+    assert all(type(ev) is FrontEvent for ev in f.events)
+    assert (f.num_crossings, f.num_left_cusps, f.num_right_cusps) == (0, 1, 1)
+    assert (str(f), f.name, f.lines) == ("L1 R1", "u", (3, 4))
+    trefoil = FrontDiagram(tuple(tuple(ev) for ev in TREFOIL.events))
+    assert str(connected_sum(trefoil, trefoil)) == "L1 L3 X2 X2 X2 R1 L3 X2 X2 X2 R1 R1"
+    assert all(type(ev) is FrontEvent for ev in front("L1 R1")._replace(events=(("X", 1),)).events)
+    for events, message in (((("Q", 1),), "unknown event kind"), ((("L", 0),), "positive integer")):
+        with pytest.raises(ValueError, match=message):
+            front("L1 R1")._replace(events=events)
+        with pytest.raises(ValueError, match=message):
+            FrontDiagram(events)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert (g, g.name, g.lines, type(g)) == (f, "u", (3, 4), FrontDiagram)
 
 
 def test_parse_comments_and_blanks():
