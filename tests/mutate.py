@@ -3,8 +3,7 @@
 Run from anywhere, with the module's path relative to the repository:
 
     python tests/mutate.py src/legfronts/fronts.py
-    python tests/mutate.py src/legfronts/fronts.py --sample 8 --seed 1
-    python tests/mutate.py src/legfronts/rulings.py --tests tests/test_rulings.py
+    python tests/mutate.py src/legfronts/fronts.py --sample 8
 
 Every site of the module's syntax tree gives one mutant:
 
@@ -17,12 +16,14 @@ Every site of the module's syntax tree gives one mutant:
 
 Each mutant is the changed tree as ``ast.unparse`` renders it, written
 into a temporary copy of the repository, never over the module itself.
-There the module's test files (``TESTS``, or ``--tests``) run with
-``pytest -x -q`` and a fixed Hypothesis seed.  A mutant is killed when
-the run fails or times out.  The unchanged module, rendered the same way,
-must first pass the same run, or no mutant is tried.  The script prints
-the killed and survived counts and ``file:line operator`` for each
-survivor, with the function that holds it.
+There the module's test files from ``TESTS`` run with ``pytest -x -q``
+and a fixed Hypothesis seed.  A mutant is killed when the run fails or
+times out.  The unchanged module, rendered the same way, must first pass
+the same run, or no mutant is tried.  ``--sample N`` tries N sites drawn
+with the fixed seed ``SEED``, so a sample stays the same until the module
+changes; a module that needs other tests gets an edited ``TESTS`` entry.
+The script prints the killed and survived counts and ``file:line
+operator`` for each survivor, with the function that holds it.
 
 Standard library only; pytest does not collect this file.
 """
@@ -62,6 +63,7 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or",
 }
+SEED = 1  # draws the sites of --sample
 IGNORED = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run, so a runaway mutant fails alone
 
@@ -130,21 +132,19 @@ def _limit_memory():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("module", help="path of the module, e.g. src/legfronts/fronts.py")
-    parser.add_argument("--sample", type=int, help="try only this many sites, drawn with --seed")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tests", nargs="+", help="test files to run, in place of the module's TESTS entry")
+    parser.add_argument("--sample", type=int, help="try only this many sites, drawn with SEED")
     args = parser.parse_args(argv)
 
     path = (ROOT / args.module).resolve()
     rel = path.relative_to(ROOT)
-    tests = args.tests or [f"tests/{name}" for name in TESTS[path.name]]
+    tests = [f"tests/{name}" for name in TESTS[path.name]]
     source = path.read_text()
     counter = Mutator()
     counter.visit(ast.parse(source))
     sites = counter.sites
     chosen = range(len(sites))
     if args.sample is not None:
-        chosen = sorted(random.Random(args.seed).sample(chosen, min(args.sample, len(sites))))
+        chosen = sorted(random.Random(SEED).sample(chosen, min(args.sample, len(sites))))
 
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:

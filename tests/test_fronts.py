@@ -58,7 +58,10 @@ def test_validate_open_strands():
 
 
 def test_validate_words_each_violation_with_its_range():
-    # after a count goes negative it restarts at 0, so the end leaves 4 open
+    # after a count goes negative it restarts at 0, so the end leaves 4 open.
+    # The two "1..-1" ranges (0 strands live) pin a known defect, an empty
+    # range worded backwards (see the FOUND note on it in CHANGES.md); a fix
+    # that rewords them is meant to edit those two lines
     report = validate(front("L2 R3 X1 L1 R1 R1 L1 L1"))
     assert report.violations == (
         (1, "left cusp height 2 out of range 1..1"),
