@@ -212,16 +212,23 @@ def validate(diagram: FrontDiagram) -> ValidationReport:
             n += 2
         elif kind == "R":
             if k >= n:
-                violations.append(Violation(i, f"right cusp height {k} out of range 1..{n - 1}"))
+                violations.append(Violation(i, _bad_pair_height("right cusp", k, n)))
             n -= 2
             if n < 0:
                 violations.append(Violation(i, "strand count went negative"))
                 n = 0
         elif k >= n:
-            violations.append(Violation(i, f"crossing height {k} out of range 1..{n - 1}"))
+            violations.append(Violation(i, _bad_pair_height("crossing", k, n)))
     if n != 0:
         violations.append(Violation(None, f"{n} strands left open at the end of the diagram"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _bad_pair_height(what: str, k: int, n: int) -> str:
+    # a right cusp or crossing at height k joins strands k and k + 1
+    if n < 2:
+        return f"{what} height {k} needs two live strands, {n} live"
+    return f"{what} height {k} out of range 1..{n - 1}"
 
 
 # ---------------------------------------------------------------------------

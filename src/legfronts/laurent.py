@@ -2,9 +2,17 @@
 
 Everything downstream works in the ring Z[v^{+-1}, z^{+-1}]: coefficients
 are plain Python integers and all identities are checked with zero
-tolerance.  ``ZPoly`` is the one-variable (z) flavor, ``VZPoly`` the
-two-variable (v, z) one.  Both keep a canonical sparse form, zero
-coefficients are never stored, so equality is plain dict equality.
+tolerance.  ``ZPoly`` is the one-variable (z) flavor, keyed by int
+exponents, ``VZPoly`` the two-variable (v, z) one, keyed by exponent
+pairs.  Both keep a canonical sparse form, zero coefficients are never
+stored, so equality is plain dict equality.
+
+The private base ``_Laurent`` writes once each ring operation that never
+reads inside a key: truth, equality, hashing, negation, sums, differences,
+powers and ``repr``.  Each builds with ``type(self)``, takes a plain int as
+a constant, and returns ``NotImplemented`` for anything else, the other
+flavor included.  A flavor keeps its checked constructor, ``monomial``,
+product loop, ``shifted``, ``to_terms``, rendering and degree read-outs.
 
 Degree conventions used throughout the package:
 
@@ -25,10 +33,70 @@ def _as_int(x):
     return x
 
 
-class ZPoly:
-    """Laurent polynomial in z with integer coefficients."""
+class _Laurent:
+    """The ring operations of both flavors; ``_ONE`` keys the constant term."""
 
     __slots__ = ("terms",)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = type(self)(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        # a constant equals its int, so it hashes as one; zero included
+        if self.terms.keys() <= {self._ONE}:
+            return hash(self.terms.get(self._ONE, 0))
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        cls = type(self)
+        if not isinstance(other, cls):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = cls(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return cls(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, (type(self), int)) else NotImplemented
+
+    def __rsub__(self, other):
+        return type(self)(other) - self if isinstance(other, int) else NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        out = type(self)(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms!r})"
+
+    # bound in each flavor's own body, as bench/tracer.py wraps them there (FOUND 20, CHANGES.md)
+    _TRACED = __neg__, __add__, __radd__, __sub__, __rsub__, __pow__
+
+
+class ZPoly(_Laurent):
+    """Laurent polynomial in z with integer coefficients."""
+
+    __slots__ = ()
+    _ONE = 0
+    __neg__, __add__, __radd__, __sub__, __rsub__, __pow__ = _Laurent._TRACED
 
     def __init__(self, terms: dict[int, int] | int = 0):
         if isinstance(terms, int):
@@ -38,45 +106,6 @@ class ZPoly:
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "ZPoly":
         return cls({exp: coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ZPoly(other)
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its int, so it hashes as one; zero included
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other) -> "ZPoly":
-        if not isinstance(other, ZPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = ZPoly(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return ZPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ZPoly":
-        if isinstance(other, ZPoly):
-            return self + -other
-        return self + -ZPoly(other) if isinstance(other, int) else NotImplemented
-
-    def __rsub__(self, other) -> "ZPoly":
-        return ZPoly(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, int):
@@ -91,14 +120,6 @@ class ZPoly:
         return ZPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ZPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = ZPoly(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def shifted(self, dz: int) -> "ZPoly":
         """Multiply by the monomial z**dz."""
@@ -118,14 +139,13 @@ class ZPoly:
     def __str__(self) -> str:
         return _render([((e,), c) for e, c in self.terms.items()], ("z",))
 
-    def __repr__(self) -> str:
-        return f"ZPoly({self.terms!r})"
 
-
-class VZPoly:
+class VZPoly(_Laurent):
     """Laurent polynomial in v and z with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ONE = (0, 0)
+    __neg__, __add__, __radd__, __sub__, __rsub__, __pow__ = _Laurent._TRACED
 
     def __init__(self, terms: dict[tuple[int, int], int] | int = 0):
         if isinstance(terms, int):
@@ -137,45 +157,6 @@ class VZPoly:
     @classmethod
     def monomial(cls, coeff: int, ev: int, ez: int) -> "VZPoly":
         return cls({(ev, ez): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = VZPoly(other)
-        if not isinstance(other, VZPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its int, so it hashes as one; zero included
-        if self.terms.keys() <= {(0, 0)}:
-            return hash(self.terms.get((0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "VZPoly":
-        return VZPoly({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other) -> "VZPoly":
-        if not isinstance(other, VZPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = VZPoly(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return VZPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "VZPoly":
-        if isinstance(other, VZPoly):
-            return self + -other
-        return self + -VZPoly(other) if isinstance(other, int) else NotImplemented
-
-    def __rsub__(self, other) -> "VZPoly":
-        return VZPoly(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other) -> "VZPoly":
         if isinstance(other, int):
@@ -190,14 +171,6 @@ class VZPoly:
         return VZPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "VZPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = VZPoly(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def shifted(self, dv: int, dz: int) -> "VZPoly":
         """Multiply by the monomial v**dv z**dz."""
@@ -219,9 +192,6 @@ class VZPoly:
 
     def __str__(self) -> str:
         return _render(list(self.terms.items()), ("v", "z"))
-
-    def __repr__(self) -> str:
-        return f"VZPoly({self.terms!r})"
 
 
 class HomflyProfile(NamedTuple):

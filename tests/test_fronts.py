@@ -58,16 +58,13 @@ def test_validate_open_strands():
 
 
 def test_validate_words_each_violation_with_its_range():
-    # after a count goes negative it restarts at 0, so the end leaves 4 open.
-    # The two "1..-1" ranges (0 strands live) pin a known defect, an empty
-    # range worded backwards (see the FOUND note on it in CHANGES.md); a fix
-    # that rewords them is meant to edit those two lines
+    # after a count goes negative it restarts at 0, so the end leaves 4 open
     report = validate(front("L2 R3 X1 L1 R1 R1 L1 L1"))
     assert report.violations == (
         (1, "left cusp height 2 out of range 1..1"),
         (2, "right cusp height 3 out of range 1..1"),
-        (3, "crossing height 1 out of range 1..-1"),
-        (6, "right cusp height 1 out of range 1..-1"),
+        (3, "crossing height 1 needs two live strands, 0 live"),
+        (6, "right cusp height 1 needs two live strands, 0 live"),
         (6, "strand count went negative"),
         (None, "4 strands left open at the end of the diagram"),
     )

@@ -41,6 +41,8 @@ def _convolve(t1, t2):
 def test_basic_identities():
     z2_plus_2 = ZPoly({2: 1, 0: 2})
     assert z2_plus_2 * ZPoly(1) == z2_plus_2
+    assert z2_plus_2.coefficient(1) == 0
+    assert ZPoly().terms == VZPoly().terms == {}
     zpm = ZPoly({1: 1, -1: 1})
     assert zpm * zpm == ZPoly({2: 1, 0: 2, -2: 1})
 
@@ -51,20 +53,15 @@ def test_mul_commutes_and_matches_convolution(p, q):
     assert (p * q).terms == _convolve(p.terms, q.terms)
 
 
-@given(zpolys(), zpolys(), zpolys())
-def test_ring_laws_one_variable(p, q, r):
+@pytest.mark.parametrize("polys", [zpolys, vzpolys], ids=["ZPoly", "VZPoly"])
+@given(data=st.data())
+def test_ring_laws(polys, data):
+    p, q, r = (data.draw(polys()) for _ in range(3))
     assert (p + q) + r == p + (q + r)
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p + (-p) == ZPoly(0)
-
-
-@given(vzpolys(), vzpolys(), vzpolys())
-def test_ring_laws_two_variables(p, q, r):
     assert p + q == q + p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert p - p == VZPoly(0)
+    assert p + (-p) == p - p == type(p)(0)
 
 
 @given(zpolys())
@@ -73,9 +70,10 @@ def test_canonical_form_has_no_zero_coefficients(p):
     assert (p + (-p)).terms == {}
 
 
-@given(zpolys(), st.integers(min_value=-4, max_value=4))
-def test_shift_is_monomial_multiplication(p, k):
+@given(zpolys(), vzpolys(), st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
+def test_shift_is_monomial_multiplication(p, q, k, j):
     assert p.shifted(k) == p * ZPoly.monomial(1, k)
+    assert q.shifted(k, j) == q * VZPoly.monomial(1, k, j)
 
 
 def test_coefficient_of_v_examples():

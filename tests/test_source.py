@@ -112,3 +112,6 @@ def test_laurent_types_define_every_method_the_tracer_wraps():
     assert "__init__" in tracer.LAURENT_METHODS
     for cls in (legfronts.ZPoly, legfronts.VZPoly):
         assert [m for m in tracer.LAURENT_METHODS if m not in cls.__dict__] == [], cls.__name__
+    # the operations that never read inside a key are one function, bound in both
+    shared = ("__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__")
+    assert [m for m in shared if legfronts.ZPoly.__dict__[m] is not legfronts.VZPoly.__dict__[m]] == []
