@@ -18,31 +18,23 @@ lifetime.
 ``analyze`` runs all checks on one context, so each quantity is computed
 once per report; a standalone check builds a context of its own.
 
-The module imports only the front and ruling layers.  ``_layers`` binds
-the skein and Laurent layers to the module globals ``skein`` and
-``laurent`` when a context is first built or ``no_ruling_tests`` first
-runs, so ``connsum_check``, which builds no polynomial, never compiles
-them, and a check pays one global test, not an import, per call.
-Annotations that name their types are strings for that reason.
+The module imports only the front and ruling layers.  It reads the
+skein and Laurent layers as ``legfronts.skein`` and ``legfronts.laurent``,
+which the package imports on first touch, so ``connsum_check``, which
+builds no polynomial, never compiles them.  Annotations that name their
+types are strings for that reason.
 """
 
 from functools import cached_property
 from typing import NamedTuple
 
-from . import fronts, rulings
+import legfronts
 
-skein = laurent = None  # bound by _layers on first use
+from . import fronts, rulings
 
 FIRED = "fired"
 QUIET = "quiet"
 NOT_EVALUATED = "not_evaluated"
-
-
-def _layers() -> None:
-    """Bind the skein and Laurent layers to this module's globals on the first call."""
-    global skein, laurent
-    if skein is None:
-        from . import laurent, skein
 
 
 class _Context:
@@ -50,7 +42,6 @@ class _Context:
     computed on first use and at most once."""
 
     def __init__(self, diagram: fronts.FrontDiagram, max_crossings: int, reverse, khovanov_bound=None):
-        _layers()
         self.diagram, self.max_crossings, self.reverse = diagram, max_crossings, reverse
         self.khovanov_bound = khovanov_bound
 
@@ -59,20 +50,20 @@ class _Context:
         return fronts.sweep_front(self.diagram, self.reverse)
 
     @cached_property
-    def link(self) -> "skein.LinkDiagram":
-        return skein._resolved(self.sweep)
+    def link(self) -> "legfronts.skein.LinkDiagram":
+        return legfronts.skein._resolved(self.sweep)
 
     @cached_property
-    def homfly(self) -> "laurent.VZPoly":
-        return skein.homfly(self.link, self.max_crossings)
+    def homfly(self) -> "legfronts.laurent.VZPoly":
+        return legfronts.skein.homfly(self.link, self.max_crossings)
 
     @cached_property
-    def homfly_profile(self) -> "laurent.HomflyProfile":
-        return laurent.profile(self.homfly)
+    def homfly_profile(self) -> "legfronts.laurent.HomflyProfile":
+        return legfronts.laurent.profile(self.homfly)
 
     @cached_property
-    def kauffman(self) -> "laurent.VZPoly":
-        return skein.kauffman_dubrovnik(self.link, self.max_crossings)
+    def kauffman(self) -> "legfronts.laurent.VZPoly":
+        return legfronts.skein.kauffman_dubrovnik(self.link, self.max_crossings)
 
     @cached_property
     def flags(self) -> dict[str, str]:
@@ -85,10 +76,10 @@ class _Context:
 
 class RutherfordResult(NamedTuple):
     tb: int
-    homfly_slice: "laurent.ZPoly"
-    two_graded_poly: "laurent.ZPoly"
-    kauffman_slice: "laurent.ZPoly"
-    ungraded_poly: "laurent.ZPoly"
+    homfly_slice: "legfronts.laurent.ZPoly"
+    two_graded_poly: "legfronts.laurent.ZPoly"
+    kauffman_slice: "legfronts.laurent.ZPoly"
+    ungraded_poly: "legfronts.laurent.ZPoly"
 
     @property
     def two_graded_ok(self) -> bool:
@@ -203,8 +194,8 @@ def _rho(ctx: _Context) -> RhoResult:
 
 
 def no_ruling_tests(
-    homfly_poly: "laurent.VZPoly",
-    kauffman_poly: "laurent.VZPoly",
+    homfly_poly: "legfronts.laurent.VZPoly",
+    kauffman_poly: "legfronts.laurent.VZPoly",
     khovanov_bound: int | None = None,
 ) -> dict[str, str]:
     """The four polynomial obstructions to 2-graded rulings of a knot type.
@@ -219,12 +210,11 @@ def no_ruling_tests(
     homology on the diagonal i - j = k, in that grading convention); the
     condition reports not_evaluated when absent.
     """
-    _layers()
-    return _no_ruling(laurent.profile(homfly_poly), kauffman_poly, khovanov_bound)
+    return _no_ruling(legfronts.laurent.profile(homfly_poly), kauffman_poly, khovanov_bound)
 
 
 def _no_ruling(
-    prof: "laurent.HomflyProfile", kauffman_poly: "laurent.VZPoly", khovanov_bound: int | None
+    prof: "legfronts.laurent.HomflyProfile", kauffman_poly: "legfronts.laurent.VZPoly", khovanov_bound: int | None
 ) -> dict[str, str]:
     e, p_slice = prof.e, prof.Q  # Q is the Homfly slice at v^e
     out: dict[str, str] = {}
@@ -282,10 +272,10 @@ def genus_tests(
 
 def _genus(ctx: _Context) -> GenusTests:
     p, prof = ctx.homfly, ctx.homfly_profile
-    deg = laurent.conway(p).degree()
+    deg = legfronts.laurent.conway(p).degree()
     max_genus = ctx.census.max_genus("two_graded")
     knot = ctx.sweep.num_components == 1
-    seifert = skein.seifert_diagram_genus(ctx.link) if knot else None
+    seifert = legfronts.skein.seifert_diagram_genus(ctx.link) if knot else None
     return GenusTests(
         bennequin_ok=prof.M <= prof.e,
         conway_ok=deg is not None and deg >= prof.M,

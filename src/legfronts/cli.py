@@ -6,12 +6,12 @@ bundled file of that name.  Exit codes: 0 all checks passed, 1 a check
 failed, the input was invalid or an internal consistency check failed,
 2 the skein crossing ceiling was hit or, from argparse, a usage error.
 
-A command imports the layers it computes with when it runs, so
-``rulings``, ``invariants``, ``validate`` and ``corpus`` never load the
-skein or analysis layer, and of them only ``rulings``, which prints
-ruling polynomials, loads the Laurent layer.  ``connsum`` loads
-``analysis`` but never the skein or Laurent layer; a bare corpus name
-also loads ``corpus``.
+A command reads the layers it computes with off the package, which
+imports each on first touch, so ``rulings``, ``invariants``,
+``validate`` and ``corpus`` never load the skein or analysis layer, and
+of them only ``rulings``, which prints ruling polynomials, loads the
+Laurent layer.  ``connsum`` loads ``analysis`` but never the skein or
+Laurent layer; a bare corpus name also loads ``corpus``.
 """
 
 import argparse
@@ -19,6 +19,8 @@ import functools
 import json
 import sys
 from pathlib import Path
+
+import legfronts
 
 from . import fronts, rulings
 
@@ -31,10 +33,8 @@ def _load_front(ref: str) -> fronts.FrontDiagram:
     path = Path(ref)
     if path.is_file():
         return fronts.parse_front(path.read_text(), name=path.stem)
-    from . import corpus
-
-    if ref in corpus.corpus_names():
-        return corpus.load(ref)
+    if ref in legfronts.corpus.corpus_names():
+        return legfronts.corpus.load(ref)
     raise FileNotFoundError(f"{ref!r} is neither a file nor a bundled front")
 
 
@@ -263,9 +263,7 @@ def _cmd_rulings(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    from . import skein
-    from .laurent import conway
-
+    skein = legfronts.skein
     diagram = _load_front(args.front)
     d = skein.front_to_diagram(diagram, args.reverse_component)
     if args.command == "homfly":
@@ -273,17 +271,15 @@ def _cmd_poly(args) -> int:
     elif args.command == "kauffman":
         poly = skein.kauffman_dubrovnik(d, args.max_crossings)
     else:
-        poly = conway(skein.homfly(d, args.max_crossings))
+        poly = legfronts.laurent.conway(skein.homfly(d, args.max_crossings))
     payload = {"front": diagram.name, **_poly_payload(args.command, poly)}
     _emit(payload, args.format, [f"{args.command}({diagram.name}) = {poly}"])
     return EXIT_OK
 
 
 def _cmd_rutherford(args) -> int:
-    from . import analysis
-
     diagram = _load_front(args.front)
-    res = analysis.rutherford_check(diagram, args.max_crossings, args.reverse_component)
+    res = legfronts.analysis.rutherford_check(diagram, args.max_crossings, args.reverse_component)
     payload = {
         "front": diagram.name,
         "tb": res.tb,
@@ -303,10 +299,8 @@ def _cmd_rutherford(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    from . import analysis
-
     diagram = _load_front(args.front)
-    res = analysis.rho_report(
+    res = legfronts.analysis.rho_report(
         diagram, args.khovanov_bound, args.max_crossings, args.reverse_component
     )
     shown = {"value": str(res.value), "minus_infinity": "-infinity", "unknown": "unknown"}[res.kind]
@@ -319,10 +313,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_tests(args) -> int:
-    from . import analysis
-
     diagram = _load_front(args.front)
-    report = analysis.analyze(
+    report = legfronts.analysis.analyze(
         diagram, args.khovanov_bound, args.max_crossings, args.reverse_component
     )
     payload = report.to_json()
@@ -351,11 +343,9 @@ def _cmd_tests(args) -> int:
 
 
 def _cmd_connsum(args) -> int:
-    from . import analysis
-
     f1 = _load_front(args.front1)
     f2 = _load_front(args.front2)
-    res = analysis.connsum_check(f1, f2, args.reverse_component)
+    res = legfronts.analysis.connsum_check(f1, f2, args.reverse_component)
     payload = {
         "front": res.composite.name,
         "events": str(res.composite),
@@ -375,8 +365,7 @@ def _cmd_connsum(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    from . import corpus
-
+    corpus = legfronts.corpus
     rows = [
         (name, corpus.DESCRIPTIONS.get(name, ""), str(corpus.load(name)))
         for name in corpus.corpus_names()

@@ -41,12 +41,13 @@ the polynomials of a ``RulingCensus``, beside whether the front is a
 knot, and ``analysis.connsum_check`` multiplies the packed ints of a
 splice's summands, swept at a width set by the composite, and compares
 them with the composite's.  Only ``census`` builds polynomials, so it
-binds ``ZPoly`` on its first call, and a listing or ``connsum_check``
-never loads the Laurent layer.  The listing pass carries the switch sets
-themselves, each a string with one code point per crossing id, chr(cid)
-in increasing order, and beside each string the caller's rendering of
-the same set: a switch appends chr(cid) to the string and names[cid] to
-the rendering.  Strings compare by code point, so their order is the order
+alone reads ``legfronts.laurent``, which the package imports on first
+touch, and a listing or ``connsum_check`` never loads the Laurent
+layer.  The listing pass carries the switch sets themselves, each a
+string with one code point per crossing id, chr(cid) in increasing
+order, and beside each string the caller's rendering of the same set:
+a switch appends chr(cid) to the string and names[cid] to the
+rendering.  Strings compare by code point, so their order is the order
 of the id tuples; a caller keys each ruling by its string and reads
 them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
 so its rendering is the tuple of ids, and the command line as the
@@ -71,9 +72,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from . import fronts
+import legfronts
 
-ZPoly = None  # bound by _census on first use
+from . import fronts
 
 # the class table: the largest grading tag each class filter admits
 _LIMITS = {"ungraded": 2, "two_graded": 1, "z_graded": 0}
@@ -268,7 +269,7 @@ class RulingCensus(NamedTuple):
 
     __hash__ = None
     is_knot: bool
-    polynomials: dict[str, "ZPoly"]
+    polynomials: dict[str, "legfronts.laurent.ZPoly"]
 
     def count(self, class_filter: str) -> int:
         _limit(class_filter)
@@ -290,11 +291,8 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
     """The class polynomials, read off the packed counts at w = c + 1."""
-    global ZPoly
-    if ZPoly is None:
-        from .laurent import ZPoly
     w, offset = len(sweep.crossings) + 1, 1 - sweep.num_arcs // 2
-    by_limit = [ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)]
+    by_limit = [legfronts.laurent.ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)]
     return RulingCensus(sweep.num_components == 1, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})
 
 

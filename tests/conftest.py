@@ -97,3 +97,25 @@ def nested_unlink(n: int) -> FrontDiagram:
     events = [FrontEvent("L", i) for i in range(1, n + 1)]
     events += [FrontEvent("R", i) for i in range(n, 0, -1)]
     return FrontDiagram(tuple(events), name=f"unlink{n}")
+
+
+# each event at height k -> its events in the 2-copy, as (kind, height - 2k)
+_TWO_COPY = {
+    "L": (("L", -1), ("L", 1), ("X", 0)),
+    "R": (("X", 0), ("R", -1), ("R", -1)),
+    "X": (("X", 0), ("X", -1), ("X", 1), ("X", 0)),
+}
+
+
+def whitehead_double(front: FrontDiagram, clasps: int = 2) -> FrontDiagram:
+    """The Legendrian Whitehead double Wh(K) of the knot front K.
+
+    The 2-copy replaces each event by two parallel strands; every front
+    ends with ``R1``, so the 2-copy ends with ``X2 R1 R1``, and its ``X2``
+    becomes ``clasps`` crossings.  One leaves the 2-copy itself, a
+    2-component link with tb = 4 tb(K).  Two make a knot that bounds a
+    band with one clasp, so its genus is at most 1.
+    """
+    events = [FrontEvent(kind, 2 * e.height + d) for e in front.events for kind, d in _TWO_COPY[e.kind]]
+    events[-3:-2] = [FrontEvent("X", 2)] * clasps
+    return FrontDiagram(tuple(events), name=f"Wh({front.name})")

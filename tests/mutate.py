@@ -44,13 +44,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # the test files that exercise each module, so that a run stays within minutes
 TESTS = {
     "__init__.py": ["test_imports.py", "test_source.py", "test_analysis.py"],
-    "analysis.py": ["test_analysis.py", "test_acceptance.py", "test_cli.py"],
+    "analysis.py": ["test_analysis.py", "test_acceptance.py", "test_cli.py", "test_paper.py"],
     "cli.py": ["test_cli.py", "test_golden_cli.py", "test_demos.py"],
     "corpus.py": ["test_fronts.py", "test_cli.py"],
     "diagram.py": ["test_skein.py"],
     "fronts.py": ["test_fronts.py", "test_rulings.py", "test_analysis.py", "test_skein.py"],
     "laurent.py": ["test_laurent.py", "test_rulings.py", "test_skein.py"],
-    "rulings.py": ["test_rulings.py", "test_analysis.py"],
+    "rulings.py": ["test_rulings.py", "test_analysis.py", "test_paper.py"],
     "skein.py": ["test_skein.py", "test_analysis.py"],
 }
 

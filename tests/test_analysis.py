@@ -205,6 +205,16 @@ def test_genus_chain_fails_on_either_side():
     assert GenusTests(True, True, None, 2, None).chain_ok
 
 
+def test_a_result_passes_only_when_every_part_does(monkeypatch):
+    one, two = ZPoly(1), ZPoly(2)
+    assert not analysis.RutherfordResult(1, one, two, one, one).passed
+    assert not analysis.RutherfordResult(1, one, one, one, two).passed
+    assert not analysis.ConnSumResult(None, True, False, True).passed
+    # a report with every check passing but the genus chain is not ok
+    monkeypatch.setattr(analysis, "_genus", lambda ctx: GenusTests(True, True, 2, 1, 1))
+    assert not analyze(corpus.load("trefoil")).ok
+
+
 def test_genus_tests_on_corpus_knots():
     for name in ("unknot", "stabilized_unknot", "trefoil", "51", "trefoil_sum"):
         g = genus_tests(corpus.load(name))
@@ -464,7 +474,8 @@ def test_analyze_passes_the_khovanov_bound_to_flags_and_rho():
             assert report.noruling_flags == no_ruling_tests(skein.homfly(d), skein.kauffman_dubrovnik(d), bound)
             assert report.rho == rho_report(f, bound)._asdict()
     # no ruling on this front, and e = 0 >= 2 + (-2) fires the Khovanov condition
-    assert analyze(corpus.load("stabilized_unknot"), khovanov_bound=-2).rho["kind"] == "minus_infinity"
+    rho = analyze(corpus.load("stabilized_unknot"), khovanov_bound=-2).rho
+    assert (rho["kind"], rho["reason"]) == ("minus_infinity", "no-ruling condition(s) fired: ['khovanov']")
 
 
 def test_analyze_agrees_with_standalone_checks_on_random_fronts():

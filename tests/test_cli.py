@@ -63,10 +63,16 @@ def test_empty_front_skein_commands_fail_clearly(tmp_path, capsys, command):
 
 
 def test_validate_ok(capsys):
-    code, out, err = run(capsys, "validate", "trefoil")
-    assert code == 0
-    assert "ok" in out
-    assert err == ""
+    assert run(capsys, "validate", "trefoil") == (0, "trefoil: ok (7 events)\n", "")
+    expected = json.dumps({"front": "trefoil", "ok": True, "violations": []}, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "validate", "trefoil", "--format=json") == (0, expected, "")
+
+
+def test_validate_reports_an_open_front_at_the_end_of_a_file(tmp_path, capsys):
+    path = tmp_path / "open.front"
+    path.write_text("L 1\n")
+    message = f"{path}: end of diagram: 2 strands left open at the end of the diagram\n"
+    assert run(capsys, "validate", str(path)) == (1, "", message)
 
 
 def test_invariants_text(capsys):
@@ -138,8 +144,11 @@ def test_internal_consistency_error_gives_exit_1(capsys, monkeypatch):
 def test_rutherford_51_mentions_genus_two_term(capsys):
     code, out, _ = run(capsys, "rutherford", "51")
     assert code == 0
-    assert "z^4" in out
-    assert "PASS" in out
+    assert out == (
+        "front 51: tb = 3\n"
+        "  two-graded: homfly v^4 slice = z^4 + 4 z^2 + 3, ruling polynomial = z^4 + 4 z^2 + 3 [PASS]\n"
+        "  ungraded:   kauffman v^4 slice = z^4 + 4 z^2 + 3, ruling polynomial = z^4 + 4 z^2 + 3 [PASS]\n"
+    )
 
 
 def test_rho_trefoil(capsys):
@@ -153,6 +162,7 @@ def test_tests_subcommand_passes_on_corpus(capsys):
         code, out, _ = run(capsys, "tests", name)
         assert code == 0, name
         assert "overall: PASS" in out
+    assert "  PASS max-tb certificate: tb+1 = 4, e = 4, maximal = True\n" in run(capsys, "tests", "51")[1]
 
 
 def test_connsum_trefoils(capsys):

@@ -514,6 +514,15 @@ def test_sweep_keeps_the_genus_integrality_check(monkeypatch, capsys):
     _assert_connsum_fails(capsys, UNLINK2, UNKNOT, "2-graded knot ruling with non-integral genus")
 
 
+def test_class_counts_check_the_genus_at_one_minus_the_eyes(monkeypatch):
+    # a bad record: one 2-graded ruling of the 3-eye knot trefoil_sum with
+    # no switches, so z-exponent 1 - 3 = -2 and no genus; read at 1 + 3 it
+    # would give genus 2 and pass
+    monkeypatch.setattr(rulings, "_sweep", lambda *args: {1: 1})
+    with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
+        census(corpus.load("trefoil_sum"))
+
+
 @pytest.mark.parametrize("exponent, genus", [(0, 0), (4, 2), (1, None), (3, None), (-2, None)])
 def test_genus_is_half_an_even_non_negative_exponent(exponent, genus):
     # odd and positive, or even and negative: either alone is no genus

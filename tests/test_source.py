@@ -58,6 +58,21 @@ def test_module_imports_only_the_standard_library(path):
     assert "__future__" not in tops
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_or_binds_a_global(path):
+    # a layer that not every entry point needs is read as an attribute of
+    # the package, which imports it on first touch, so no check depends
+    # on a binder having run first
+    with tokenize.open(path) as fh:
+        tree = ast.parse(fh.read(), str(path))
+    sites = [
+        f"{path.name}:{node.lineno} {type(node).__name__} in {func.name}"
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom, ast.Global))
+    ]
+    assert sites == []
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
