@@ -321,7 +321,7 @@ def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
     so by Vandermonde a product's slot is at most C(c12, s) < 2^w, true
     identity or not: no carry crosses a slot, and a * b == ab is the
     polynomial identity.  A count, at most 2^c12 < 2^w - 1, is the packed
-    value mod 2^w - 1, and a top slot is read off bit_length.
+    value mod 2^w - 1.
     """
     records = (s1, s2, s12)
     (c1, e1), (c2, e2), (c12, e12) = ((len(s.crossings), s.num_arcs // 2) for s in records)
@@ -329,14 +329,9 @@ def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
         raise RuntimeError("the splice must keep every crossing and remove two cusps")
     w = c12 + 2
     m = (1 << w) - 1
-    p1, p2, p12 = (rulings._class_counts(s, w) for s in records)
+    (p1, g1), (p2, g2), (p12, g12) = (rulings._class_counts(s, w) for s in records)
     counts_ok = all((a % m) * (b % m) == ab % m for a, b, ab in zip(p1, p2, p12))
     polynomials_ok = all(a * b == ab for a, b, ab in zip(p1, p2, p12))
-    two = rulings._LIMITS["two_graded"]
-    g1, g2, g12 = (
-        rulings._genus((p[two].bit_length() - 1) // w + 1 - e) if s.num_components == 1 and p[two] else None
-        for s, p, e in zip(records, (p1, p2, p12), (e1, e2, e12))
-    )
     return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2
 
 

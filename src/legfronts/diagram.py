@@ -340,21 +340,6 @@ class LinkDiagram:
         fields = (tuple(t[r] for r in ranks) for t in (self._ids, self._over, self._ins))
         return _diagram(*fields, tuple(adj), 0)
 
-    # -- export -------------------------------------------------------------
-
-    def to_pd(self) -> dict:
-        """PD-style export: per crossing the arc labels at ports, starting
-        at the under strand's inflow port and continuing counterclockwise."""
-        if not self.is_oriented:
-            raise ValueError("PD export needs an oriented diagram")
-        adj, label = self._adj, {}
-        for p in self._walks()[0]:  # every arc is entered once
-            label[p] = label[adj[p]] = len(label) // 2 + 1
-        # ins[ins[0] % 2 != over] is the under strand's inflow port
-        rows = [[label[4 * i + (ins[ins[0] % 2 != over] + s) % 4] for s in range(4)]
-                for i, (over, ins) in enumerate(zip(self._over, self._ins))]
-        return {"crossings": rows, "free_loops": self._loops}
-
 
 # the planar smoothings; in a twist region where ports p, p + 1 face one
 # neighbour, _SMOOTHINGS[p & 1] is the through one

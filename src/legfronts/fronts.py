@@ -302,15 +302,6 @@ def _invalid(diagram: FrontDiagram):
     raise InvalidFrontError(f"invalid front {diagram.name!r}: {validate(diagram).violations[0].message}")
 
 
-def crossing_sign(over_rightward: bool, under_rightward: bool) -> int:
-    """det(over direction, under direction) for a front crossing.
-
-    The over strand runs down-right, the under strand up-right; the
-    determinant is positive exactly when the x-directions agree.
-    """
-    return 1 if over_rightward == under_rightward else -1
-
-
 def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     """Sweep the front once and derive its oriented data from the geometry.
 
@@ -383,7 +374,8 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     if unknown:
         raise ValueError(f"no such component(s): {unknown}")
 
-    signs = tuple([crossing_sign(rightward[over], rightward[under]) for over, under in crossings])
+    # positive exactly when the two strands agree in x-direction
+    signs = tuple([1 if rightward[over] == rightward[under] else -1 for over, under in crossings])
     writhe = sum(signs)
     r = math.gcd(*rotations)
     modulus = 2 * r

@@ -36,20 +36,22 @@ rulings per number of switches packed in one int, the count with s
 switches in the w-bit slot s, w >= c + 1 for c crossings: a slot
 counts distinct s-subsets of the crossings, at most C(c, s) < 2^w, so
 adding values never carries across slots, and one pass yields all three
-classes.  It has two readers: ``census`` unpacks them at w = c + 1 into
-the polynomials of a ``RulingCensus``, beside whether the front is a
-knot, and ``analysis.connsum_check`` multiplies the packed ints of a
-splice's summands, swept at a width set by the composite, and compares
-them with the composite's.  Only ``census`` builds polynomials, so it
-alone reads ``legfronts.laurent``, which the package imports on first
-touch, and a listing or ``connsum_check`` never loads the Laurent
-layer.  The listing pass carries the switch sets themselves, each a
-string with one code point per crossing id, chr(cid) in increasing
-order, and beside each string the caller's rendering of the same set:
-a switch appends chr(cid) to the string and names[cid] to the
-rendering.  Strings compare by code point, so their order is the order
-of the id tuples; a caller keys each ruling by its string and reads
-them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
+classes.  Beside them it gives a knot's largest 2-graded genus, read
+off the slots whose genus it checks.  It has two readers: ``census``
+unpacks the counts at w = c + 1 into the polynomials of a
+``RulingCensus``, beside whether the front is a knot, and
+``analysis.connsum_check`` multiplies the packed ints of a splice's
+summands, swept at a width set by the composite, and compares them and
+the summands' summed genera with the composite's.  Only ``census``
+builds polynomials, so it alone reads ``legfronts.laurent``, which the
+package imports on first touch, and a listing or ``connsum_check``
+never loads the Laurent layer.  The listing pass carries the switch
+sets themselves, each a string with one code point per crossing id,
+chr(cid) in increasing order, and beside each string the caller's
+rendering of the same set: a switch appends chr(cid) to the string and
+names[cid] to the rendering.  Strings compare by code point, so their
+order is the order of the id tuples; a caller keys each ruling by its
+string and reads them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
 so its rendering is the tuple of ids, and the command line as the
 decimal id and a separator, so its rendering is finished text.  Every
 field of a listed ruling but its switches depends only on its shape,
@@ -292,12 +294,14 @@ def census(diagram: fronts.FrontDiagram, reverse=()) -> RulingCensus:
 def _census(sweep: fronts.FrontSweep) -> RulingCensus:
     """The class polynomials, read off the packed counts at w = c + 1."""
     w, offset = len(sweep.crossings) + 1, 1 - sweep.num_arcs // 2
-    by_limit = [legfronts.laurent.ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)]
+    by_limit = [legfronts.laurent.ZPoly(_unpack(v, w, offset)) for v in _class_counts(sweep, w)[0]]
     return RulingCensus(sweep.num_components == 1, {cls: by_limit[limit] for cls, limit in _LIMITS.items()})
 
 
-def _class_counts(sweep: fronts.FrontSweep, w: int) -> list[int]:
-    """The packed class counts by limit 0, 1, 2 from one sweep, at w >= c + 1.
+def _class_counts(sweep: fronts.FrontSweep, w: int) -> tuple[list[int], int | None]:
+    """The packed class counts by limit 0, 1, 2 from one sweep, at w >= c + 1,
+    and the largest genus of a 2-graded ruling: None for a link or when
+    there is none.
 
     A value holds the number of partial rulings with s switches in bits
     [w * s, w * (s + 1)): start is 1 and a switch shifts by w.  A class
@@ -308,7 +312,7 @@ def _class_counts(sweep: fronts.FrontSweep, w: int) -> list[int]:
     """
     ends = _sweep(sweep, 2, 1, lambda v, cid: v << w)
     by_limit = list(accumulate(ends.get(tag, 0) for tag in range(3)))
-    if sweep.num_components == 1:
-        for e in _unpack(by_limit[_LIMITS["two_graded"]], w, 1 - sweep.num_arcs // 2):
-            _genus(e)
-    return by_limit
+    if sweep.num_components != 1:
+        return by_limit, None
+    two = _unpack(by_limit[_LIMITS["two_graded"]], w, 1 - sweep.num_arcs // 2)
+    return by_limit, max(map(_genus, two), default=None)

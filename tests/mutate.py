@@ -22,8 +22,11 @@ times out.  The unchanged module, rendered the same way, must first pass
 the same run, or no mutant is tried.  ``--sample N`` tries N sites drawn
 with the fixed seed ``SEED``, so a sample stays the same until the module
 changes; a module that needs other tests gets an edited ``TESTS`` entry.
-The script prints the killed and survived counts and ``file:line
-operator`` for each survivor, with the function that holds it.
+The script prints the killed and survived counts and ``file:line:col
+operator`` for each survivor, with the function that holds it.  The
+line and 1-based column are those of the operator itself (of the
+constant, of the ``not``), so two sites on one line, such as two
+comparisons of one chain, are told apart.
 
 Standard library only; pytest does not collect this file.
 """
@@ -69,18 +72,32 @@ MEMORY_LIMIT = 2 << 30  # bytes of address space per test run, so a runaway muta
 
 
 class Mutator(ast.NodeTransformer):
-    """Numbers the sites in visiting order and changes the one numbered
-    ``target``; with no target it only lists them.  ``sites`` holds
-    (line, operator, function) per site."""
+    """Numbers the sites of ``source`` in visiting order and changes the
+    one numbered ``target``; with no target it only lists them.  ``sites``
+    holds (line, column, operator, function) per site."""
 
-    def __init__(self, target: int | None = None):
+    def __init__(self, source: str, target: int | None = None):
+        self.lines = source.encode().splitlines()  # col_offset counts UTF-8 bytes
         self.target = target
         self.sites = []
         self.scope = []
 
-    def _site(self, node, operator: str) -> bool:
-        self.sites.append((node.lineno, operator, ".".join(self.scope) or "<module>"))
+    def _site(self, at: tuple[int, int], operator: str) -> bool:
+        self.sites.append((*at, operator, ".".join(self.scope) or "<module>"))
         return len(self.sites) - 1 == self.target
+
+    def _start(self, node) -> tuple[int, int]:
+        return node.lineno, len(self.lines[node.lineno - 1][:node.col_offset].decode()) + 1
+
+    def _between(self, left, right, symbol: str) -> tuple[int, int]:
+        """(line, column) of the operator ``symbol`` after ``left`` and before ``right``."""
+        line, start = left.end_lineno, left.end_col_offset
+        while True:
+            text = self.lines[line - 1]
+            found = text.find(symbol.encode(), start, right.col_offset if line == right.lineno else len(text))
+            if found >= 0:
+                return line, len(text[:found].decode()) + 1
+            line, start = line + 1, 0
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -90,37 +107,48 @@ class Mutator(ast.NodeTransformer):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
-    def _swap(self, node, op):
-        if type(op) in SWAPS and self._site(node, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"):
-            return SWAPS[type(op)]()
+    def _swap(self, op, left, right):
+        if type(op) in SWAPS:
+            at = self._between(left, right, SYMBOLS[type(op)])
+            if self._site(at, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"):
+                return SWAPS[type(op)]()
         return op
 
     def visit_Compare(self, node):
         self.generic_visit(node)
-        node.ops = [self._swap(node, op) for op in node.ops]
+        operands = [node.left, *node.comparators]
+        node.ops = [self._swap(op, *operands[i:i + 2]) for i, op in enumerate(node.ops)]
         return node
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
-        node.op = self._swap(node, node.op)
+        node.op = self._swap(node.op, node.left, node.right)
         return node
 
-    visit_AugAssign = visit_BoolOp = visit_BinOp
+    def visit_AugAssign(self, node):
+        self.generic_visit(node)
+        node.op = self._swap(node.op, node.target, node.value)
+        return node
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        node.op = self._swap(node.op, *node.values[:2])
+        return node
 
     def visit_Constant(self, node):
-        if type(node.value) is int and self._site(node, f"{node.value} -> {node.value + 1}"):
+        if type(node.value) is int and self._site(self._start(node), f"{node.value} -> {node.value + 1}"):
             return ast.copy_location(ast.Constant(node.value + 1), node)
         return node
 
     def visit_UnaryOp(self, node):
         self.generic_visit(node)
-        if isinstance(node.op, ast.Not) and self._site(node, "drop not"):
+        if isinstance(node.op, ast.Not) and self._site(self._start(node), "drop not"):
             return node.operand
         return node
 
 
 def mutant(source: str, target: int | None) -> str:
-    return ast.unparse(ast.fix_missing_locations(Mutator(target).visit(ast.parse(source))))
+    return ast.unparse(ast.fix_missing_locations(Mutator(source, target).visit(ast.parse(source))))
 
 
 def _limit_memory():
@@ -139,7 +167,7 @@ def main(argv=None) -> int:
     rel = path.relative_to(ROOT)
     tests = [f"tests/{name}" for name in TESTS[path.name]]
     source = path.read_text()
-    counter = Mutator()
+    counter = Mutator(source)
     counter.visit(ast.parse(source))
     sites = counter.sites
     chosen = range(len(sites))
@@ -175,8 +203,8 @@ def main(argv=None) -> int:
 
     print(f"{rel}: {len(chosen)} of {len(sites)} sites tried, {len(chosen) - len(survivors)} killed, "
           f"{len(survivors)} survived, in {elapsed:.0f} s; tests: {' '.join(tests)}")
-    for line, operator, function in survivors:
-        print(f"  {rel}:{line} {operator}  ({function})")
+    for line, col, operator, function in survivors:
+        print(f"  {rel}:{line}:{col} {operator}  ({function})")
     return 0
 
 

@@ -117,8 +117,10 @@ FIRST_CALLS = {
 
 @pytest.mark.parametrize("name", FIRST_CALLS)
 def test_each_analysis_function_works_as_the_first_call(name):
-    # analysis binds the skein and Laurent layers on first use, so a
-    # public function that skipped the binding would fail here
+    # analysis reads the skein and Laurent layers off the package, which
+    # imports each on first touch; each function runs first in a fresh
+    # process, so one that reached a layer before its import would fail
+    # here, and the last line pins the layers it loads
     prelude = "from legfronts import analysis, fronts\nf = fronts.front('L1 L3 X2 X2 X2 R1 R1', name='trefoil')\n"
     if name == "no_ruling_tests":
         prelude += "from legfronts import skein\nd = skein.front_to_diagram(f)\n"

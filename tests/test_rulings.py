@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_fronts, ruled_random_front
+from conftest import random_fronts, ruled_random_front, whitehead_double
 from legfronts import analysis, cli, corpus, fronts, rulings
 from legfronts.fronts import (
     FrontEvent,
@@ -521,6 +521,31 @@ def test_class_counts_check_the_genus_at_one_minus_the_eyes(monkeypatch):
     monkeypatch.setattr(rulings, "_sweep", lambda *args: {1: 1})
     with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
         census(corpus.load("trefoil_sum"))
+
+
+def test_class_counts_give_the_top_two_graded_genus(monkeypatch):
+    # knots of no genus and of genus 0 to 12 (the corpus, seeded fronts,
+    # the doubles Wh(T(2,n))) and links (the corpus, seeded fronts, a 2-copy)
+    fs = [corpus.load(n) for n in corpus.corpus_names()] + random_fronts(seed=49, count=200, knots_only=True)
+    fs += [whitehead_double(front("L1 L3 " + "X2 " * n + "R1 R1")) for n in (3, 5, 7, 9, 11, 13)]
+    fs += random_fronts(seed=50, count=40) + [whitehead_double(TREFOIL, clasps=1)]
+    links = 0
+    for f in fs:
+        sweep = fronts.sweep_front(f)
+        genus = census(f).max_genus("two_graded")
+        links += sweep.num_components > 1
+        assert genus is None or sweep.num_components == 1
+        # at the census width and at connsum_check's wider one
+        for w in (len(sweep.crossings) + 1, len(sweep.crossings) + 2):
+            assert rulings._class_counts(sweep, w)[1] == genus
+    assert links >= 10
+    # every 2-graded slot is checked, not only the top one: slot 0 of the
+    # 3-eye trefoil_sum has no genus even when slot 4 gives genus 1
+    sweep = fronts.sweep_front(corpus.load("trefoil_sum"))
+    w = len(sweep.crossings) + 1
+    monkeypatch.setattr(rulings, "_sweep", lambda *args: {1: 1 | 1 << 4 * w})
+    with pytest.raises(RuntimeError, match="2-graded knot ruling with non-integral genus"):
+        rulings._class_counts(sweep, w)
 
 
 @pytest.mark.parametrize("exponent, genus", [(0, 0), (4, 2), (1, None), (3, None), (-2, None)])

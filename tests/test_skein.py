@@ -673,24 +673,6 @@ def test_morton_bound_on_knot_fronts():
         assert p.max_z_degree() <= 2 * seifert_diagram_genus(d)
 
 
-# -- export ---------------------------------------------------------------------
-
-
-def test_pd_export_shape():
-    d = front_to_diagram(TREFOIL)
-    pd = d.to_pd()
-    assert len(pd["crossings"]) == 3
-    assert pd["free_loops"] == 0
-    labels = sorted(x for row in pd["crossings"] for x in row)
-    # 2c arc labels, each appearing at exactly two ports
-    assert labels == sorted([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
-
-
-def test_pd_export_unknot():
-    pd = front_to_diagram(UNKNOT).to_pd()
-    assert pd == {"crossings": [], "free_loops": 1}
-
-
 # -- the flat kernel against the tuple-port reference ---------------------------
 
 
@@ -736,6 +718,9 @@ def test_diagram_round_trips_through_the_flat_format():
     with pytest.raises(ValueError, match=r"the arc at port \(1, 2\) leads to \(1, 5\)"):
         LinkDiagram({1: Crossing(True, (0, 1))}, {(1, 0): (1, 1), (1, 1): (1, 0), (1, 2): (1, 5),
                                                   (1, 5): (1, 2), (1, 3): (1, 4), (1, 4): (1, 3)})
+    with pytest.raises(ValueError, match=r"the arc at port \(1, 2\) leads to \(1, 4\)"):
+        LinkDiagram({1: Crossing(True, (0, 1))}, {(1, 0): (1, 1), (1, 1): (1, 0), (1, 2): (1, 4),
+                                                  (1, 4): (1, 2), (1, 3): (1, 5), (1, 5): (1, 3)})
     # the check runs on the flat fields of every diagram a move builds
     with pytest.raises(ValueError, match="arc matching is not symmetric"):
         diagram._diagram((1,), (True,), ((0, 1),), (1, 0, 3, 3), 0)
@@ -779,6 +764,11 @@ def test_each_arc_of_an_oriented_diagram_flows_in_at_one_end():
     message = "the arc between ports (1, 0) and (1, 1) flows in at both of its ends"
     with pytest.raises(ValueError, match=re.escape(message)):
         LinkDiagram({1: Crossing(True, (0, 1))}, curl)
+    # a port matched to itself is an arc with one end, an inflow port here
+    looped = {(1, 0): (1, 0), (1, 1): (1, 3), (1, 3): (1, 1), (1, 2): (1, 2)}
+    message = "the arc between ports (1, 0) and (1, 0) flows in at both of its ends"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkDiagram({1: Crossing(True, (0, 1))}, looped)
     # unoriented, the same matchings are diagrams; oriented the other way
     # round, the curl is one
     unoriented = {c: Crossing(x.over02, None) for c, x in crossings.items()}
@@ -787,7 +777,7 @@ def test_each_arc_of_an_oriented_diagram_flows_in_at_one_end():
     assert homfly(LinkDiagram({1: Crossing(True, (0, 3))}, curl)) == 1
 
 
-@pytest.mark.parametrize("ins", [(0, 2), (3, 1), (0, 5), (0, 1, 2), [0, 1], (True, 2), (0.0, 1)], ids=repr)
+@pytest.mark.parametrize("ins", [(0, 2), (3, 1), (0, 5), (4, 1), (0, 1, 2), [0, 1], (True, 2), (0.0, 1)], ids=repr)
 def test_each_oriented_crossing_has_one_inflow_port_per_strand(ins):
     # two inflow ports on the (0, 2) strand passed every other check, and
     # sign(1) returned 0
@@ -821,7 +811,11 @@ def test_walks_leaves_and_exports_match_tuple_reference():
         for reverse in [()] + [(c,) for c in range(n)] * (n > 1):
             d = front_to_diagram(f, reverse)
             ref = tuple_reference.TupleDiagram.of(d)
-            assert d.to_pd() == ref.to_pd()
+            order, walks = d._walks()
+            ref_walks = ref._walks()
+            # the same passages in the same order: each walk starts at the least unvisited port
+            assert [(d._ids[p >> 2], p & 3) for p in order] == [x for walk in ref_walks for x in walk]
+            assert walks == len(ref_walks)
             assert d.num_components() == ref.num_components()
             assert d.first_bad_crossing() == ref.first_bad_crossing()
             bare = d.unoriented()

@@ -2,9 +2,9 @@
 
 ``TupleDiagram`` keeps a diagram as dicts keyed by crossing ids and
 ``(crossing id, port)`` pairs, and runs the skein moves, the reductions,
-the walks, the PD export, the split/summand cut and the rank-key memo on
-those dicts.  ``homfly``, ``kauffman_dubrovnik``, ``seifert_circle_count``
-and ``leaf`` run the package's algorithms on it, so the tests can compare
+the walks, the split/summand cut and the rank-key memo on those dicts.
+``homfly``, ``kauffman_dubrovnik``, ``seifert_circle_count`` and
+``leaf`` run the package's algorithms on it, so the tests can compare
 the flat kernel of ``legfronts.diagram`` with an independent
 implementation of the same steps.  Its reductions scan ports in the
 insertion order of ``adj``, and it expands a twist region one crossing
@@ -88,23 +88,6 @@ class TupleDiagram:
                 if (p % 2 == 0) != self.crossings[cid].over02:
                     return cid
         return None
-
-    def to_pd(self):
-        arc_no, n = {}, 0
-        for walk in self._walks():
-            for cid, p in walk:
-                key = frozenset({(cid, p), self.adj[(cid, p)]})
-                if key not in arc_no:
-                    n += 1
-                    arc_no[key] = n
-        rows = []
-        for cid in sorted(self.crossings):
-            cr = self.crossings[cid]
-            under = 1 if cr.over02 else 0
-            start = cr.in_ports[0] if cr.in_ports[0] % 2 == under else cr.in_ports[1]
-            rows.append([arc_no[frozenset({(cid, (start + s) % 4), self.adj[(cid, (start + s) % 4)]})]
-                         for s in range(4)])
-        return {"crossings": rows, "free_loops": self.loops}
 
     def switched(self, cid):
         cr = self.crossings[cid]
