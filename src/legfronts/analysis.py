@@ -7,8 +7,9 @@ v^(tb+1) slice of the Dubrovnik-Kauffman polynomial counts ungraded
 rulings by Euler characteristic.  This module evaluates both sides on a
 given front, certifies maximality of tb, reports the ruling genus bound
 read off the Homfly polynomial, and runs the no-ruling and genus tests
-that the polynomial data supports.  ``connsum_check`` compares packed
-census counts under the front splice, one int product per class.
+that the polynomial data supports.  ``connsum_check`` sweeps a front
+splice and its two summands and hands the three records to the rulings
+layer's splice check.
 
 Every check reads its inputs from one context per (front, reverse): the
 sweep record, the link diagram, Homfly and its degree profile, Kauffman,
@@ -151,8 +152,7 @@ def max_tb_certificate(
 
 
 def _max_tb(ctx: _Context) -> MaxTbResult:
-    tb = ctx.sweep.tb
-    e = ctx.homfly.min_v_degree()
+    tb, e = ctx.sweep.tb, ctx.homfly_profile.e
     return MaxTbResult(tb, e, tb + 1 == e, ctx.census.count("two_graded") > 0)
 
 
@@ -305,34 +305,11 @@ def connsum_check(
 
     The composite is swept once, with ``reverse``, and each summand's
     census is taken under the orientation and Maslov potential that the
-    composite induces on its arcs.  Every verdict is read off the three
-    census sweeps' packed counts; no polynomial is built.
+    composite induces on its arcs.  ``rulings._connsum_verdicts`` reads
+    every verdict off the three records; no polynomial is built.
     """
     s1, s2, s12 = fronts._connected_sum_sweeps(f1, f2, reverse)
-    return ConnSumResult(s12.diagram, *_connsum_verdicts(s1, s2, s12))
-
-
-def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
-    """(counts_ok, polynomials_ok, genus_additive) from the three records'
-    packed class counts at one slot width w = c12 + 2.
-
-    The splice keeps every crossing and removes two cusps: c12 = c1 + c2
-    and the z-offsets 1 - eyes add.  Summand slot s is at most C(c_i, s),
-    so by Vandermonde a product's slot is at most C(c12, s) < 2^w, true
-    identity or not: no carry crosses a slot, and a * b == ab is the
-    polynomial identity.  A count, at most 2^c12 < 2^w - 1, is the packed
-    value mod 2^w - 1.
-    """
-    records = (s1, s2, s12)
-    (c1, e1), (c2, e2), (c12, e12) = ((len(s.crossings), s.num_arcs // 2) for s in records)
-    if c12 != c1 + c2 or e12 != e1 + e2 - 1:
-        raise RuntimeError("the splice must keep every crossing and remove two cusps")
-    w = c12 + 2
-    m = (1 << w) - 1
-    (p1, g1), (p2, g2), (p12, g12) = (rulings._class_counts(s, w) for s in records)
-    counts_ok = all((a % m) * (b % m) == ab % m for a, b, ab in zip(p1, p2, p12))
-    polynomials_ok = all(a * b == ab for a, b, ab in zip(p1, p2, p12))
-    return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2
+    return ConnSumResult(s12.diagram, *rulings._connsum_verdicts(s1, s2, s12))
 
 
 class AnalysisReport(NamedTuple):

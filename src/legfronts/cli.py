@@ -46,10 +46,6 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _poly_payload(name, poly):
-    return {name: poly.to_terms(), f"{name}_text": str(poly)}
-
-
 def _add_common(parser: argparse.ArgumentParser, orientable=True, skeinful=False) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     if orientable:
@@ -272,7 +268,7 @@ def _cmd_poly(args) -> int:
         poly = skein.kauffman_dubrovnik(d, args.max_crossings)
     else:
         poly = legfronts.laurent.conway(skein.homfly(d, args.max_crossings))
-    payload = {"front": diagram.name, **_poly_payload(args.command, poly)}
+    payload = {"front": diagram.name, args.command: poly.to_terms(), f"{args.command}_text": str(poly)}
     _emit(payload, args.format, [f"{args.command}({diagram.name}) = {poly}"])
     return EXIT_OK
 

@@ -20,8 +20,9 @@ built, by the constructor or a move, has its matching checked for
 symmetry.  The constructor takes dicts keyed by ids and by (id, port)
 pairs, checks that every id is an ``int`` and that they match every
 crossing port and nothing else, that an oriented crossing's two inflow
-ports are one even and one odd port, one per strand, and, when every
-crossing is oriented, that each arc flows in at exactly one of its ends;
+ports are one even and one odd port, one per strand, when every
+crossing is oriented, that each arc flows in at exactly one of its ends,
+and that no port is matched to itself;
 the skein moves skip these checks.  ``crossings`` and ``adj`` give them
 back.  They and the free loop count ``loops`` are read-only views.  A
 method that takes a crossing id raises ``ValueError`` for any value that
@@ -96,6 +97,9 @@ class LinkDiagram:
                 if p <= q and (p in inflow) == (q in inflow):
                     ends = "both" if p in inflow else "neither"
                     raise ValueError(f"the arc between ports {p} and {q} flows in at {ends} of its ends")
+        for p, q in adj.items():
+            if p == q:
+                raise ValueError(f"crossing port {p} is matched to itself")
         ids = sorted(crossings)
         rank = {c: 4 * i for i, c in enumerate(ids)}
         self._set(tuple(ids), tuple(crossings[c].over02 for c in ids), tuple(crossings[c].in_ports for c in ids),
@@ -144,7 +148,9 @@ class LinkDiagram:
         return _sign_from(self._over[i], self._ins[i])
 
     def writhe(self) -> int:
-        return sum(map(self.sign, self._ids))
+        if not self.is_oriented:
+            raise ValueError("crossing sign needs an oriented diagram")
+        return sum(map(_sign_from, self._over, self._ins))
 
     def num_components(self) -> int:
         return self._walks()[1] + self._loops

@@ -28,7 +28,7 @@ record beside the front itself.  This module alone defines the record:
 its fields are numbers and tuples, cusps and crossings plain tuples of
 arc ids, and per-crossing data are by position: crossing id c, the c-th
 crossing in x-order, is entry c - 1.  ``components`` and
-``classical_invariants`` return the same fresh record as ``sweep_front``.
+``classical_invariants`` are other names of ``sweep_front`` itself.
 
 Conventions fixed here and relied on by the rest of the package:
 
@@ -397,14 +397,7 @@ def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
     )
 
 
-def components(diagram: FrontDiagram, reverse=()) -> FrontSweep:
-    """The sweep record, read for its components and orientations (see ``sweep_front``)."""
-    return sweep_front(diagram, reverse)
-
-
-def classical_invariants(diagram: FrontDiagram, reverse=()) -> FrontSweep:
-    """The sweep record, read for tb, r, the writhe and the crossing signs."""
-    return sweep_front(diagram, reverse)
+components = classical_invariants = sweep_front
 
 
 # ---------------------------------------------------------------------------

@@ -40,24 +40,25 @@ classes.  Beside them it gives a knot's largest 2-graded genus, read
 off the slots whose genus it checks.  It has two readers: ``census``
 unpacks the counts at w = c + 1 into the polynomials of a
 ``RulingCensus``, beside whether the front is a knot, and
-``analysis.connsum_check`` multiplies the packed ints of a splice's
-summands, swept at a width set by the composite, and compares them and
-the summands' summed genera with the composite's.  Only ``census``
-builds polynomials, so it alone reads ``legfronts.laurent``, which the
-package imports on first touch, and a listing or ``connsum_check``
-never loads the Laurent layer.  The listing pass carries the switch
-sets themselves, each a string with one code point per crossing id,
-chr(cid) in increasing order, and beside each string the caller's
-rendering of the same set: a switch appends chr(cid) to the string and
-names[cid] to the rendering.  Strings compare by code point, so their
-order is the order of the id tuples; a caller keys each ruling by its
-string and reads them back in sorted order.  ``enumerate_rulings`` names cid as (cid,),
-so its rendering is the tuple of ids, and the command line as the
-decimal id and a separator, so its rendering is finished text.  Every
-field of a listed ruling but its switches depends only on its shape,
-the pair (end tag, switch count): the end tag gives the grading and
-orientability, the switch count theta and the genus.  The listing
-computes and checks those fields once per shape.
+``_connsum_verdicts``, the splice check of ``analysis.connsum_check``,
+multiplies the packed ints of a splice's summands, swept at a width set
+by the composite, and compares them and the summands' summed genera
+with the composite's.  Only ``census`` builds polynomials, so it alone
+reads ``legfronts.laurent``, which the package imports on first touch,
+and a listing or ``connsum_check`` never loads the Laurent layer.  The
+listing pass carries the switch sets themselves, each a string with one
+code point per crossing id, chr(cid) in increasing order, and beside
+each string the caller's rendering of the same set: a switch appends
+chr(cid) to the string and names[cid] to the rendering.  Strings compare
+by code point, so their order is the order of the id tuples; a caller
+keys each ruling by its string and reads them back in sorted order.
+``enumerate_rulings`` names cid as (cid,), so its rendering is the tuple
+of ids, and the command line as the decimal id and a separator, so its
+rendering is finished text.  Every field of a listed ruling but its
+switches depends only on its shape, the pair (end tag, switch count):
+the end tag gives the grading and orientability, the switch count theta
+and the genus.  The listing computes and checks those fields once per
+shape.
 
 The moves of a state at an event depend only on the event's kind and
 height and on the pairing, so ``_moves`` is the move table: one bounded
@@ -316,3 +317,26 @@ def _class_counts(sweep: fronts.FrontSweep, w: int) -> tuple[list[int], int | No
         return by_limit, None
     two = _unpack(by_limit[_LIMITS["two_graded"]], w, 1 - sweep.num_arcs // 2)
     return by_limit, max(map(_genus, two), default=None)
+
+
+def _connsum_verdicts(s1, s2, s12) -> tuple[bool, bool, bool | None]:
+    """(counts_ok, polynomials_ok, genus_additive) from the three records'
+    packed class counts at one slot width w = c12 + 2.
+
+    The splice keeps every crossing and removes two cusps: c12 = c1 + c2
+    and the z-offsets 1 - eyes add.  Summand slot s is at most C(c_i, s),
+    so by Vandermonde a product's slot is at most C(c12, s) < 2^w, true
+    identity or not: no carry crosses a slot, and a * b == ab is the
+    polynomial identity.  A count, at most 2^c12 < 2^w - 1, is the packed
+    value mod 2^w - 1.
+    """
+    records = (s1, s2, s12)
+    (c1, e1), (c2, e2), (c12, e12) = ((len(s.crossings), s.num_arcs // 2) for s in records)
+    if c12 != c1 + c2 or e12 != e1 + e2 - 1:
+        raise RuntimeError("the splice must keep every crossing and remove two cusps")
+    w = c12 + 2
+    m = (1 << w) - 1
+    (p1, g1), (p2, g2), (p12, g12) = (_class_counts(s, w) for s in records)
+    counts_ok = all((a % m) * (b % m) == ab % m for a, b, ab in zip(p1, p2, p12))
+    polynomials_ok = all(a * b == ab for a, b, ab in zip(p1, p2, p12))
+    return counts_ok, polynomials_ok, None if g1 is None or g2 is None else g12 == g1 + g2

@@ -377,7 +377,7 @@ def test_connsum_verdicts_equal_the_census_polynomials_verdicts():
                 (sweep(a), sweep(a), sweep(fronts.connected_sum(x, y)))]
     seen = Counter()
     for triple in triples:
-        verdicts = analysis._connsum_verdicts(*triple)
+        verdicts = rulings._connsum_verdicts(*triple)
         assert verdicts == _census_verdicts(*triple), tuple(str(s.diagram) for s in triple)
         seen.update(zip(("counts_ok", "polynomials_ok", "genus_additive"), verdicts))
         seen["r != 0"] += triple[2].r != 0
@@ -394,7 +394,7 @@ def test_connsum_verdicts_reject_records_that_are_no_splice():
     trefoil, unknot = (fronts.sweep_front(corpus.load(n)) for n in ("trefoil", "unknot"))
     for triple in ((trefoil, trefoil, trefoil), (unknot, unknot, fronts.sweep_front(front("L1 L2 R2 R1")))):
         with pytest.raises(RuntimeError, match="the splice must keep every crossing and remove two cusps"):
-            analysis._connsum_verdicts(*triple)
+            rulings._connsum_verdicts(*triple)
 
 
 def test_connsum_check_builds_no_census_and_no_polynomial(monkeypatch):
@@ -459,9 +459,18 @@ def test_analyze_computes_each_quantity_once(monkeypatch, diagram, reverse):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    min_v_degree = laurent.VZPoly.min_v_degree
+
+    def counted_degree(p):
+        calls["min_v_degree"] += 1
+        return min_v_degree(p)
+    monkeypatch.setattr(laurent.VZPoly, "min_v_degree", counted_degree)
     assert analyze(diagram, reverse=reverse, khovanov_bound=10).ok
     assert calls["homfly"] == calls["kauffman_dubrovnik"] == calls["sweep_geometry"] == 1
     assert calls["profile"] == calls["_no_ruling"] == 1
+    # e is read off Homfly once, by its profile, and Kauffman's least
+    # v-degree once, by the flags
+    assert calls["min_v_degree"] == 2
     assert calls["enumerate_rulings"] == 0
 
 

@@ -406,6 +406,11 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     assert "trefoil" not in out
 
 
+def test_an_unknown_corpus_name_raises_file_not_found():
+    with pytest.raises(FileNotFoundError, match="no bundled front named 'nope'"):
+        corpus.load("nope")
+
+
 def test_round_trip_corpus_files():
     for name in corpus.corpus_names():
         f = corpus.load(name)

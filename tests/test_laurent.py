@@ -152,10 +152,19 @@ def test_a_constant_hashes_as_the_int_it_equals(c):
 
 
 
+def test_exponents_must_be_ints():
+    with pytest.raises(TypeError, match="expected an integer, got float"):
+        ZPoly({0.5: 1})
+    with pytest.raises(TypeError, match="expected an integer, got float"):
+        VZPoly({(0, 1.0): 1})
+
+
 @pytest.mark.parametrize("cls", [ZPoly, VZPoly])
 def test_foreign_operands_raise_type_error(cls):
     p = cls(1)
     for foreign in (1.5, "1", None, ZPoly(1) if cls is VZPoly else VZPoly(1)):
+        # equal to none of them, the other type's constant 1 included
+        assert p.__eq__(foreign) is NotImplemented and p != foreign
         for combine in (
             lambda: p + foreign, lambda: foreign + p, lambda: p - foreign,
             lambda: foreign - p, lambda: p * foreign, lambda: foreign * p,

@@ -659,6 +659,27 @@ def test_seifert_circles_need_an_oriented_diagram():
         front_to_diagram(TREFOIL).unoriented().seifert_circles()
 
 
+def test_polynomials_and_signs_need_an_oriented_diagram():
+    d = front_to_diagram(TREFOIL).unoriented()
+    with pytest.raises(ValueError, match="Homfly needs an oriented diagram"):
+        homfly(d)
+    with pytest.raises(ValueError, match="the writhe normalization needs an oriented input diagram"):
+        kauffman_dubrovnik(d)
+    for read in (lambda: d.sign(1), d.writhe):
+        with pytest.raises(ValueError, match="crossing sign needs an oriented diagram"):
+            read()
+
+
+def test_writhe_sums_the_signs_in_one_pass(monkeypatch):
+    # sign finds a crossing's rank by searching the ids, so a writhe that
+    # called it per crossing took time quadratic in the crossings
+    d = front_to_diagram(corpus.load("trefoil_sum"))
+    signs = [d.sign(c) for c in d.crossings]
+    monkeypatch.setattr(LinkDiagram, "_rank", None)
+    monkeypatch.setattr(LinkDiagram, "sign", None)
+    assert d.writhe() == sum(signs) == 6
+
+
 def test_seifert_genus_rejects_links():
     with pytest.raises(ValueError):
         seifert_diagram_genus(front_to_diagram(corpus.load("unlink2")))
@@ -769,7 +790,10 @@ def test_each_arc_of_an_oriented_diagram_flows_in_at_one_end():
     message = "the arc between ports (1, 0) and (1, 0) flows in at both of its ends"
     with pytest.raises(ValueError, match=re.escape(message)):
         LinkDiagram({1: Crossing(True, (0, 1))}, looped)
-    # unoriented, the same matchings are diagrams; oriented the other way
+    # unoriented it is no diagram either, though no arc has an inflow end
+    with pytest.raises(ValueError, match=re.escape("crossing port (1, 0) is matched to itself")):
+        LinkDiagram({1: Crossing(True, None)}, looped)
+    # unoriented, the other matchings are diagrams; oriented the other way
     # round, the curl is one
     unoriented = {c: Crossing(x.over02, None) for c, x in crossings.items()}
     assert LinkDiagram(unoriented, trefoil.adj).num_crossings == 3
