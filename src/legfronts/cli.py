@@ -197,19 +197,20 @@ def _cmd_invariants(args) -> int:
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
-def _ruling_json(fields, n: int) -> tuple[str, str]:
+def _ruling_json(fields) -> tuple[str, str]:
     """One entry of the "rulings" array before and after its switch ids,
     laid out as json.dumps(indent=2) at depth 2."""
-    _, theta, grading, genus, orientable = fields
+    eyes, theta, grading, genus, orientable = fields
     head = (
         f'    {{\n      "genus": {"null" if genus is None else genus},\n      "grading": "{grading}",\n'
         f'      "orientable": {_JSON_WORDS[orientable]},\n      "switches": '
     )
     tail = f',\n      "theta": {theta}\n    }}'
-    return (head + "[]", tail) if n == 0 else (head + "[\n        ", "\n      ]" + tail)
+    # theta = eyes - switches, so a ruling with no switches has theta == eyes
+    return (head + "[]", tail) if theta == eyes else (head + "[\n        ", "\n      ]" + tail)
 
 
-def _ruling_text(fields, n: int) -> tuple[str, str]:
+def _ruling_text(fields) -> tuple[str, str]:
     """One line of the text listing before and after its switch ids."""
     _, theta, grading, genus, _ = fields
     return "  switches=[", f"] theta={theta} genus={'-' if genus is None else genus} {grading}"
@@ -221,17 +222,8 @@ def _cmd_rulings(args) -> int:
     cens = rulings._census(sweep)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
-    # the listing sweep renders each ruling's ids beside its code string,
-    # each id with a separator after it, and the last separator is cut
-    names = {cid: f"{cid}{sep}" for cid in range(1, len(sweep.crossings) + 1)}
-    cut = -len(sep)
-    found = {}  # code string -> finished entry
-    for fields, codes, shown in rulings._listing(sweep, args.grading, names, ""):
-        ends = {n: render(f, n) for n, f in fields.items()}
-        for code, ids in zip(codes, shown):
-            head, tail = ends[len(code)]
-            found[code] = f"{head}{ids[:cut]}{tail}"
-    entries = [found[code] for code in sorted(found)]
+    # an entry is ids.join((head, tail)), head + ids + tail, each (head, tail) rendered once
+    entries = rulings._listing(sweep, args.grading, str, sep, render, str.join)
     if args.format == "text":
         print("\n".join([f"front {diagram.name}: {count} {args.grading} ruling(s), polynomial {poly}", *entries]))
         return EXIT_OK

@@ -22,43 +22,45 @@ with one boundary circle, so its genus is half its z-exponent 1 - theta,
 (switches - eyes + 1) / 2.  ``_genus`` applies that rule, and raises
 when it gives no natural number, for the listing and the census alike.
 
-Censuses and listings each come from one left-to-right pass over a
-front's sweep record, ``fronts.FrontSweep``, which carries the front,
-``num_arcs``, ``num_components`` and the crossing ``indices`` and
-``crossing_signs``, both tuples by position, crossing id c at c - 1; the
-pass merges equal states.  A state
-is the pairing with the grading tag of its switches so far; it carries a
-value that the caller picks.  No state tracks the signs of its switches:
-an even index means equal potential parity at the crossing, so equal
-x-directions, so a positive crossing, and the pass checks that at every
-crossing before it starts.  The census carries the counts of partial
-rulings per number of switches packed in one int, the count with s
-switches in the w-bit slot s, w >= c + 1 for c crossings: a slot
-counts distinct s-subsets of the crossings, at most C(c, s) < 2^w, so
-adding values never carries across slots, and one pass yields all three
-classes.  Beside them it gives a knot's largest 2-graded genus, read
-off the slots whose genus it checks.  It has two readers: ``census``
-unpacks the counts at w = c + 1 into the polynomials of a
-``RulingCensus``, beside whether the front is a knot, and
-``_connsum_verdicts``, the splice check of ``analysis.connsum_check``,
-multiplies the packed ints of a splice's summands, swept at a width set
-by the composite, and compares them and the summands' summed genera
-with the composite's.  Only ``census`` builds polynomials, so it alone
-reads ``legfronts.laurent``, which the package imports on first touch,
-and a listing or ``connsum_check`` never loads the Laurent layer.  The
-listing pass carries the switch sets themselves, each a string with one
-code point per crossing id, chr(cid) in increasing order, and beside
-each string the caller's rendering of the same set: a switch appends
-chr(cid) to the string and names[cid] to the rendering.  Strings compare
-by code point, so their order is the order of the id tuples; a caller
-keys each ruling by its string and reads them back in sorted order.
-``enumerate_rulings`` names cid as (cid,), so its rendering is the tuple
-of ids, and the command line as the decimal id and a separator, so its
-rendering is finished text.  Every field of a listed ruling but its
-switches depends only on its shape, the pair (end tag, switch count):
-the end tag gives the grading and orientability, the switch count theta
-and the genus.  The listing computes and checks those fields once per
-shape.
+Censuses and listings each come from one pass over a front's sweep
+record, ``fronts.FrontSweep``, which carries the front, ``num_arcs``,
+``num_components`` and the crossing ``indices`` and ``crossing_signs``,
+both tuples by position, crossing id c at c - 1; the pass merges equal
+states.  A state is the pairing with the grading tag of its switches so
+far; it carries a value that the caller picks.  No state tracks the
+signs of its switches: an even index means equal potential parity at
+the crossing, so equal x-directions, so a positive crossing, and the
+pass checks that at every crossing before it starts.  The census reads
+the events left to right and carries the counts of partial rulings per
+number of switches packed in one int, the count with s switches in the
+w-bit slot s, w >= c + 1 for c crossings: a slot counts distinct
+s-subsets of the crossings, at most C(c, s) < 2^w, so adding values
+never carries across slots, and one pass yields all three classes.
+Beside them it gives a knot's largest 2-graded genus, read off the
+slots whose genus it checks.  It has two readers: ``census`` unpacks
+the counts at w = c + 1 into the polynomials of a ``RulingCensus``,
+beside whether the front is a knot, and ``_connsum_verdicts``, the
+splice check of ``analysis.connsum_check``, multiplies the packed ints
+of a splice's summands, swept at a width set by the composite, and
+compares them and the summands' summed genera with the composite's.
+Only ``census`` builds polynomials, so it alone reads
+``legfronts.laurent``, which the package imports on first touch, and a
+listing or ``connsum_check`` never loads the Laurent layer.  The
+listing pass reads the events right to left, a right cusp opening a
+pair and a left cusp closing one, and carries the switch sets in sorted
+order: each a string of code points chr(cid), ids increasing, so string
+order is id-tuple order, beside the caller's rendering of the set.  A
+switch prepends chr(cid), below every code point present, so a state's
+strings stay in order; runs that reach one state are concatenated, and
+merged by code only where switched sets of different tags meet.  The
+empty set sorts first, so it is a flag until the pass ends and a run
+that holds it still concatenates; the sorted runs of the end tags are
+merged the same way.  ``enumerate_rulings`` renders a set as its tuple
+of ids and the command line as finished text, with a separator after
+each id but the largest, the first one prepended.  Every field of a
+listed ruling but its switches depends only on its shape, the pair (end
+tag, switch count), so the listing computes and checks those fields
+once per shape.
 
 The moves of a state at an event depend only on the event's kind and
 height and on the pairing, so ``_moves`` is the move table: one bounded
@@ -104,10 +106,6 @@ class Ruling(NamedTuple):
 
 # grading tag of a switch, or of a set of switches: 0 Z-graded, 1 2-graded, 2 ungraded only
 _GRADINGS = (GradingClass.Z_GRADED, GradingClass.TWO_GRADED, GradingClass.UNGRADED_ONLY)
-
-
-def _tag(index: int) -> int:
-    return 0 if index == 0 else 1 if index % 2 == 0 else 2
 
 
 def _limit(class_filter: str) -> int:
@@ -160,66 +158,68 @@ def enumerate_rulings(
 ) -> list[Ruling]:
     """All normal rulings in the given grading class, sorted by switch set.
 
-    One merging sweep carries the switch sets of the partial rulings in
-    each state, taking no switch outside the class; the grading of each
-    ruling is the tag of the end state that holds it.
+    One merging sweep carries the sorted switch sets of the partial
+    rulings in each state, taking no switch outside the class; the
+    grading of each ruling is the tag of the end state that holds it.
     """
     _limit(class_filter)  # a bad filter is reported before the front is swept
     sweep = fronts.sweep_front(diagram, reverse)
-    names = {cid: (cid,) for cid in range(1, len(sweep.crossings) + 1)}
-    found = {}
-    for fields, codes, shown in _listing(sweep, class_filter, names, ()):
-        for code, switches in zip(codes, shown):
-            found[code] = Ruling(switches, *fields[len(switches)])
-    return [found[code] for code in sorted(found)]
+    return _listing(sweep, class_filter, lambda cid: (cid,), (), lambda fields: fields, lambda ids, f: Ruling(ids, *f))
 
 
 class _Listed:
-    """Partial rulings' switch sets as code strings and, in parallel, rendered."""
+    """Sorted switch sets as code strings and, in parallel, rendered; the
+    empty set, which sorts before every other, is a flag while the pass runs."""
 
-    __slots__ = ("codes", "shown")
-
-    def __init__(self, codes: list[str], shown: list):
-        self.codes, self.shown = codes, shown
+    def __init__(self, codes, shown, empty=False):
+        self.codes, self.shown, self.empty = codes, shown, empty
 
     def __add__(self, other: "_Listed") -> "_Listed":
-        return _Listed(self.codes + other.codes, self.shown + other.shown)
+        # an empty run compares below every other, so it comes first
+        a, b = (other, self) if other.codes[-1:] < self.codes[:1] else (self, other)
+        codes, shown = a.codes + b.codes, a.shown + b.shown
+        if b.codes[:1] < a.codes[-1:]:  # the runs interleave: merge them by code
+            codes, shown = map(list, zip(*sorted(zip(codes, shown))))
+        return _Listed(codes, shown, a.empty or b.empty)
 
 
-def _listing(sweep: fronts.FrontSweep, class_filter: str, names, start) -> list[tuple]:
-    """(fields by switch count, codes, shown) for each end tag of the class.
+def _listing(sweep: fronts.FrontSweep, class_filter: str, name, sep, shape, entry) -> list:
+    """The rulings of the class in switch order, each as entry(shown, shape(fields)).
 
-    A switch set's code is a string, one code point chr(cid) per switched
-    crossing id in increasing order, so the string order is the order of
-    the id tuples and ``len`` is the switch count.  Its rendering, in the
-    parallel list ``shown``, is ``start`` followed by ``names[cid]`` for
-    each switch, again in increasing order.  Neither list is sorted.  The
-    fields are a shape's (eyes, theta, grading, genus, orientable), one
-    tuple per switch count shared by the tag's rulings, so the genus
-    integrality check runs once per shape.
+    A switch set is rendered as name(cid) for each id, with ``sep`` after
+    each but the largest, and as sep * 0 when empty.  The fields of n
+    switches are a shape's (eyes, theta, grading, genus, orientable),
+    theta = eyes - n, shared by the end tag's rulings, so ``shape`` runs
+    and the genus integrality check runs once per shape.  The end tags'
+    sorted runs are merged by code, chr(cid) per switched id in
+    increasing order.
     """
-    limit = _limit(class_filter)
     is_knot = sweep.num_components == 1
     eyes = sweep.num_arcs // 2
 
     def bump(value: _Listed, cid: int) -> _Listed:
-        c, name = chr(cid), names[cid]
-        return _Listed([s + c for s in value.codes], [t + name for t in value.shown])
+        c, alone = chr(cid), name(cid)
+        before = alone + sep
+        return _Listed(
+            [c] * value.empty + [c + s for s in value.codes], [alone] * value.empty + [before + t for t in value.shown]
+        )
 
-    out = []
-    for tag, found in _sweep(sweep, limit, _Listed([""], [start]), bump).items():
+    listed = _Listed([], [])
+    for tag, found in _sweep(sweep, _limit(class_filter), _Listed([], [], True), bump, -1).items():
         # 2-graded rulings bound orientable surfaces; for a knot the converse
         # holds too, while an ungraded-only link ruling is left undetermined
-        orientable = True if tag < 2 else (False if is_knot else None)
-        fields = {}
-        for n in set(map(len, found.codes)):
+        orientable = True if tag < 2 else False if is_knot else None
+        codes = [""] * found.empty + found.codes
+        shapes = {}
+        for n in set(map(len, codes)):
             g = _genus(n - eyes + 1) if is_knot and tag < 2 else None
-            fields[n] = (eyes, eyes - n, _GRADINGS[tag], g, orientable)
-        out.append((fields, found.codes, found.shown))
-    return out
+            shapes[n] = shape((eyes, eyes - n, _GRADINGS[tag], g, orientable))
+        shown = [sep * 0] * found.empty + found.shown
+        listed += _Listed(codes, [entry(t, shapes[len(c)]) for c, t in zip(codes, shown)])
+    return listed.shown
 
 
-def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
+def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump, step=1) -> dict:
     """The value of each end tag after one merging pass over the record's front.
 
     A state key is (pairing, tag): the pairing as in ``_moves`` and the
@@ -227,21 +227,22 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump) -> dict:
     ``start`` for the empty pairing; a switch at crossing cid maps it
     through ``bump(value, cid)`` and is not taken when its tag exceeds
     ``limit``.  Values that reach one key are added with ``+``: packed
-    counts for the census, ``_Listed`` pairs of lists for the listing,
-    where a switch appends chr(cid) to each code and names[cid] to each
-    rendering.
+    counts for the census, ``_Listed`` runs for the listing.  The pass
+    reads the events left to right at step 1 and right to left at -1.
     """
-    tags = tuple(map(_tag, sweep.indices))
+    tags = [0 if index == 0 else 1 if index % 2 == 0 else 2 for index in sweep.indices]
     for tag, sign in zip(tags, sweep.crossing_signs):
         if tag < 2 and sign != 1:
             # even index forces a positive crossing under the even-right convention
             raise RuntimeError("2-graded switch at a negative crossing")
     states = {((), 0): start}
-    cid = 0
-    for kind, k in sweep.diagram.events:
+    cid = 0 if step == 1 else len(tags) + 1
+    for kind, k in sweep.diagram.events[::step]:
         if kind == "X":
-            tag_here = tags[cid]
-            cid += 1
+            cid += step
+            tag_here = tags[cid - 1]
+        elif step == -1:  # a right cusp opens a pair and a left cusp closes one
+            kind = "RL"[kind == "R"]
         merged: dict = {}
         for (p, tag), value in states.items():
             for q, switched in _moves(kind, k - 1, p):

@@ -314,7 +314,7 @@ def test_bad_class_filter():
         for read in (
             lambda: enumerate_rulings(UNKNOT, bad),
             lambda: enumerate_rulings(front("L1 X2 R1"), bad),  # the filter is checked before the sweep
-            lambda: rulings._listing(sweep, bad, None, None),  # no names: a sweep that switched would fail otherwise
+            lambda: rulings._listing(sweep, bad, None, None, None, None),  # a sweep that switched would fail otherwise
             lambda: cens.count(bad),
             lambda: cens.max_genus(bad),
         ):
@@ -572,6 +572,59 @@ def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
     assert [r.switches for r in listed] == sorted(r.switches for r in listed)
 
 
+def test_listing_pass_leaves_each_end_tag_in_switch_order(monkeypatch):
+    """The right-to-left pass hands over each end tag's codes, and the
+    renderings beside them, already sorted, so no caller sorts: on the
+    corpus and on the seeded fronts of the command-line listing test, links
+    under each single reversal, in all three classes."""
+    real_sweep, real_add = rulings._sweep, rulings._Listed.__add__
+    ends, interleaved = [], []
+
+    def recorded_sweep(*args):
+        out = real_sweep(*args)
+        if isinstance(args[2], rulings._Listed):
+            ends.append(list(out.values()))
+        return out
+
+    def counted_add(a, b):
+        if a.codes and b.codes and b.codes[0] < a.codes[-1] and a.codes[0] < b.codes[-1]:
+            interleaved.append(1)
+        return real_add(a, b)
+
+    monkeypatch.setattr(rulings, "_sweep", recorded_sweep)
+    monkeypatch.setattr(rulings._Listed, "__add__", counted_add)
+    rng = random.Random(29)
+    fs = [corpus.load(name) for name in corpus.corpus_names()]
+    fs += random_fronts(seed=29, count=30) + [ruled_random_front(rng, 22, 8) for _ in range(30)]
+    listings = 0
+    for f in fs:
+        k = components(f).num_components
+        for rev in [()] + [(c,) for c in range(k)] * (k > 1):
+            sweep = fronts.sweep_front(f, rev)
+            for cls in GRADING_FILTERS:
+                where = (str(f), rev, cls)
+                ends.clear()
+                listed = enumerate_rulings(f, cls, rev)
+                for run in ends[0]:
+                    assert run.codes == sorted(run.codes), where
+                    assert not run.codes or run.codes[0], where  # the empty set is the flag alone
+                    assert run.shown == [tuple(map(ord, code)) for code in run.codes]
+                text = rulings._listing(sweep, cls, str, ", ", lambda fields: None, lambda shown, _: shown)
+                for ids_run, text_run in zip(*ends, strict=True):
+                    assert ids_run.codes == text_run.codes and ids_run.empty == text_run.empty
+                    assert text_run.shown == [", ".join(map(str, ids)) for ids in ids_run.shown]
+                ids = [r.switches for r in listed]
+                assert ids == sorted(ids) and len(set(ids)) == len(ids), where
+                assert text == [", ".join(map(str, s)) for s in ids]
+                assert [r.theta for r in listed] == [sweep.num_arcs // 2 - len(s) for s in ids]
+                assert len(ids) == rulings._census(sweep).count(cls)
+                listings += bool(ids)
+    assert listings > 300
+    # the merge by code runs where switched sets of different tags meet,
+    # which no T(2, n) or trefoil power reaches
+    assert interleaved
+
+
 def _width(f):
     return max(itertools.accumulate({"L": 2, "R": -2, "X": 0}[ev.kind] for ev in f.events))
 
@@ -654,9 +707,8 @@ def _far_commuted(f, i):
 def _class_data(sweep):
     """tb, then each class polynomial with its listed count, under the sweep record."""
     cens = rulings._census(sweep)
-    names = {cid: (cid,) for cid in range(1, len(sweep.crossings) + 1)}
     return [sweep.tb] + [
-        (cens.polynomials[cls], sum(len(codes) for _, codes, _ in rulings._listing(sweep, cls, names, ())))
+        (cens.polynomials[cls], len(rulings._listing(sweep, cls, str, "", cli._ruling_text, str.join)))
         for cls in GRADING_FILTERS
     ]
 
