@@ -369,7 +369,7 @@ def analyze(
             "has_two_graded_ruling": cert.has_two_graded_ruling,
             "consistent": cert.consistent,
         },
-        rho={"kind": rho.kind, "value": rho.value, "reason": rho.reason, "genus_matches": rho.genus_matches},
+        rho=rho._asdict(),
         noruling_flags=flags,
         bennequin_test=gtests.bennequin_ok,
         conway_test=gtests.conway_ok,

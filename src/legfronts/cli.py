@@ -4,7 +4,8 @@ Every subcommand reads fronts in the text format (``L|R|X <height>`` per
 line, ``#`` comments); a bare corpus name like ``trefoil`` resolves to the
 bundled file of that name.  Exit codes: 0 all checks passed, 1 a check
 failed, the input was invalid or an internal consistency check failed,
-2 the skein crossing ceiling was hit or, from argparse, a usage error.
+2 the skein crossing ceiling was hit, a ruling listing would exceed
+``MAX_LISTED_RULINGS`` or, from argparse, a usage error.
 
 A command reads the layers it computes with off the package, which
 imports each on first touch, so ``rulings``, ``invariants``,
@@ -27,6 +28,7 @@ from . import fronts, rulings
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_RESOURCE = 2
+MAX_LISTED_RULINGS = 1_000_000  # checked against the census before a listing
 
 
 def _load_front(ref: str) -> fronts.FrontDiagram:
@@ -143,17 +145,9 @@ def _cmd_validate(args) -> int:
             worst = EXIT_FAIL
             continue
         report = fronts.validate(diagram)
-        if args.format == "json":
-            print(json.dumps({
-                "front": ref,
-                "ok": report.ok,
-                "violations": [
-                    {"event": v.event_index, "message": v.message}
-                    for v in report.violations
-                ],
-            }, indent=2, sort_keys=True))
-        elif report.ok:
-            print(f"{ref}: ok ({len(diagram.events)} events)")
+        violations = [{"event": v.event_index, "message": v.message} for v in report.violations]
+        payload = {"front": ref, "ok": report.ok, "violations": violations}
+        _emit(payload, args.format, [f"{ref}: ok ({len(diagram.events)} events)"] * report.ok)
         for v in report.violations:
             if v.event_index is not None and diagram.lines:
                 where = f"{path}:{diagram.lines[v.event_index - 1]}"
@@ -221,6 +215,8 @@ def _cmd_rulings(args) -> int:
     sweep = fronts.sweep_front(diagram, args.reverse_component)
     cens = rulings._census(sweep)
     poly, count = cens.polynomials[args.grading], cens.count(args.grading)
+    if count > MAX_LISTED_RULINGS:
+        raise fronts.ResourceLimitError(f"{count} {args.grading} rulings exceed the listing limit {MAX_LISTED_RULINGS}")
     render, sep = (_ruling_text, ", ") if args.format == "text" else (_ruling_json, ",\n        ")
     # an entry is ids.join((head, tail)), head + ids + tail, each (head, tail) rendered once
     entries = rulings._listing(sweep, args.grading, str, sep, render, str.join)

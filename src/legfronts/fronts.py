@@ -80,7 +80,7 @@ DEFAULT_MAX_CROSSINGS = 16
 
 
 class ResourceLimitError(RuntimeError):
-    """Crossing count exceeds the configured skein recursion ceiling."""
+    """An input exceeds a ceiling: skein crossings, or rulings to list."""
 
 
 class _Event(NamedTuple):  # FrontEvent's fields: a NamedTuple body cannot define __new__

@@ -143,10 +143,10 @@ def _moves(kind: str, k: int, p: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
     q = [k + 1 if h == k else k if h == k + 1 else h for h in p]
     q[k], q[k + 1] = q[k + 1], q[k]
     trade = (tuple(q), False)  # no switch: the strands trade eye membership
-    # a switch is normal when the two eyes span disjoint or nested intervals
-    lo_a, hi_a = sorted((k, p[k]))
-    lo_b, hi_b = sorted((k + 1, p[k + 1]))
-    if hi_a < lo_b or hi_b < lo_a or lo_a < lo_b < hi_b < hi_a or lo_b < lo_a < hi_a < hi_b:
+    # a switch is normal when the two eyes span disjoint or nested intervals:
+    # both ends of the eye at k + 1 lie inside the eye at k, or neither does
+    lo, hi = sorted((k, p[k]))
+    if (lo < k + 1 < hi) == (lo < p[k + 1] < hi):
         return trade, (p, True)
     return (trade,)
 

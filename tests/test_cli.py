@@ -122,6 +122,33 @@ def test_max_crossings_exceeded_gives_exit_2(capsys):
     assert "resource limit" in err
 
 
+def _torus_front(tmp_path, n):
+    path = tmp_path / f"T2_{n}.front"
+    path.write_text(render_front(front("L1 L3 " + "X2 " * n + "R1 R1")))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, count", [(31, 2_178_309), (41, 267_914_296)])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_rulings_over_the_listing_limit_exit_2_without_listing(tmp_path, capsys, monkeypatch, n, count, fmt):
+    def no_listing(*args):
+        raise AssertionError("the listing pass ran")
+
+    monkeypatch.setattr(rulings, "_listing", no_listing)
+    code, out, err = run(capsys, "rulings", _torus_front(tmp_path, n), "--class=z_graded", f"--format={fmt}")
+    assert (code, out) == (2, "")
+    assert err == f"resource limit: {count} z_graded rulings exceed the listing limit 1000000\n"
+
+
+def test_the_listing_limit_admits_exactly_its_count(tmp_path, capsys, monkeypatch):
+    path = _torus_front(tmp_path, 15)  # 987 rulings
+    monkeypatch.setattr(cli, "MAX_LISTED_RULINGS", 987)
+    code, out, _ = run(capsys, "rulings", path, "--format=json")
+    assert (code, json.loads(out)["count"], len(json.loads(out)["rulings"])) == (0, 987, 987)
+    monkeypatch.setattr(cli, "MAX_LISTED_RULINGS", 986)
+    assert run(capsys, "rulings", path) == (2, "", "resource limit: 987 ungraded rulings exceed the listing limit 986\n")
+
+
 def test_negative_crossing_ceiling_is_a_usage_error(capsys):
     for command in ("homfly", "kauffman", "conway", "rutherford", "rho", "tests"):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """The claims of the source paper (arXiv 0711.3572), checked on explicit fronts.
 
 For homogeneous knots, the genus of every 2-graded ruling surface is at
-most the knot's genus g(K); the paper says that this fails in general.
-Legendrian Whitehead doubles show the failure.  Wh(K) bounds a band with
-one clasp, so g(Wh(K)) <= 1, and its Conway polynomial 1 - tb(K) z^2 has
-degree 2 when tb(K) != 0, so g(Wh(K)) = 1.  Yet Wh(trefoil) carries a
-2-graded ruling of genus 2 and Wh(51) one of genus 4, and on the family
+most the knot's genus g(K); it holds on every 4-plat front up to 8
+crossings, whose knots are 2-bridge, so alternating (``plat_genus.py``).
+The paper says that the bound fails in general.  Legendrian Whitehead
+doubles show the failure.  Wh(K) bounds a band with one clasp, so
+g(Wh(K)) <= 1, and its Conway polynomial 1 - tb(K) z^2 has degree 2
+when tb(K) != 0, so g(Wh(K)) = 1.  Yet Wh(trefoil) carries a 2-graded
+ruling of genus 2 and Wh(51) one of genus 4, and on the family
 Wh(T(2,n)) the ruling genus n - 1 exceeds g by n - 2, with no bound.
 
 Wh(51) is checked through the standalone checks only: they skip its
@@ -15,6 +17,7 @@ Kauffman tree, which ``analyze`` would expand.
 import pytest
 
 from conftest import whitehead_double
+from plat_genus import plat_genus_counts
 from legfronts import corpus
 from legfronts.analysis import analyze, genus_tests, max_tb_certificate, rho_report
 from legfronts.fronts import components, front
@@ -64,6 +67,14 @@ def test_ruling_genus_exceeds_the_knot_genus_on_the_double_of_51():
     assert (rho.kind, rho.value, rho.genus_matches) == ("value", 4, True)
     cert = max_tb_certificate(double, max_crossings=25)
     assert (cert.tb, cert.e, cert.is_maximal, cert.consistent) == (1, 2, True, True)
+
+
+def test_homogeneous_knots_every_two_graded_ruling_genus_is_at_most_g_on_4_plats():
+    # L1 L3 w R1 R1 for every word w of at most 8 letters over X1, X2, X3:
+    # 2-bridge knots, so alternating, with g = deg(Conway) / 2 (tests/plat_genus.py)
+    knots, ruled, violations, gaps = plat_genus_counts(8)
+    assert (knots, ruled, violations) == (6440, 116, [])
+    assert gaps == {0: 68, 1: 48}
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])

@@ -120,6 +120,37 @@ def test_normal_switch(pairs, k, normal):
         assert all(q == tuple(p) for q, switched in moves if switched)
 
 
+def _pairings(heights):
+    """Every fixed-point-free involution of ``heights``, as {h: partner}."""
+    if not heights:
+        yield {}
+        return
+    first, rest = heights[0], heights[1:]
+    for i, partner in enumerate(rest):
+        for pairing in _pairings(rest[:i] + rest[i + 1:]):
+            yield {first: partner, partner: first, **pairing}
+
+
+def test_a_switch_is_offered_exactly_when_the_eyes_are_disjoint_or_nested():
+    """Every pairing of up to 10 strands at every crossing height: the
+    eyes at k and k + 1, read as sets of heights, are disjoint or one
+    holds the other exactly when ``_moves`` offers a switch."""
+    cases = Counter()
+    for n in range(2, 11, 2):
+        for pairing in _pairings(list(range(n))):
+            p = tuple(pairing[h] for h in range(n))
+            for k in range(n - 1):
+                switches = [switched for _, switched in rulings._moves("X", k, p)]
+                if p[k] == k + 1:
+                    assert switches == []
+                    continue
+                a, b = (set(range(min(h, p[h]), max(h, p[h]) + 1)) for h in (k, k + 1))
+                normal = a.isdisjoint(b) or a <= b or b <= a
+                assert switches == ([False, True] if normal else [False]), (p, k)
+                cases[normal] += 1
+    assert cases == {True: 4128, False: 4128}
+
+
 # -- census examples ----------------------------------------------------------
 
 
