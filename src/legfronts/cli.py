@@ -40,7 +40,7 @@ def _load_front(ref: str) -> fronts.FrontDiagram:
     raise FileNotFoundError(f"{ref!r} is neither a file nor a bundled front")
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+def _emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -48,7 +48,7 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _add_common(parser: argparse.ArgumentParser, orientable=True, skeinful=False) -> None:
+def _add_common(parser: argparse.ArgumentParser, orientable=True) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     if orientable:
         parser.add_argument(
@@ -58,13 +58,6 @@ def _add_common(parser: argparse.ArgumentParser, orientable=True, skeinful=False
             default=[],
             metavar="ID",
             help="reverse the orientation of a component (repeatable)",
-        )
-    if skeinful:
-        parser.add_argument(
-            "--max-crossings",
-            type=int,
-            default=fronts.DEFAULT_MAX_CROSSINGS,
-            help="ceiling on the input's crossing count for the skein polynomials",
         )
 
 
@@ -91,32 +84,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_rulings)
     _add_common(p)
 
-    for name, help_text in (
-        ("homfly", "Homfly polynomial of the underlying link"),
-        ("kauffman", "Dubrovnik-Kauffman polynomial of the underlying link"),
-        ("conway", "Conway polynomial (Homfly at v = 1)"),
+    # the commands that run the skein layer, each with whether it takes the Khovanov bound
+    for name, help_text, run, bounded in (
+        ("homfly", "Homfly polynomial of the underlying link", _cmd_poly, False),
+        ("kauffman", "Dubrovnik-Kauffman polynomial of the underlying link", _cmd_poly, False),
+        ("conway", "Conway polynomial (Homfly at v = 1)", _cmd_poly, False),
+        ("rutherford", "ruling polynomial vs polynomial slices", _cmd_rutherford, False),
+        ("rho", "ruling genus: value, -infinity, or unknown", _cmd_rho, True),
+        ("tests", "full analysis report for one front", _cmd_tests, True),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("front")
-        p.set_defaults(run=_cmd_poly)
-        _add_common(p, skeinful=True)
-
-    p = sub.add_parser("rutherford", help="ruling polynomial vs polynomial slices")
-    p.add_argument("front")
-    p.set_defaults(run=_cmd_rutherford)
-    _add_common(p, skeinful=True)
-
-    p = sub.add_parser("rho", help="ruling genus: value, -infinity, or unknown")
-    p.add_argument("front")
-    p.add_argument("--khovanov-bound", type=int, default=None)
-    p.set_defaults(run=_cmd_rho)
-    _add_common(p, skeinful=True)
-
-    p = sub.add_parser("tests", help="full analysis report for one front")
-    p.add_argument("front")
-    p.add_argument("--khovanov-bound", type=int, default=None)
-    p.set_defaults(run=_cmd_tests)
-    _add_common(p, skeinful=True)
+        if bounded:
+            p.add_argument("--khovanov-bound", type=int, default=None)
+        p.set_defaults(run=run)
+        _add_common(p)
+        p.add_argument(
+            "--max-crossings",
+            type=int,
+            default=fronts.DEFAULT_MAX_CROSSINGS,
+            help="ceiling on the input's crossing count for the skein polynomials",
+        )
 
     p = sub.add_parser("connsum", help="splice two fronts and verify multiplicativity")
     p.add_argument("front1")
@@ -131,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    worst = EXIT_OK
+    worst, payloads = EXIT_OK, []
     for ref in args.fronts:
         path = Path(ref)
         try:
@@ -146,8 +134,9 @@ def _cmd_validate(args) -> int:
             continue
         report = fronts.validate(diagram)
         violations = [{"event": v.event_index, "message": v.message} for v in report.violations]
-        payload = {"front": ref, "ok": report.ok, "violations": violations}
-        _emit(payload, args.format, [f"{ref}: ok ({len(diagram.events)} events)"] * report.ok)
+        payloads.append({"front": ref, "ok": report.ok, "violations": violations})
+        if args.format == "text" and report.ok:
+            print(f"{ref}: ok ({len(diagram.events)} events)")
         for v in report.violations:
             if v.event_index is not None and diagram.lines:
                 where = f"{path}:{diagram.lines[v.event_index - 1]}"
@@ -156,6 +145,9 @@ def _cmd_validate(args) -> int:
             print(f"{where}: {v.message}", file=sys.stderr)
         if not report.ok:
             worst = EXIT_FAIL
+    if args.format == "json":  # one front's object, or one array for several, of the fronts that loaded
+        for document in (payloads,) if len(args.fronts) > 1 else payloads:
+            _emit(document, "json", ())
     return worst
 
 
@@ -391,7 +383,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # after ResourceLimitError, which subclasses it
         print(f"internal consistency check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (fronts.InvalidFrontError, fronts.NormalFormError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
 

@@ -49,8 +49,8 @@ are expanded once; no memo outlives its call.  The expansion runs on an
 explicit stack, so no ceiling the caller sets can reach Python's
 recursion limit.  A piece's value is multiplied out against the powers
 of delta, the first piece's shifted by the factor delta^(k + l - 1).
-The powers come from one table per delta, grown on demand and kept for
-the life of the process; every returned polynomial is a fresh object.
+The powers come from one table per flavour, grown on demand and kept
+for the life of the process; every returned polynomial is a fresh object.
 
 Conventions (pinned operationally by the test suite):
 
@@ -177,30 +177,29 @@ def _skein_sum(d: LinkDiagram, max_crossings: int, kauffman: bool) -> VZPoly:
     n = components + loops - 1
     if n < 0:  # the empty front: delta^-1 is no polynomial
         raise ValueError("a front with no components has no Homfly or Kauffman polynomial")
-    powers = _DUBROVNIK_POWERS if kauffman else _HOMFLY_POWERS
     if not pieces:  # an unlink: a fresh copy of the kept power
-        return VZPoly(_delta_power(powers, n).terms)
+        return VZPoly(_delta_power(kauffman, n).terms)
     memo = {}
-    total = _expanded(pieces[0], kauffman, powers, memo, n)  # the first piece takes the delta factor
+    total = _expanded(pieces[0], kauffman, memo, n)  # the first piece takes the delta factor
     for piece in pieces[1:]:
-        total = total * _expanded(piece, kauffman, powers, memo, 0)
+        total = total * _expanded(piece, kauffman, memo, 0)
     return total
 
 
-# delta^n at index n, grown on demand and kept for the life of the process;
-# the powers are only read here, never handed to a caller
-_HOMFLY_POWERS = [VZPoly(1), VZPoly(HOMFLY_DELTA.terms)]
-_DUBROVNIK_POWERS = [VZPoly(1), VZPoly(DUBROVNIK_DELTA.terms)]
+# delta^n at index n, Homfly's table at index False and Dubrovnik's at True, grown
+# on demand and kept for the life of the process; read here, never handed out
+_POWERS = ([VZPoly(1), VZPoly(HOMFLY_DELTA.terms)], [VZPoly(1), VZPoly(DUBROVNIK_DELTA.terms)])
 _TWISTS = {}  # per (kauffman, h, parallel): at index k the row of a region of k crossings, kept likewise
 
 
-def _delta_power(powers: list[VZPoly], n: int) -> VZPoly:
+def _delta_power(kauffman: bool, n: int) -> VZPoly:
+    powers = _POWERS[kauffman]
     while len(powers) <= n:
         powers.append(powers[-1] * powers[1])
     return powers[n]
 
 
-def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, extra: int) -> VZPoly:
+def _expanded(d: LinkDiagram, kauffman: bool, memo: dict, extra: int) -> VZPoly:
     """Reduce each node, expand it at once at the twist region of its first
     bad crossing, unless its key is in ``memo``, and store its value there
     once its children have one; the root's value is multiplied out times
@@ -246,7 +245,7 @@ def _expanded(d: LinkDiagram, kauffman: bool, powers: list[VZPoly], memo: dict, 
     for (e, f, m), c in memo[key].items():
         if m + n < 1:
             raise ValueError("negative powers are not defined for polynomials")
-        for (de, df), x in _delta_power(powers, m + n - 1 + extra).terms.items():
+        for (de, df), x in _delta_power(kauffman, m + n - 1 + extra).terms.items():
             term = (e + dv + de, f + df)
             total[term] = total.get(term, 0) + c * x
     return VZPoly(total)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -66,6 +67,58 @@ def test_validate_ok(capsys):
     assert run(capsys, "validate", "trefoil") == (0, "trefoil: ok (7 events)\n", "")
     expected = json.dumps({"front": "trefoil", "ok": True, "violations": []}, indent=2, sort_keys=True) + "\n"
     assert run(capsys, "validate", "trefoil", "--format=json") == (0, expected, "")
+
+
+def test_validate_prints_one_json_array_for_several_fronts(tmp_path, capsys):
+    bad = tmp_path / "bad.front"
+    bad.write_text("# header\nL 1\nR 2\n")
+    code, out, err = run(capsys, "validate", "trefoil", str(bad), "--format=json")
+    assert code == 1
+    found = [(d["front"], d["ok"], len(d["violations"])) for d in json.loads(out)]
+    assert found == [("trefoil", True, 0), (str(bad), False, 1)]
+    assert f"{bad}:3" in err
+    # a front that does not load is reported on stderr only, and several fronts still print one array
+    code, out, err = run(capsys, "validate", "no_such_front", "unknot", "--format=json")
+    assert (code, json.loads(out)) == (1, [{"front": "unknot", "ok": True, "violations": []}])
+    assert err == "'no_such_front' is neither a file nor a bundled front\n"
+    code, out, _ = run(capsys, "validate", "no_such_front", "nor_this_one", "--format=json")
+    assert (code, json.loads(out)) == (1, [])
+    # text prints a line per valid front, as for one front
+    assert run(capsys, "validate", "trefoil", "unknot") == (0, "trefoil: ok (7 events)\nunknot: ok (2 events)\n", "")
+
+
+# each subcommand's positionals and option strings, in the order they are declared
+_SKEIN_OPTIONS = ("-h", "--help", "--format", "--reverse-component", "--max-crossings")
+PARSER_SHAPE = {
+    "validate": (("fronts",), ("-h", "--help", "--format")),
+    "invariants": (("front",), ("-h", "--help", "--format", "--reverse-component")),
+    "rulings": (("front",), ("-h", "--help", "--class", "--format", "--reverse-component")),
+    "homfly": (("front",), _SKEIN_OPTIONS),
+    "kauffman": (("front",), _SKEIN_OPTIONS),
+    "conway": (("front",), _SKEIN_OPTIONS),
+    "rutherford": (("front",), _SKEIN_OPTIONS),
+    "rho": (("front",), ("-h", "--help", "--khovanov-bound", "--format", "--reverse-component", "--max-crossings")),
+    "tests": (("front",), ("-h", "--help", "--khovanov-bound", "--format", "--reverse-component", "--max-crossings")),
+    "connsum": (("front1", "front2"), ("-h", "--help", "--format", "--reverse-component")),
+    "corpus": ((), ("-h", "--help", "--format")),
+}
+
+
+def test_the_parser_declares_each_subcommand_as_tabled():
+    # read from the parser's actions, which unlike its help text do not vary across Python versions
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shape = {
+        name: (
+            tuple(a.dest for a in p._actions if not a.option_strings),
+            tuple(o for a in p._actions for o in a.option_strings),
+        )
+        for name, p in subparsers.choices.items()
+    }
+    assert shape == PARSER_SHAPE and list(shape) == list(PARSER_SHAPE)
+    having = lambda option: {name for name, (_, options) in shape.items() if option in options}
+    assert having("--khovanov-bound") == {"rho", "tests"}
+    assert having("--max-crossings") == {"homfly", "kauffman", "conway", "rutherford", "rho", "tests"}
+    assert having("--reverse-component") == set(shape) - {"validate", "corpus"}
 
 
 def test_validate_reports_an_open_front_at_the_end_of_a_file(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """The claims of the source paper (arXiv 0711.3572), checked on explicit fronts.
 
-For homogeneous knots, the genus of every 2-graded ruling surface is at
-most the knot's genus g(K); it holds on every 4-plat front up to 8
-crossings, whose knots are 2-bridge, so alternating (``plat_genus.py``).
+For knots, a ruling is 2-graded exactly when its surface is orientable;
+the surfaces are built from the switch sets alone, one disk per eye and
+one half-twisted band per switch (``ruling_surfaces.py``).  For
+homogeneous knots, the genus of every 2-graded ruling surface is at most
+the knot's genus g(K); it holds on every 4-plat front up to 8 crossings,
+whose knots are 2-bridge, so alternating (``plat_genus.py``).
 The paper says that the bound fails in general.  Legendrian Whitehead
 doubles show the failure.  Wh(K) bounds a band with one clasp, so
 g(Wh(K)) <= 1, and its Conway polynomial 1 - tb(K) z^2 has degree 2
@@ -18,12 +21,27 @@ import pytest
 
 from conftest import whitehead_double
 from plat_genus import plat_genus_counts
+from ruling_surfaces import sample_fronts, surface_counts
 from legfronts import corpus
 from legfronts.analysis import analyze, genus_tests, max_tb_certificate, rho_report
 from legfronts.fronts import components, front
 from legfronts.laurent import ZPoly, conway
 from legfronts.rulings import census
 from legfronts.skein import front_to_diagram, homfly
+
+
+def test_for_knots_a_ruling_is_two_graded_iff_its_surface_is_orientable():
+    # the corpus, 300 random fronts and 300 with a ruling, all from seed 11;
+    # tests/ruling_surfaces.py runs 1,500 of each
+    assert surface_counts(sample_fronts(300)) == {
+        "knot rulings": 1159,
+        "link rulings": 5862,
+        "ungraded-only orientable link rulings": 1679,  # listed with orientable None
+        # orientable != 2-graded, more than one piece, or a genus other than Ruling.genus
+        "knot rulings against the claim": 0,
+        "2-graded non-orientable link rulings": 0,
+        "orientable with no genus": 0,  # (2k - theta - b) / 2 odd or negative
+    }
 
 
 def test_the_double_of_the_unknot_is_the_trefoil_front():
