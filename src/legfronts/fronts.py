@@ -323,15 +323,16 @@ def sweep_front(diagram: FrontDiagram, reverse=()) -> FrontSweep:
     return _sweep_front(diagram, reverse, None)
 
 
-def _sweep_front(diagram: FrontDiagram, reverse, anchor) -> FrontSweep:
-    """``sweep_front``, with each seed started through an arc map if given.
+def _sweep_front(diagram: FrontDiagram, reverse, anchor, geometry=None) -> FrontSweep:
+    """``sweep_front``, with each seed started through an arc map if given,
+    from the front's ``sweep_geometry`` if given.
 
     ``anchor`` is a pair (record, arcs): arc a continues arc ``arcs[a]`` of
     another front's ``FrontSweep``, and each seed starts at that arc's
     direction and potential, not leftward at 1, before the reduction mod
     this front's own 2r; ``reverse`` still flips and raises a component.
     """
-    n_arcs, cusps, crossings = sweep_geometry(diagram)
+    n_arcs, cusps, crossings = geometry or sweep_geometry(diagram)
     reverse = tuple(reverse)
     record, arcs = anchor or (None, None)
     # per arc, its partner across its right cusp and the Maslov jump towards it
@@ -414,12 +415,14 @@ def connected_sum(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
     for f in (f1, f2):
         if not validate(f).ok:
             _invalid(f)
+    return _splice(f1, f2)
+
+
+def _splice(f1: FrontDiagram, f2: FrontDiagram) -> FrontDiagram:
+    """``connected_sum`` of two fronts already known valid."""
     if not (f1.events and f2.events):
         raise NormalFormError(f"{(f2 if f1.events else f1).name!r} is the empty front")
-    return FrontDiagram(
-        f1.events[:-1] + f2.events[1:],
-        name=f"{f1.name}#{f2.name}",
-    )
+    return FrontDiagram(f1.events[:-1] + f2.events[1:], name=f"{f1.name}#{f2.name}")
 
 
 def _connected_sum_sweeps(f1: FrontDiagram, f2: FrontDiagram, reverse):
@@ -427,10 +430,12 @@ def _connected_sum_sweeps(f1: FrontDiagram, f2: FrontDiagram, reverse):
     ``reverse``, each summand under the orientation and potential the
     composite induces.  f1's arcs keep their ids, f2's arcs 0 and 1
     continue the upper and lower arcs of f1's closing cusp, and f2's arc
-    a >= 2 is arc A1 + a - 2 for f1's A1.
+    a >= 2 is arc A1 + a - 2 for f1's A1.  Each summand's geometry is
+    swept once, which checks it, f1 first, as ``connected_sum`` does.
     """
-    s12 = sweep_front(connected_sum(f1, f2), reverse)
-    s1 = _sweep_front(f1, (), (s12, range(s12.num_arcs)))
+    g1, g2 = sweep_geometry(f1), sweep_geometry(f2)
+    s12 = sweep_front(_splice(f1, f2), reverse)
+    s1 = _sweep_front(f1, (), (s12, range(s12.num_arcs)), g1)
     _, upper, lower = s1.cusps[-1]
     arcs = (upper, lower, *range(s1.num_arcs, s12.num_arcs))
-    return s1, _sweep_front(f2, (), (s12, arcs)), s12
+    return s1, _sweep_front(f2, (), (s12, arcs), g2), s12

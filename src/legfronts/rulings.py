@@ -63,17 +63,21 @@ tag, switch count), so the listing computes and checks those fields
 once per shape.
 
 The moves of a state at an event depend only on the event's kind and
-height and on the pairing, so ``_moves`` is the move table: one bounded
-``lru_cache`` of immutable tuples that every sweep in the process reads,
-census, listing and command line alike, so a move is computed once for
-as long as the table holds it.  At 2^14 entries of about 320 B it holds
-at most about 5 MB.  The benchmark workloads fill few entries (about 150
-on verify-small, 13 on census-sum, 7 on rulings-list), and a
-40-crossing, 12-strand ruled random front about 8,000.
+height and on the pairing, so every sweep in the process reads one step
+table.  It interns each pairing as an int id, and a pass keys a state by
+one int, 4 times that id plus the state's tag.  Per move (kind, height),
+as the pass reads the event, and per pairing id, the table holds 4 times
+the id of the unswitched successor, or -1, and whether a normal switch
+is allowed; ``_moves`` fills an entry when a pass first meets it.  A pass
+reads the generation current when it starts; once one holds more than
+2^14 entries, about 3.5 MB with its pairings, the next pass starts a
+fresh one and never empties the old, so no pass reads another
+generation's ids.  A 20 s benchmark run at seed 1 fills 151 entries on
+verify-small, 17 on census-sum and 10 on rulings-list; one 40-crossing,
+12-strand ruled random front fills 330 to 2,500.
 """
 
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -122,14 +126,13 @@ def _genus(exponent: int) -> int:
     return exponent // 2
 
 
-@lru_cache(maxsize=1 << 14)
 def _moves(kind: str, k: int, p: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """The pairings that can follow p at an event at height k + 1, each
-    with whether it switches the crossing there.
+    with whether it switches the crossing there, the unswitched one first.
 
     p[h] is the partner of strand h + 1: heights count from 0 here.  The
-    result depends on the arguments alone and is immutable, so the move
-    table caches it for every caller in the process.
+    result depends on the arguments alone, so the step table computes it
+    once per generation.
     """
     if kind == "L":  # shift heights >= k up by two and pair (k, k + 1)
         q = tuple(h + 2 if h >= k else h for h in p)
@@ -149,6 +152,35 @@ def _moves(kind: str, k: int, p: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
     if (lo < k + 1 < hi) == (lo < p[k + 1] < hi):
         return trade, (p, True)
     return (trade,)
+
+
+_BOUND = 1 << 14  # the entries past which the next pass starts a fresh generation
+
+
+class _Steps:
+    """One generation of the step table: pairings interned as ids, the
+    empty one 0, and per move (kind, height) a row {id: (4 * the unswitched
+    successor's id or -1, whether a normal switch is allowed)}."""
+
+    def __init__(self, generation=1):
+        self.ids, self.pairings, self.rows = {(): 0}, [()], {}
+        self.entries, self.generation = 0, generation
+
+    def fill(self, row: dict, kind: str, k: int, pid: int) -> tuple[int, bool]:
+        moves = _moves(kind, k - 1, self.pairings[pid])
+        succ = -1
+        if moves:  # a switch keeps the pairing, so only the first move names one
+            q = moves[0][0]
+            succ = self.ids.setdefault(q, len(self.ids))
+            if succ == len(self.pairings):
+                self.pairings.append(q)
+            succ *= 4
+        self.entries += 1
+        row[pid] = step = succ, len(moves) > 1
+        return step
+
+
+_TABLE = [_Steps()]  # the current generation; _sweep swaps in the next
 
 
 def enumerate_rulings(
@@ -222,8 +254,9 @@ def _listing(sweep: fronts.FrontSweep, class_filter: str, name, sep, shape, entr
 def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump, step=1) -> dict:
     """The value of each end tag after one merging pass over the record's front.
 
-    A state key is (pairing, tag): the pairing as in ``_moves`` and the
-    grading tag of the switches so far.  Each key carries a value,
+    A state key is one int, 4 * id + tag: the id of its pairing in the
+    step table's generation that the pass reads, and the grading tag of
+    the switches so far.  Each key carries a value,
     ``start`` for the empty pairing; a switch at crossing cid maps it
     through ``bump(value, cid)`` and is not taken when its tag exceeds
     ``limit``.  Values that reach one key are added with ``+``: packed
@@ -235,7 +268,10 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump, step=1) -> dict:
         if tag < 2 and sign != 1:
             # even index forces a positive crossing under the even-right convention
             raise RuntimeError("2-graded switch at a negative crossing")
-    states = {((), 0): start}
+    steps = _TABLE[0]  # this pass reads one generation; a full one is never emptied
+    if steps.entries > _BOUND:
+        steps = _TABLE[0] = _Steps(steps.generation + 1)
+    states = {0: start}  # the empty pairing has id 0
     cid = 0 if step == 1 else len(tags) + 1
     for kind, k in sweep.diagram.events[::step]:
         if kind == "X":
@@ -243,18 +279,26 @@ def _sweep(sweep: fronts.FrontSweep, limit: int, start, bump, step=1) -> dict:
             tag_here = tags[cid - 1]
         elif step == -1:  # a right cusp opens a pair and a left cusp closes one
             kind = "RL"[kind == "R"]
+        row = steps.rows.get((kind, k))
+        if row is None:
+            row = steps.rows[kind, k] = {}
         merged: dict = {}
-        for (p, tag), value in states.items():
-            for q, switched in _moves(kind, k - 1, p):
-                key, add = (q, tag), value
-                if switched:
-                    if tag_here > limit:
-                        continue
-                    key, add = (q, max(tag, tag_here)), bump(value, cid)
+        for key, value in states.items():
+            try:
+                succ, normal = row[key >> 2]
+            except KeyError:
+                succ, normal = steps.fill(row, kind, k, key >> 2)
+            if succ >= 0:
+                succ += key & 3
+                merged[succ] = merged[succ] + value if succ in merged else value
+            if normal and tag_here <= limit:  # the switch keeps the pairing
+                if tag_here > key & 3:
+                    key += tag_here - (key & 3)
+                add = bump(value, cid)
                 merged[key] = merged[key] + add if key in merged else add
         states = merged
-    # a valid front ends on the empty pairing
-    return {tag: value for (_, tag), value in states.items()}
+    # a valid front ends on the empty pairing, id 0
+    return {key & 3: value for key, value in states.items()}
 
 
 def _unpack(packed: int, w: int, offset: int) -> dict[int, int]:

@@ -258,6 +258,26 @@ def test_connsum_check_orients_the_second_summand_as_the_composite_does(monkeypa
     assert sorted(walks) == sorted([trefoil.name, HOPF.name, composite.name])  # one sweep per front
 
 
+def test_connsum_check_reports_bad_summands_as_connected_sum_does():
+    # the splice check sweeps each summand once and splices unchecked, so
+    # it must raise what connected_sum raises, in its order: an invalid
+    # summand before an empty one, and the first of two invalid ones
+    bad, worse, empty = front("L1 X2 R1", name="bad"), front("L1 L4 R1 R1", name="worse"), front("", name="empty")
+    expected = {
+        (bad, HOPF): "bad", (HOPF, worse): "worse", (bad, worse): "bad", (worse, bad): "worse",
+        (empty, HOPF): "empty", (HOPF, empty): "empty", (bad, empty): "bad", (empty, bad): "bad",
+    }
+    for (f1, f2), name in expected.items():
+        raised = []
+        for call in (fronts.connected_sum, connsum_check):
+            with pytest.raises((fronts.InvalidFrontError, fronts.NormalFormError)) as info:
+                call(f1, f2)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1], (f1.name, f2.name)
+        kind = fronts.NormalFormError if name == "empty" else fronts.InvalidFrontError
+        assert raised[0][0] is kind and f"{name!r}" in raised[0][1], (f1.name, f2.name)
+
+
 def test_connsum_check_shifts_the_second_summand_potential_as_the_composite_does():
     # reversing f2's first component fixes the orientation but leaves its
     # potential 2 above the composite's, which the z-graded class sees

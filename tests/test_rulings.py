@@ -597,8 +597,9 @@ def test_listing_calls_moves_once_per_reachable_pairing(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rulings, "_moves", counted)
+    monkeypatch.setattr(rulings, "_TABLE", [rulings._Steps()])  # a fresh generation: every step is computed
     listed = enumerate_rulings(front("L1 L3 " + "X2 " * 21 + "R1 R1"), "ungraded")
-    assert len(calls) <= 50
+    assert 0 < len(calls) <= 50
     assert len(listed) == 17711
     assert [r.switches for r in listed] == sorted(r.switches for r in listed)
 
@@ -660,9 +661,10 @@ def _width(f):
     return max(itertools.accumulate({"L": 2, "R": -2, "X": 0}[ev.kind] for ev in f.events))
 
 
-def test_move_table_is_the_same_cold_and_warm():
-    """``_moves`` is one bounded table for the whole process: what a sweep
-    reads from it may not depend on which fronts filled it, or in which order."""
+def test_move_table_is_the_same_cold_and_warm(monkeypatch):
+    """The step table is one bounded table for the whole process: what a
+    sweep reads from it may not depend on which fronts filled it, in which
+    order, or on how often a pass starts a fresh generation."""
     rng = random.Random(61)
     cases = [(corpus.load(name), ()) for name in corpus.corpus_names()]
     for f in random_fronts(seed=62, count=100):
@@ -676,15 +678,52 @@ def test_move_table_is_the_same_cold_and_warm():
 
     cold = []
     for f, rev in cases:
-        rulings._moves.cache_clear()
+        monkeypatch.setattr(rulings, "_TABLE", [rulings._Steps()])
         cold.append(results(f, rev))
-    rulings._moves.cache_clear()
+    monkeypatch.setattr(rulings, "_TABLE", [rulings._Steps()])
     warm = [results(f, rev) for f, rev in reversed(cases)][::-1]
     assert warm == cold
-    assert rulings._moves.cache_info().maxsize is not None
-    # every caller gets the one cached result, so it must be immutable
-    for move in ("L", 1, (1, 0)), ("R", 0, (1, 0)), ("X", 1, (1, 0, 3, 2)):
-        hash(rulings._moves(*move))
+    assert 0 < rulings._BOUND <= 1 << 14  # a generation's entries: about 3.5 MB at the bound
+    # every pass reads the same entries, so they must be immutable
+    steps = rulings._TABLE[0]
+    assert steps.entries == sum(map(len, steps.rows.values()))
+    assert all(type(p) is tuple for p in steps.pairings)
+    assert {type(step) for row in steps.rows.values() for step in row.values()} == {tuple}
+    assert {type(x) for row in steps.rows.values() for step in row.values() for x in step} == {int, bool}
+    # at bound 0 each pass but the first, which finds an empty table, starts a fresh generation
+    passes = []
+    real_sweep = rulings._sweep
+    monkeypatch.setattr(rulings, "_sweep", lambda *args: passes.append(1) or real_sweep(*args))
+    monkeypatch.setattr(rulings, "_BOUND", 0)
+    monkeypatch.setattr(rulings, "_TABLE", [rulings._Steps()])
+    fresh = [results(f, rev) for f, rev in cases]
+    assert fresh == cold
+    assert rulings._TABLE[0].generation == len(passes) == 4 * len(cases)
+
+
+def test_a_pass_starts_a_fresh_generation_only_past_the_bound(monkeypatch):
+    """A pass continues the current generation while it holds at most the
+    bound, so a generation holds at most the bound plus what one pass adds."""
+    bound, seen = 40, Counter()
+    real_sweep = rulings._sweep
+
+    def recorded(*args):
+        before = rulings._TABLE[0]
+        past = before.entries > bound
+        out = real_sweep(*args)
+        after = rulings._TABLE[0]
+        assert (after is not before) == past
+        assert after.generation == before.generation + past
+        seen[past] += 1
+        return out
+
+    monkeypatch.setattr(rulings, "_sweep", recorded)
+    monkeypatch.setattr(rulings, "_BOUND", bound)
+    monkeypatch.setattr(rulings, "_TABLE", [rulings._Steps()])
+    for f in random_fronts(seed=63, count=60):
+        census(f)
+        enumerate_rulings(f)
+    assert min(seen[True], seen[False]) >= 5, seen
 
 
 def test_rulings_keep_int_tuple_switches():
